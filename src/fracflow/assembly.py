@@ -158,7 +158,9 @@ class LinearSystem:
     ``matrix``/``rhs`` are the symmetric eliminated system handed to the
     solver. ``matrix_raw`` keeps all couplings; ``rhs_raw`` all loads;
     ``rhs_body`` only the non-boundary loads (interface h terms), which is
-    what consistent boundary-flux recovery subtracts.
+    what consistent boundary-flux recovery subtracts. ``copy_groups`` labels
+    each dof with the pre-split vertex it was copied from; the solver
+    preconditions over these groups.
     """
 
     matrix: sp.csr_matrix
@@ -172,6 +174,7 @@ class LinearSystem:
     neumann_tags: tuple[str, ...] = ()
     matrix_domain: sp.csr_matrix | None = None
     interface_terms: tuple = ()
+    copy_groups: np.ndarray | None = None
 
     def residual_raw(self, solution: np.ndarray) -> np.ndarray:
         """rhs_body - A_raw @ solution, evaluated term by term.
@@ -274,37 +277,35 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         if tag not in known_tags:
             raise ConfigurationError(f"unknown boundary tag {tag!r}; mesh has {sorted(known_tags)}")
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
     # Subdomain diffusion.
     cells = mesh.cells
     if mesh.dim == 2:
-        Kb = q1_stiffness_batch(mesh.vertices[cells], k_cell)
-        rows.append(np.broadcast_to(cells[:, :, None], Kb.shape).ravel())
-        cols.append(np.broadcast_to(cells[:, None, :], Kb.shape).ravel())
-        vals.append(Kb.ravel())
+        K = q1_stiffness_batch(mesh.vertices[cells], k_cell)
     else:
         x = mesh.vertices[:, 0]
-        lengths = x[cells[:, 1]] - x[cells[:, 0]]
-        s = k_cell / lengths
-        loc = np.stack([np.stack([s, -s], axis=1), np.stack([-s, s], axis=1)], axis=1)
-        rows.append(np.broadcast_to(cells[:, :, None], loc.shape).ravel())
-        cols.append(np.broadcast_to(cells[:, None, :], loc.shape).ravel())
-        vals.append(loc.ravel())
+        s = k_cell / (x[cells[:, 1]] - x[cells[:, 0]])
+        K = np.stack([np.stack([s, -s], axis=1), np.stack([-s, s], axis=1)], axis=1)
 
     # Domain matrix kept separate: summing O(1) stiffness and O(1/eps)
     # interface entries into one float loses the exact row cancellation the
-    # conservative flux recovery relies on.
+    # conservative flux recovery relies on. Its triplets carry the index dtype
+    # the matrix stores, so building it makes no second copy of the (16 per
+    # cell) index arrays.
+    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     A_domain = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (K.ravel(), (np.broadcast_to(cells[:, :, None], K.shape).astype(idx).ravel(),
+                     np.broadcast_to(cells[:, None, :], K.shape).astype(idx).ravel())),
         shape=(n, n)).tocsr()
+    del K
     A_domain.sum_duplicates()
+    A_domain = A_domain.copy()    # summing leaves views into the longer unsummed arrays
 
     # Interface terms.
     rhs_body = np.zeros(n)
     iface_terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
     for entity in split.interface_edges:
         source = coeffs[entity.fracture_id]
         c = source(entity) if callable(source) else source
@@ -325,10 +326,10 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         np.add.at(rhs_body, dofs, f_loc)
         iface_terms.append((dofs, A_loc, f_loc))
 
-    A_raw = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    A_raw.sum_duplicates()
+    A_raw = A_domain
+    if iface_terms:
+        A_raw = A_domain + sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
     # Neumann loads.
     rhs_neumann = np.zeros(n)
@@ -390,10 +391,13 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
 
     rhs = rhs_raw - A_raw @ g_vec
     rhs[d_idx] = g_vec[d_idx]
-    D_free = sp.diags(free.astype(float))
-    D_fixed = sp.diags((~free).astype(float))
-    A = (D_free @ A_raw @ D_free + D_fixed).tocsr()
-    A.sum_duplicates()
+    # Zero the fixed rows and columns in place on a copy; every dof lies in a
+    # cell, so its diagonal entry is stored and can take the fixed row's 1.
+    A = A_raw.copy()
+    row_of = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    fixed_entry = ~(free[row_of] & free[A.indices])
+    A.data[fixed_entry] = 0.0
+    A.data[fixed_entry & (row_of == A.indices)] = 1.0
     A.eliminate_zeros()
 
     return LinearSystem(
@@ -408,4 +412,5 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         neumann_tags=tuple(sorted(bcs.neumann)),
         matrix_domain=A_domain,
         interface_terms=tuple(iface_terms),
+        copy_groups=split.vertex_origin,
     )

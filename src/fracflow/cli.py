@@ -183,6 +183,7 @@ def _summary_payload(res: ScenarioResult, files: dict) -> dict:
         "interface_entities": len(res.split.interface_edges),
         "method": res.report.method,
         "cg_iterations": res.report.iterations,
+        "refinement_iterations": list(res.report.refinement_iterations),
         "relative_residual": res.report.relative_residual,
         "converged": res.report.converged,
         "boundary_fluxes": res.fluxes,

@@ -286,7 +286,9 @@ def profile_error(candidate: Profile, reference: Profile) -> tuple[float, float]
     max_err = float(np.max(np.abs(diff)))
     if len(candidate) == 1 or reference.s[-1] == reference.s[0]:
         return max_err, max_err
-    l2 = float(np.sqrt(np.trapezoid(diff * diff, reference.s) / span))
+    sq = diff * diff
+    # Trapezoid rule written out: np.trapezoid needs numpy >= 2.0.
+    l2 = float(np.sqrt(np.sum(0.5 * (sq[1:] + sq[:-1]) * np.diff(reference.s)) / span))
     return l2, max_err
 
 

@@ -198,6 +198,7 @@ def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Poin
     k_cell = np.where(in_band, float(kf), float(k_background))
 
     system = assemble(split, None, [], bcs, k_per_cell=k_cell)
-    pressure, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter)
+    pressure, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter,
+                           groups=system.copy_groups)
     return EquidimResult(split=split, pressure=pressure, system=system,
                          report=report, k_per_cell=k_cell)

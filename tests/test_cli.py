@@ -13,7 +13,8 @@ import fracflow.cli as cli
 SUMMARY_KEYS = {"scenario", "variant", "n", "params", "dofs", "subdomains",
                 "interface_entities", "method", "cg_iterations",
                 "relative_residual", "converged", "boundary_fluxes",
-                "mass_balance_defect", "inflow", "profiles", "fractures"}
+                "mass_balance_defect", "inflow", "profiles", "fractures",
+                "refinement_iterations"}
 
 
 def run_cli(*argv):
@@ -57,6 +58,11 @@ def test_run_regular2d_benchmark_counts(tmp_path):
     assert summary["subdomains"] == 10
     assert summary["params"]["fracture_source"] == "external-benchmark"
     assert len(summary["fractures"]) == 6
+    # the first solve and each refinement solve are reported separately
+    assert summary["method"] == "cg"
+    assert summary["cg_iterations"] > 0
+    assert len(summary["refinement_iterations"]) == 2
+    assert all(k > 0 for k in summary["refinement_iterations"])
 
 
 def test_run_is_deterministic(tmp_path):

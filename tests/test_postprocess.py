@@ -149,6 +149,16 @@ def test_profile_error_offset_and_ramp():
     assert l2 == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-4)   # trapezoid on 201 pts
 
 
+def test_profile_error_trapezoid_on_uneven_samples():
+    # diff = (0, 2, 0) at s = (0, 1, 3): the trapezoid rule integrates the
+    # squared difference to 0.5*4*1 + 0.5*4*2 = 6 over a span of 3
+    base = make_profile([0.0, 1.0, 3.0], [1.0, 1.0, 1.0])
+    cand = make_profile([0.0, 1.0, 3.0], [1.0, 3.0, 1.0])
+    l2, mx = profile_error(cand, base)
+    assert l2 == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert mx == 2.0
+
+
 def test_profile_error_requires_shared_abscissae():
     a = make_profile(np.linspace(0, 1, 5), np.zeros(5))
     b = make_profile(np.linspace(0, 2, 5), np.zeros(5))

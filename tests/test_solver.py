@@ -1,11 +1,11 @@
-"""Linear solver behavior: CG, Cholesky, dispatch, refinement."""
+"""Linear solver behavior: grouped CG, the Cholesky oracle, refinement."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fracflow import (NonConvergenceError, SolverError, cg_solve,
-                      cholesky_solve, solve, solve_system)
+                      cholesky_solve, run_scenario, solve, solve_system)
 from fracflow.solver import DENSE_LIMIT
 
 
@@ -154,16 +154,112 @@ def test_cholesky_rejects_indefinite_and_oversize():
         cholesky_solve(big, np.ones(DENSE_LIMIT + 1))
 
 
-def test_solve_dispatches_on_size():
+def test_solve_runs_cg_at_every_size():
     A_small = random_spd(10, seed=7)
-    _, rep = solve(A_small, np.ones(10))
-    assert rep.method == "cholesky"
+    x, rep = solve(A_small, A_small @ np.ones(10), tol=1e-12)
+    assert rep.method == "cg"
+    assert np.allclose(x, 1.0, atol=1e-9)
     n = DENSE_LIMIT + 10
     A_big = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)],
                      offsets=[-1, 0, 1]).tocsr()
     x, rep = solve(A_big, A_big @ np.ones(n), tol=1e-12)
     assert rep.method == "cg"
     assert np.allclose(x, 1.0, atol=1e-9)
+
+
+# --- copy-group preconditioning -----------------------------------------------
+
+def jacobi_cg(A, b, tol):
+    """Textbook Jacobi-preconditioned CG with cg_solve's stopping rule."""
+    A = sp.csr_matrix(A)
+    inv_diag = 1.0 / A.diagonal()
+    b_norm = np.sqrt(b @ (inv_diag * b))
+    x = np.zeros(len(b))
+    r = b.copy()
+    z = inv_diag * r
+    rz = r @ z
+    p = z.copy()
+    it = 0
+    while np.sqrt(rz) > tol * b_norm:
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = inv_diag * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        it += 1
+    return x, it
+
+
+def test_singleton_groups_are_plain_jacobi():
+    A = random_spd(40, seed=8, scale_spread=1.0)
+    b = np.linspace(-1.0, 2.0, 40)
+    x_ref, it_ref = jacobi_cg(A, b, tol=1e-11)
+    for groups in (None, np.arange(40), np.arange(40)[::-1].copy()):
+        x, report = cg_solve(A, b, tol=1e-11, groups=groups)
+        assert report.iterations == it_ref
+        assert np.array_equal(x, x_ref)
+
+
+def test_groups_must_label_every_dof():
+    A = np.eye(4)
+    for bad in (np.zeros(3, dtype=int), np.array([0, 1, 2, -1]), np.zeros(4)):
+        with pytest.raises(SolverError):
+            cg_solve(A, np.ones(4), groups=bad)
+
+
+def test_indefinite_group_block_is_rejected():
+    # positive diagonal, but the 2x2 block of the one group is indefinite
+    A = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SolverError):
+        cg_solve(A, np.ones(3), groups=np.array([0, 0, 1]))
+
+
+def test_grouped_solve_matches_oracle():
+    """A coupled pair per group: the grouped solve is exact where it should be."""
+    A = random_spd(30, seed=9, scale_spread=1.0)
+    groups = np.repeat(np.arange(15), 2)
+    x_exact = np.cos(np.arange(30.0))
+    x_ref, _ = cholesky_solve(A, A @ x_exact)
+    x, report = cg_solve(A, A @ x_exact, tol=1e-12, groups=groups)
+    assert report.converged
+    assert np.allclose(x, x_ref, rtol=1e-9, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def conductive_64():
+    return run_scenario("regular2d", n=64, variant="conductive")
+
+
+def test_groups_make_conductive_as_cheap_as_blocking(conductive_64):
+    """The kf/eps = 1e8 jump penalty couples each vertex's copies. Block
+    Jacobi over the copy groups sees that coupling; plain Jacobi does not
+    (9,300 iterations at this size)."""
+    blocking = run_scenario("regular2d", n=64, variant="blocking")
+    grouped = conductive_64.report.iterations
+    assert grouped <= 1.5 * blocking.report.iterations
+    system = conductive_64.system
+    with pytest.raises(NonConvergenceError):
+        cg_solve(system.matrix, system.rhs, max_iter=3 * grouped)
+
+
+def test_grouped_refinement_solve_converges(conductive_64):
+    """A loose refinement solve hits the preconditioned trigger before the
+    Jacobi-norm criterion; tightening the trigger (not restarting) must
+    carry it on to convergence instead of declaring a stall."""
+    system = conductive_64.system
+    x, _ = solve(system.matrix, system.rhs, groups=system.copy_groups)
+    r = system.rhs_raw - system.matrix_domain @ x
+    for dofs, A_loc, _ in system.interface_terms:
+        r[dofs] -= A_loc @ x[dofs]
+    for d, g in system.dirichlet_dofs.items():
+        r[d] = g - x[d]
+    _, report = solve(system.matrix, r, tol=1e-4, groups=system.copy_groups)
+    assert report.converged
+    assert report.relative_residual <= 1e-4
+    assert len(conductive_64.report.refinement_iterations) == 2
 
 
 def test_solve_system_keeps_converged_solution(solved_vertical_16):
