@@ -1,18 +1,22 @@
 """Global assembly: subdomain diffusion, interface terms, boundary conditions.
 
-Interface terms live on duplicated mesh edges. With local dof order
-(a1, a2, b1, b2) the jump and mean maps are
+Interface terms live on node pairs: each fracture node is duplicated into a
+side-1 copy ``lo`` and a side-2 copy ``hi``, and ``assemble`` collects the
+unique pairs ``(lo, hi)`` once (adjacent interface edges share their
+endpoint pairs). Over p pairs the mean and jump maps are
 
-    J = [[-1, 1, 0, 0], [0, 0, -1, 1]]      jump = side2 - side1
-    M = [[.5, .5, 0, 0], [0, 0, .5, .5]]
+    M = 0.5 at (k, lo_k) and (k, hi_k)        mean = (side1 + side2) / 2
+    J = -1 at (k, lo_k), +1 at (k, hi_k)      jump = side2 - side1
 
-and each interface edge contributes
+and the interface adds
 
-    M^T (S(kappa_j) + Q(r_j)) M  +  J^T (S(kappa_a) + Q(r_a)) J
+    M^T K_mean M  +  J^T K_jump J,    K_mean = S(kappa_j) + Q(r_j),
+                                      K_jump = S(kappa_a) + Q(r_a)
 
-with S the tangential segment stiffness and Q the segment mass, plus loads
-M^T f(h_j) + J^T f(h_a). In 1D the interface is a point: the S terms vanish
-and Q degenerates to the bare coefficient.
+with S the tangential segment stiffness and Q the segment mass, each a 2x2
+block per edge on its two pairs, plus loads M^T f(h_j) + J^T f(h_a). In 1D
+the interface is a point: S vanishes and Q degenerates to the bare
+coefficient on its one pair.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ import scipy.sparse as sp
 
 from .elements import (
     facet_load,
-    facet_load_nodal,
+    p1_segment_load,
     p1_segment_mass,
     p1_segment_stiffness,
     q1_stiffness_batch,
 )
 from .errors import ConfigurationError
-from .geometry import InterfaceEdge, InterfacePoint, Point, SplitMesh
+from .geometry import InterfacePoint, Point, SplitMesh
 
 __all__ = [
     "InterfaceCoefficients",
@@ -46,8 +50,7 @@ __all__ = [
 Coefficient = Union[float, tuple[float, float]]
 BCValue = Union[float, Callable[[Point], float]]
 
-_JUMP = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])
-_MEAN = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+_COEFFICIENTS = ("kappa_j", "r_j", "h_j", "kappa_a", "r_a", "h_a")
 
 
 def _coeff_values(c: Coefficient) -> tuple[float, float]:
@@ -151,6 +154,15 @@ class BoundaryConditionSet:
             raise ConfigurationError("at least one Dirichlet tag is required")
 
 
+def _pair_scatter(pairs: np.ndarray, mean_part: np.ndarray, jump_part: np.ndarray,
+                  n: int) -> np.ndarray:
+    """M^T mean_part + J^T jump_part: half of each pair's mean term to both
+    sides, its jump term with sign -/+ to side 1/2."""
+    half = 0.5 * mean_part
+    return (np.bincount(pairs[:, 0], half - jump_part, minlength=n)
+            + np.bincount(pairs[:, 1], half + jump_part, minlength=n))
+
+
 @dataclass
 class LinearSystem:
     """Assembled system before and after Dirichlet elimination.
@@ -158,8 +170,13 @@ class LinearSystem:
     ``matrix``/``rhs`` are the symmetric eliminated system handed to the
     solver. ``matrix_raw`` keeps all couplings; ``rhs_raw`` all loads;
     ``rhs_body`` only the non-boundary loads (interface h terms), which is
-    what consistent boundary-flux recovery subtracts. ``copy_groups`` labels
-    each dof with the pre-split vertex it was copied from; the solver
+    what consistent boundary-flux recovery subtracts. ``matrix_domain`` is
+    the subdomain diffusion alone; ``interface_pairs`` (p, 2) holds the
+    (side 1, side 2) dofs of each interface node pair, and ``interface_mean``
+    / ``interface_jump`` are the p x p operators on the pairs' side means and
+    jumps, so ``matrix_raw = matrix_domain + M^T interface_mean M
+    + J^T interface_jump J`` (see the module docstring). ``copy_groups``
+    labels each dof with the pre-split vertex it was copied from; the solver
     preconditions over these groups.
     """
 
@@ -170,67 +187,76 @@ class LinearSystem:
     rhs_body: np.ndarray
     n_dofs: int
     dirichlet_dofs: dict[int, float]
+    matrix_domain: sp.csr_matrix
+    interface_pairs: np.ndarray
+    interface_mean: sp.csr_matrix
+    interface_jump: sp.csr_matrix
+    copy_groups: np.ndarray
     dirichlet_tags: tuple[str, ...] = ()
     neumann_tags: tuple[str, ...] = ()
-    matrix_domain: sp.csr_matrix | None = None
-    interface_terms: tuple = ()
-    copy_groups: np.ndarray | None = None
 
     def residual_raw(self, solution: np.ndarray) -> np.ndarray:
-        """rhs_body - A_raw @ solution, evaluated term by term.
+        """rhs_body - A_raw @ solution, with the interface part in jump/mean form.
 
-        The domain matrix and each interface entity are applied separately;
-        every entity's contribution then sums to exactly zero over all dofs,
-        so boundary fluxes recovered from this residual conserve mass to
-        domain-stiffness roundoff instead of penalty-scale roundoff.
+        The domain matrix is applied as it is. The interface part first takes
+        each pair's jump and side mean, scales them by ``interface_jump`` and
+        ``interface_mean``, then scatters the results back to the two sides.
+        The kf/eps penalty so multiplies a small jump instead of two O(1)
+        pressures whose penalty-scaled products would have to cancel, and each
+        jump term enters its two sides with opposite signs. Boundary fluxes
+        recovered from this residual therefore conserve mass to the roundoff
+        of O(1) terms.
         """
-        solution = np.asarray(solution, dtype=float)
-        if self.matrix_domain is None:
-            return self.rhs_body - self.matrix_raw @ solution
-        r = self.rhs_body - self.matrix_domain @ solution
-        for dofs, A_loc, _ in self.interface_terms:
-            r[dofs] -= A_loc @ solution[dofs]
-        return r
+        x = np.asarray(solution, dtype=float)
+        lo, hi = self.interface_pairs.T
+        interface = _pair_scatter(self.interface_pairs,
+                                  self.interface_mean @ (0.5 * (x[lo] + x[hi])),
+                                  self.interface_jump @ (x[hi] - x[lo]), self.n_dofs)
+        return self.rhs_body - self.matrix_domain @ x - interface
 
 
 def _eval_bc(value: BCValue, point: Point) -> float:
     return float(value(point)) if callable(value) else float(value)
 
 
-def _segment_load(length: float, h: Coefficient) -> np.ndarray:
-    ha, hb = _coeff_values(h)
-    return (length / 6.0) * np.array([2.0 * ha + hb, ha + 2.0 * hb])
+def _interface_operators(split: SplitMesh, coeffs: list):
+    """(pairs, K_mean, f_mean, K_jump, f_jump) over the unique interface node
+    pairs: a 2x2 block and 2-vector per 2D edge, a 1x1 entry per 1D point."""
+    entities = split.interface_edges
+    values = np.zeros((len(entities), len(_COEFFICIENTS), 2))
+    for i, entity in enumerate(entities):
+        source = coeffs[entity.fracture_id]
+        c = source(entity) if callable(source) else source
+        if not isinstance(c, InterfaceCoefficients):
+            raise ConfigurationError(
+                f"coefficient source for fracture {entity.fracture_id} must yield "
+                f"InterfaceCoefficients, got {type(c).__name__}")
+        values[i] = [_coeff_values(getattr(c, name)) for name in _COEFFICIENTS]
+    kappa_j, r_j, h_j, kappa_a, r_a, h_a = values.transpose(1, 0, 2)     # each (m, 2)
+    if entities and isinstance(entities[0], InterfacePoint):
+        ends = np.array([[e.node_pair] for e in entities])               # (m, 1, 2)
+        blocks_mean, blocks_jump = r_j[:, :1, None], r_a[:, :1, None]
+        load_mean, load_jump = h_j[:, :1], h_a[:, :1]
+    else:
+        ends = np.array([e.node_pairs for e in entities], dtype=np.int64).reshape(-1, 2, 2)
+        L = np.array([e.length for e in entities])
+        blocks_mean = p1_segment_stiffness(L, kappa_j) + p1_segment_mass(L, r_j)
+        blocks_jump = p1_segment_stiffness(L, kappa_a) + p1_segment_mass(L, r_a)
+        load_mean, load_jump = p1_segment_load(L, h_j), p1_segment_load(L, h_a)
 
+    pairs, inverse = np.unique(ends.reshape(-1, 2), axis=0, return_inverse=True)
+    idx = inverse.reshape(ends.shape[:2])     # reshaped: numpy 1.x and 2.x differ here
+    p = len(pairs)
 
-def _interface_edge_local(edge: InterfaceEdge, c: InterfaceCoefficients):
-    """(4x4 matrix, 4 load) for one 2D interface edge."""
-    L = edge.length
-    A = np.zeros((4, 4))
-    for coeff, op in ((c.kappa_j, _MEAN), (c.kappa_a, _JUMP)):
-        ca, cb = _coeff_values(coeff)
-        if ca != 0.0 or cb != 0.0:
-            A += op.T @ p1_segment_stiffness(L, (ca, cb)) @ op
-    for coeff, op in ((c.r_j, _MEAN), (c.r_a, _JUMP)):
-        ca, cb = _coeff_values(coeff)
-        if ca != 0.0 or cb != 0.0:
-            A += op.T @ p1_segment_mass(L, (ca, cb)) @ op
-    f = np.zeros(4)
-    for coeff, op in ((c.h_j, _MEAN), (c.h_a, _JUMP)):
-        ca, cb = _coeff_values(coeff)
-        if ca != 0.0 or cb != 0.0:
-            f += op.T @ _segment_load(L, (ca, cb))
-    return A, f
+    def operator(blocks: np.ndarray) -> sp.csr_matrix:
+        rows = np.broadcast_to(idx[:, :, None], blocks.shape).ravel()
+        cols = np.broadcast_to(idx[:, None, :], blocks.shape).ravel()
+        return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(p, p))
 
+    def load(f: np.ndarray) -> np.ndarray:
+        return np.bincount(idx.ravel(), f.ravel(), minlength=p)
 
-def _interface_point_local(c: InterfaceCoefficients):
-    """(2x2 matrix, 2 load) for a 1D point interface; tangential terms vanish."""
-    J = np.array([-1.0, 1.0])
-    M = np.array([0.5, 0.5])
-    rj = _coeff_values(c.r_j)[0]
-    ra = _coeff_values(c.r_a)[0]
-    A = rj * np.outer(M, M) + ra * np.outer(J, J)
-    f = _coeff_values(c.h_j)[0] * M + _coeff_values(c.h_a)[0] * J
-    return A, f
+    return pairs, operator(blocks_mean), load(load_mean), operator(blocks_jump), load(load_jump)
 
 
 def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: BoundaryConditionSet,
@@ -300,36 +326,17 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
     A_domain.sum_duplicates()
     A_domain = A_domain.copy()    # summing leaves views into the longer unsummed arrays
 
-    # Interface terms.
-    rhs_body = np.zeros(n)
-    iface_terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for entity in split.interface_edges:
-        source = coeffs[entity.fracture_id]
-        c = source(entity) if callable(source) else source
-        if not isinstance(c, InterfaceCoefficients):
-            raise ConfigurationError(
-                f"coefficient source for fracture {entity.fracture_id} must yield "
-                f"InterfaceCoefficients, got {type(c).__name__}")
-        if isinstance(entity, InterfacePoint):
-            A_loc, f_loc = _interface_point_local(c)
-            dofs = np.asarray(entity.node_pair)
-        else:
-            A_loc, f_loc = _interface_edge_local(entity, c)
-            (a1, a2), (b1, b2) = entity.node_pairs
-            dofs = np.asarray([a1, a2, b1, b2])
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(A_loc.ravel())
-        np.add.at(rhs_body, dofs, f_loc)
-        iface_terms.append((dofs, A_loc, f_loc))
-
+    # Interface terms, over the node pairs.
+    pairs, K_mean, f_mean, K_jump, f_jump = _interface_operators(split, coeffs)
+    rhs_body = _pair_scatter(pairs, f_mean, f_jump, n)
     A_raw = A_domain
-    if iface_terms:
-        A_raw = A_domain + sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    if len(pairs):
+        rows = np.repeat(np.arange(len(pairs)), 2)
+        M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
+                          shape=(len(pairs), n))
+        J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
+                          shape=(len(pairs), n))
+        A_raw = A_domain + (M.T @ K_mean @ M + J.T @ K_jump @ J)   # one full-size sum
 
     # Neumann loads.
     rhs_neumann = np.zeros(n)
@@ -343,12 +350,7 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
             rhs_neumann[vs[0]] += _eval_bc(h, p)
         else:
             X = verts[list(vs)]
-            if callable(h):
-                ha = _eval_bc(h, Point(*X[0]))
-                hb = _eval_bc(h, Point(*X[1]))
-                load = facet_load_nodal(X, (ha, hb))
-            else:
-                load = facet_load(X, float(h))
+            load = facet_load(X, [_eval_bc(h, Point(*x)) for x in X])
             np.add.at(rhs_neumann, list(vs), load)
 
     rhs_raw = rhs_body + rhs_neumann
@@ -411,6 +413,8 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         dirichlet_tags=tuple(sorted(bcs.dirichlet)),
         neumann_tags=tuple(sorted(bcs.neumann)),
         matrix_domain=A_domain,
-        interface_terms=tuple(iface_terms),
+        interface_pairs=pairs,
+        interface_mean=K_mean,
+        interface_jump=K_jump,
         copy_groups=split.vertex_origin,
     )

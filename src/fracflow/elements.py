@@ -1,54 +1,31 @@
 """Reference element kernels: bilinear quads, linear segments, facet loads.
 
-All integration is exact for the polynomial integrands that occur here
-(2x2 Gauss on quads, 2-point Gauss on segments).
+All integration is exact for the polynomial integrands that occur here:
+2x2 Gauss on quads, closed forms on segments. Segment kernels take arrays
+of lengths and return one block per segment; a coefficient is a constant or
+a nodal pair (c_a, c_b) along its last axis, broadcast against the lengths.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError
 
 __all__ = [
-    "QuadratureRule",
-    "gauss_segment",
-    "gauss_quad_2x2",
-    "q1_stiffness",
+    "GAUSS_1D",
+    "GAUSS_2X2",
+    "q1_stiffness_batch",
     "p1_segment_stiffness",
     "p1_segment_mass",
+    "p1_segment_load",
     "facet_load",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points and weights on a reference domain."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if len(self.points) != len(self.weights):
-            raise ValueError("quadrature points and weights disagree in length")
-
-
-_G = 1.0 / np.sqrt(3.0)
-
-
-def gauss_segment() -> QuadratureRule:
-    """2-point Gauss on [-1, 1]; exact for cubics."""
-    return QuadratureRule(points=np.array([[-_G], [_G]]), weights=np.array([1.0, 1.0]))
-
-
-def gauss_quad_2x2() -> QuadratureRule:
-    """Tensor 2x2 Gauss on [-1, 1]^2."""
-    pts = np.array([[a, b] for b in (-_G, _G) for a in (-_G, _G)])
-    return QuadratureRule(points=pts, weights=np.ones(4))
+# 2-point Gauss on [-1, 1], exact for cubics, and its tensor square on
+# [-1, 1]^2 (x fastest). Every weight is 1.
+GAUSS_1D = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+GAUSS_2X2 = np.array([[a, b] for b in GAUSS_1D for a in GAUSS_1D])
 
 
 def _q1_dshape(xi: float, eta: float) -> np.ndarray:
@@ -61,38 +38,20 @@ def _q1_dshape(xi: float, eta: float) -> np.ndarray:
     ])
 
 
-_QUAD_RULE = gauss_quad_2x2()
+def q1_stiffness_batch(cell_vertices: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) stiffness of bilinear quads for the operator -div(k grad p).
 
-
-def q1_stiffness(cell_vertices: np.ndarray, k: float) -> np.ndarray:
-    """4x4 stiffness of a bilinear quad for the operator -div(k grad p).
-
-    ``cell_vertices`` is (4, 2) in counter-clockwise order. Raises
-    GeometryError when the isoparametric map degenerates (non-positive
-    Jacobian at a quadrature point).
+    ``cell_vertices`` is (n, 4, 2), each cell counter-clockwise; ``k`` holds
+    one mobility per cell. Raises GeometryError on a wrong shape or when an
+    isoparametric map degenerates (non-positive Jacobian at a Gauss point).
     """
     X = np.asarray(cell_vertices, dtype=float)
-    if X.shape != (4, 2):
-        raise GeometryError(f"expected 4 vertices in 2D, got shape {X.shape}")
-    K = np.zeros((4, 4))
-    for (xi, eta), w in zip(_QUAD_RULE.points, _QUAD_RULE.weights):
-        dN = _q1_dshape(xi, eta)          # (4, 2)
-        J = dN.T @ X                       # (2, 2)
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if det <= 0.0:
-            raise GeometryError("degenerate quadrilateral (non-positive Jacobian)")
-        grads = dN @ np.linalg.inv(J).T    # (4, 2) physical gradients
-        K += (w * det * k) * (grads @ grads.T)
-    return K
-
-
-def q1_stiffness_batch(cell_vertices: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Vectorized q1_stiffness over (n, 4, 2) cells with per-cell k."""
-    X = np.asarray(cell_vertices, dtype=float)
+    if X.ndim != 3 or X.shape[1:] != (4, 2):
+        raise GeometryError(f"expected (n, 4, 2) quad vertices, got shape {X.shape}")
     kv = np.asarray(k, dtype=float)
     n = len(X)
     K = np.zeros((n, 4, 4))
-    for (xi, eta), w in zip(_QUAD_RULE.points, _QUAD_RULE.weights):
+    for xi, eta in GAUSS_2X2:
         dN = _q1_dshape(xi, eta)
         J = np.einsum("ai,nad->nid", dN, X)        # (n, 2, 2)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -106,70 +65,62 @@ def q1_stiffness_batch(cell_vertices: np.ndarray, k: np.ndarray) -> np.ndarray:
         Jinv[:, 1, 1] = J[:, 0, 0]
         Jinv /= det[:, None, None]
         grads = np.einsum("ad,ndi->nai", dN, np.swapaxes(Jinv, 1, 2))
-        K += (w * det * kv)[:, None, None] * np.einsum("nai,nbi->nab", grads, grads)
+        K += (det * kv)[:, None, None] * np.einsum("nai,nbi->nab", grads, grads)
     return K
 
 
-def _nodal_pair(coeff) -> tuple[float, float]:
-    if np.isscalar(coeff):
-        return float(coeff), float(coeff)
-    a, b = coeff
-    return float(a), float(b)
+def _segments(length, coeff) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, nodal values (..., 2)) after checking every length is positive."""
+    L = np.asarray(length, dtype=float)
+    if not np.all(np.isfinite(L) & (L > 0.0)):
+        raise GeometryError("segment lengths must be positive and finite")
+    return L, np.broadcast_to(np.asarray(coeff, dtype=float), L.shape + (2,))
 
 
-def p1_segment_stiffness(length: float, coeff) -> np.ndarray:
-    """2x2 stiffness of a linear segment, coefficient at the midpoint.
+def _pair_block(diag_a, off, diag_b) -> np.ndarray:
+    return np.stack([np.stack([diag_a, off], axis=-1),
+                     np.stack([off, diag_b], axis=-1)], axis=-2)
 
-    ``coeff`` is a constant or a nodal pair (c_a, c_b); a nodal pair is
-    collapsed to its midpoint value.
+
+def p1_segment_load(length, h) -> np.ndarray:
+    """Load (..., 2) of a linearly varying h on linear segments, exact:
+    (L/6) [2 h_a + h_b, h_a + 2 h_b]."""
+    L, c = _segments(length, h)
+    ha, hb = c[..., 0], c[..., 1]
+    return (L / 6.0)[..., None] * np.stack([2.0 * ha + hb, ha + 2.0 * hb], axis=-1)
+
+
+def p1_segment_stiffness(length, coeff) -> np.ndarray:
+    """(..., 2, 2) stiffness of linear segments, coefficient at the midpoint.
+
+    A nodal pair (c_a, c_b) is collapsed to its midpoint value.
     """
-    if not (np.isfinite(length) and length > 0.0):
-        raise GeometryError(f"segment length must be positive, got {length!r}")
-    ca, cb = _nodal_pair(coeff)
-    c_mid = 0.5 * (ca + cb)
-    s = c_mid / length
-    return np.array([[s, -s], [-s, s]])
+    L, c = _segments(length, coeff)
+    s = 0.5 * (c[..., 0] + c[..., 1]) / L
+    return _pair_block(s, -s, s)
 
 
-_SEG_RULE = gauss_segment()
+def p1_segment_mass(length, coeff) -> np.ndarray:
+    """(..., 2, 2) mass matrix of linear segments with linearly varying
+    coefficient, exact.
 
-
-def p1_segment_mass(length: float, coeff) -> np.ndarray:
-    """2x2 mass matrix of a linear segment with linearly varying coefficient.
-
-    Exact via 2-point Gauss (the integrand is cubic). For a constant c this
-    is c*L/6 * [[2, 1], [1, 2]].
+    Row sums are the load of the coefficient (``p1_segment_load``); the
+    off-diagonal is (L/12)(c_a + c_b). For a constant c this is
+    c*L/6 * [[2, 1], [1, 2]].
     """
-    if not (np.isfinite(length) and length > 0.0):
-        raise GeometryError(f"segment length must be positive, got {length!r}")
-    ca, cb = _nodal_pair(coeff)
-    M = np.zeros((2, 2))
-    for (xi,), w in zip(_SEG_RULE.points, _SEG_RULE.weights):
-        phi = np.array([0.5 * (1 - xi), 0.5 * (1 + xi)])
-        c = ca * phi[0] + cb * phi[1]
-        M += (w * 0.5 * length * c) * np.outer(phi, phi)
-    return M
+    L, c = _segments(length, coeff)
+    row = p1_segment_load(L, c)
+    off = (L / 12.0) * (c[..., 0] + c[..., 1])
+    return _pair_block(row[..., 0] - off, off, row[..., 1] - off)
 
 
-def facet_load(facet_vertices: np.ndarray, h: float) -> np.ndarray:
-    """Load vector of a constant inward flux h on a straight boundary facet.
-
-    Each endpoint receives h * L / 2.
-    """
+def facet_load(facet_vertices: np.ndarray, h) -> np.ndarray:
+    """Load of an inward flux h on a straight boundary facet, exact for a
+    constant h or a linearly varying nodal pair (h_a, h_b)."""
     X = np.asarray(facet_vertices, dtype=float)
     if X.shape != (2, 2):
         raise GeometryError(f"expected a 2-vertex facet in 2D, got shape {X.shape}")
     L = float(np.linalg.norm(X[1] - X[0]))
     if L <= 0.0:
         raise GeometryError("facet has zero length")
-    return np.array([0.5 * h * L, 0.5 * h * L])
-
-
-def facet_load_nodal(facet_vertices: np.ndarray, h_at_nodes: tuple[float, float]) -> np.ndarray:
-    """Load of a linearly varying inward flux, integrated exactly."""
-    X = np.asarray(facet_vertices, dtype=float)
-    L = float(np.linalg.norm(X[1] - X[0]))
-    if L <= 0.0:
-        raise GeometryError("facet has zero length")
-    ha, hb = float(h_at_nodes[0]), float(h_at_nodes[1])
-    return (L / 6.0) * np.array([2.0 * ha + hb, ha + 2.0 * hb])
+    return p1_segment_load(L, h)

@@ -306,8 +306,7 @@ class SplitMesh:
     def subdomain_of_vertex(self) -> np.ndarray:
         """Subdomain id of each dof (every copy is used by one side only)."""
         sub = np.full(self.n_dofs, -1, dtype=np.int64)
-        for c, cell in enumerate(self.base.cells):
-            sub[cell] = self.subdomain_of_cell[c]
+        sub[self.base.cells] = self.subdomain_of_cell[:, None]
         return sub
 
 

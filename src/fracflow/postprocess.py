@@ -52,13 +52,17 @@ class Profile:
         return len(self.s)
 
 
+def _q1_shape(xi: np.ndarray) -> np.ndarray:
+    """The four bilinear shape functions at reference coordinates (xi, eta)."""
+    return 0.25 * np.array([(1 - xi[0]) * (1 - xi[1]), (1 + xi[0]) * (1 - xi[1]),
+                            (1 + xi[0]) * (1 + xi[1]), (1 - xi[0]) * (1 + xi[1])])
+
+
 def _invert_bilinear(X: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Reference coordinates (xi, eta) of p in the bilinear cell X (4, 2)."""
     xi = np.zeros(2)
     for _ in range(30):
-        N = 0.25 * np.array([(1 - xi[0]) * (1 - xi[1]), (1 + xi[0]) * (1 - xi[1]),
-                             (1 + xi[0]) * (1 + xi[1]), (1 - xi[0]) * (1 + xi[1])])
-        r = N @ X - p
+        r = _q1_shape(xi) @ X - p
         if np.abs(r).max() < 1e-14 + 1e-14 * np.abs(X).max():
             break
         dN = 0.25 * np.array([
@@ -68,12 +72,6 @@ def _invert_bilinear(X: np.ndarray, p: np.ndarray) -> np.ndarray:
         J = dN @ X                      # rows: d(x,y)/dxi, d(x,y)/deta
         xi = xi - np.linalg.solve(J.T, r)
     return xi
-
-
-def _q1_value(xi: np.ndarray, nodal: np.ndarray) -> float:
-    N = 0.25 * np.array([(1 - xi[0]) * (1 - xi[1]), (1 + xi[0]) * (1 - xi[1]),
-                         (1 + xi[0]) * (1 + xi[1]), (1 - xi[0]) * (1 + xi[1])])
-    return float(N @ nodal)
 
 
 def _sample_2d(split: SplitMesh, values: np.ndarray, pts: np.ndarray,
@@ -89,11 +87,9 @@ def _sample_2d(split: SplitMesh, values: np.ndarray, pts: np.ndarray,
         hits = []
         for ci in tree.query_ball_point(p, r=radius * (1.0 + 1e-12) + tol):
             X = corners[ci]
-            xi = np.clip(_invert_bilinear(X, p), -1.0, 1.0)
-            N = 0.25 * np.array([(1 - xi[0]) * (1 - xi[1]), (1 + xi[0]) * (1 - xi[1]),
-                                 (1 + xi[0]) * (1 + xi[1]), (1 - xi[0]) * (1 + xi[1])])
+            N = _q1_shape(np.clip(_invert_bilinear(X, p), -1.0, 1.0))
             if np.linalg.norm(N @ X - p) <= tol:
-                hits.append(_q1_value(xi, values[mesh.cells[ci]]))
+                hits.append(float(N @ values[mesh.cells[ci]]))
         if not hits:
             raise GeometryError(f"sample point {tuple(p)} lies outside the mesh")
         out[i] = float(np.mean(hits))

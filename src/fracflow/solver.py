@@ -233,22 +233,20 @@ def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,
 
     The assembled matrix rounds O(1/eps) interface entries against O(1)
     stiffness entries, which biases the solution by about 1e-8 on strongly
-    conductive interfaces. Each refinement round re-evaluates the residual
-    term by term (domain matrix and interface entities separately, Dirichlet
-    rows as value mismatches) and solves for the correction, restoring
-    conservation to near machine precision. Every solve is preconditioned
-    over the system's copy groups; the returned report is the first solve's,
-    with the iteration count of each refinement solve attached.
+    conductive interfaces. Each refinement round takes the residual of
+    ``LinearSystem.residual_raw`` (domain matrix as is, interface terms on
+    pair jumps and means) plus the boundary loads, puts each Dirichlet row's
+    value mismatch in its place, and solves for the correction, restoring
+    conservation to machine precision.
+    Every solve is preconditioned over the system's copy groups; the
+    returned report is the first solve's, with the iteration count of each
+    refinement solve attached.
     """
     groups = system.copy_groups
     x, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter, groups=groups)
-    if system.matrix_domain is None:
-        return x, report
     refinement: list[int] = []
     for _ in range(refine):
-        r = system.rhs_raw - system.matrix_domain @ x
-        for dofs, A_loc, _ in system.interface_terms:
-            r[dofs] -= A_loc @ x[dofs]
+        r = system.residual_raw(x) + (system.rhs_raw - system.rhs_body)
         for d, g in system.dirichlet_dofs.items():
             r[d] = g - x[d]
         if not np.any(r):

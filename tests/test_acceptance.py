@@ -107,6 +107,20 @@ def test_criterion_04_mass_balance_all_builtins():
                    f"({worst_case})")
 
 
+def test_mass_balance_exact_to_roundoff():
+    """Interface terms applied on pair jumps and means conserve mass to
+    roundoff of the O(1) terms, far inside criterion 4's gate; the conductive
+    network, the case nearest that gate, is checked across sizes."""
+    cases = [(name, variant, None) for name, variant in ALL_BUILTINS]
+    cases += [("regular2d", "conductive", n) for n in (16, 32, 64, 128, 256)]
+    worst = {}
+    for name, variant, n in cases:
+        res = cached_run(name, variant, n)
+        inflow = sum(v for v in res.fluxes.values() if v < 0.0)
+        worst[f"{name}/{variant or '-'}/n={res.n}"] = res.defect / abs(inflow)
+    assert max(worst.values()) <= 1e-12, worst
+
+
 def test_criterion_05_blocking_fracture_vs_resolved_band():
     t0 = time.perf_counter()
     rep = cached_compare("single_vertical")

@@ -200,6 +200,18 @@ def test_interface_load_enters_rhs_body():
     assert float(np.sum(system.rhs_body)) == pytest.approx(c * 1.0)
 
 
+def test_residual_raw_is_rhs_body_minus_matrix_raw():
+    """The pair-form apply and matrix_raw come from the same pair operators;
+    every one of the six coefficients takes part."""
+    split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
+    c = InterfaceCoefficients(kappa_j=(1.0, 2.0), r_j=0.5, h_j=1.0,
+                              kappa_a=0.3, r_a=(4.0, 5.0), h_a=-2.0)
+    system = assemble(split, np.ones(2), [c], THROUGHFLOW)
+    x = np.sin(np.arange(system.n_dofs))
+    assert np.allclose(system.residual_raw(x),
+                       system.rhs_body - system.matrix_raw @ x, rtol=0.0, atol=1e-12)
+
+
 def test_k_per_cell_matches_uniform_subdomain_k():
     split = split_mesh(unit_square(6), vertical_network(1e-2, 1e-2))
     sys_a = assemble(split, 2.5 * np.ones(2), coeffs_for(split.network),

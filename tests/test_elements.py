@@ -3,28 +3,32 @@
 import numpy as np
 import pytest
 
-from fracflow.elements import (facet_load, gauss_quad_2x2, gauss_segment,
-                               p1_segment_mass, p1_segment_stiffness,
-                               q1_stiffness)
+from fracflow.elements import (GAUSS_1D, GAUSS_2X2, facet_load,
+                               p1_segment_load, p1_segment_mass,
+                               p1_segment_stiffness, q1_stiffness_batch)
 from fracflow.errors import GeometryError
 
 
 UNIT_QUAD = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def one_cell(cell_vertices, k):
+    """q1_stiffness_batch on a batch of one cell."""
+    return q1_stiffness_batch(np.asarray(cell_vertices)[None], [k])[0]
+
+
 def test_gauss_rules_exact_for_cubics():
-    seg = gauss_segment()
+    # every weight is 1
     for p in range(4):
-        num = sum(w * x[0] ** p for x, w in zip(seg.points, seg.weights))
+        num = sum(x ** p for x in GAUSS_1D)
         exact = (1.0 - (-1.0) ** (p + 1)) / (p + 1)
         assert num == pytest.approx(exact, abs=1e-14)
-    quad = gauss_quad_2x2()
-    num = sum(w * (x[0] ** 2) * (x[1] ** 3 + 1) for x, w in zip(quad.points, quad.weights))
+    num = sum((x ** 2) * (y ** 3 + 1) for x, y in GAUSS_2X2)
     assert num == pytest.approx(2.0 / 3.0 * 2.0, abs=1e-14)
 
 
 def test_q1_stiffness_unit_square_values():
-    K = q1_stiffness(UNIT_QUAD, 1.0)
+    K = one_cell(UNIT_QUAD, 1.0)
     # classical bilinear stiffness: 2/3 diagonal, -1/6 edges, -1/3 diagonal
     expected = np.array([
         [2 / 3, -1 / 6, -1 / 3, -1 / 6],
@@ -39,7 +43,7 @@ def test_q1_stiffness_properties():
     rng = np.random.default_rng(7)
     # a mildly distorted convex quad
     X = UNIT_QUAD + 0.15 * rng.standard_normal((4, 2))
-    K = q1_stiffness(X, 2.5)
+    K = one_cell(X, 2.5)
     assert np.allclose(K, K.T, atol=1e-14)
     assert np.allclose(K @ np.ones(4), 0.0, atol=1e-13)     # constants cost nothing
     w = np.linalg.eigvalsh(K)
@@ -49,7 +53,7 @@ def test_q1_stiffness_properties():
 def test_q1_stiffness_energy_of_linear_field():
     dx, dy, k = 0.25, 0.5, 3.0
     X = np.array([[0, 0], [dx, 0], [dx, dy], [0, dy]], dtype=float)
-    K = q1_stiffness(X, k)
+    K = one_cell(X, k)
     p = X[:, 0]                      # p = x, grad = (1, 0)
     assert p @ K @ p == pytest.approx(k * dx * dy, rel=1e-14)
     q = 2.0 * X[:, 0] - 3.0 * X[:, 1]
@@ -57,18 +61,20 @@ def test_q1_stiffness_energy_of_linear_field():
 
 
 def test_q1_stiffness_scales_linearly_with_k():
-    assert np.allclose(q1_stiffness(UNIT_QUAD, 4.0), 4.0 * q1_stiffness(UNIT_QUAD, 1.0))
+    assert np.allclose(one_cell(UNIT_QUAD, 4.0), 4.0 * one_cell(UNIT_QUAD, 1.0))
 
 
 def test_q1_stiffness_rejects_degenerate_cells():
     clockwise = UNIT_QUAD[::-1]
     with pytest.raises(GeometryError):
-        q1_stiffness(clockwise, 1.0)
+        one_cell(clockwise, 1.0)
     pinched = np.array([[0, 0], [1, 0], [0, 0], [0, 1]], dtype=float)
     with pytest.raises(GeometryError):
-        q1_stiffness(pinched, 1.0)
+        one_cell(pinched, 1.0)
     with pytest.raises(GeometryError):
-        q1_stiffness(UNIT_QUAD[:3], 1.0)
+        one_cell(UNIT_QUAD[:3], 1.0)
+    with pytest.raises(GeometryError):
+        q1_stiffness_batch(UNIT_QUAD, [1.0])       # one cell, not a batch
 
 
 def test_segment_stiffness_constant_and_pair():
@@ -98,8 +104,28 @@ def test_segment_mass_linear_coefficient_exact():
     assert M[1, 1] == pytest.approx(L / 4.0)
 
 
+def test_segment_kernels_batch_per_segment():
+    L = np.array([0.5, 2.0, 0.25])
+    c = np.array([[1.0, 3.0], [0.0, 1.0], [2.0, 2.0]])
+    for kernel in (p1_segment_stiffness, p1_segment_mass, p1_segment_load):
+        batch = kernel(L, c)
+        assert batch.shape[0] == 3
+        for i in range(3):
+            assert np.array_equal(batch[i], kernel(L[i], c[i]))
+    with pytest.raises(GeometryError):
+        p1_segment_mass(np.array([1.0, 0.0]), 1.0)
+
+
+def test_segment_mass_rows_are_the_load_of_the_coefficient():
+    M = p1_segment_mass(0.75, (2.0, 5.0))
+    assert np.allclose(M.sum(axis=1), p1_segment_load(0.75, (2.0, 5.0)))
+    assert np.array_equal(M, M.T)
+
+
 def test_facet_load_splits_evenly():
     X = np.array([[0.0, 0.0], [0.0, 0.5]])
     assert np.allclose(facet_load(X, 3.0), [0.75, 0.75])
+    # a linearly varying flux: (L/6) [2 h_a + h_b, h_a + 2 h_b]
+    assert np.allclose(facet_load(X, (0.0, 6.0)), [0.5, 1.0])
     with pytest.raises(GeometryError):
         facet_load(np.zeros((2, 2)), 1.0)

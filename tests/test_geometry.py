@@ -6,7 +6,7 @@ import pytest
 from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
                       FractureNetwork, FractureSpec, GeometryError, Point,
                       build_interval, build_structured_quad, check_conformity,
-                      split_mesh)
+                      run_scenario, split_mesh)
 from conftest import unit_square, vertical_network
 
 
@@ -230,3 +230,13 @@ def test_boundary_facets_cover_duplicated_endpoints():
         x, y = split.base.vertices[v]
         if min(x, 1 - x, y, 1 - y) < 1e-12:
             assert v in facet_vertices
+
+
+def test_subdomain_of_vertex_matches_per_cell_loop():
+    # crossings and T-junctions: every copy is used by the cells of one side
+    split = run_scenario("regular2d", n=16, variant="conductive").split
+    expected = np.full(split.n_dofs, -1)
+    for c, cell in enumerate(split.base.cells):
+        assert np.all((expected[cell] == -1) | (expected[cell] == split.subdomain_of_cell[c]))
+        expected[cell] = split.subdomain_of_cell[c]
+    assert np.array_equal(split.subdomain_of_vertex(), expected)
