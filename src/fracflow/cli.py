@@ -184,6 +184,7 @@ def _summary_payload(res: ScenarioResult, files: dict) -> dict:
         "method": res.report.method,
         "cg_iterations": res.report.iterations,
         "refinement_iterations": list(res.report.refinement_iterations),
+        "multigrid_levels": list(res.report.multigrid_levels),
         "relative_residual": res.report.relative_residual,
         "converged": res.report.converged,
         "boundary_fluxes": res.fluxes,

@@ -314,12 +314,21 @@ def write_fracture_csv(path, mean: Profile, jump: Profile) -> None:
             w.writerow([f"{s:.17g}", f"{x:.17g}", f"{y:.17g}", f"{v:.17g}", f"{j:.17g}"])
 
 
+# Rows of solution.csv formatted per write; bounds the text held in memory.
+_SOLUTION_CHUNK = 8192
+_SOLUTION_ROW = "%d,%.17g,%.17g,%d,%.17g\r\n"     # csv.writer's bytes for these fields
+
+
 def write_solution_csv(path, split: SplitMesh, solution: np.ndarray) -> None:
     solution = np.asarray(solution, dtype=float)
-    sub = split.subdomain_of_vertex()
+    vertices = split.base.vertices
+    n = len(vertices)
+    columns = (np.arange(n), vertices[:, 0],
+               vertices[:, 1] if vertices.shape[1] > 1 else np.zeros(n),
+               split.subdomain_of_vertex(), solution)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", "x", "y", "subdomain", "p"])
-        for i, (pt, v) in enumerate(zip(split.base.vertices, solution)):
-            x, y = _coords_row(pt)
-            w.writerow([i, f"{x:.17g}", f"{y:.17g}", int(sub[i]), f"{v:.17g}"])
+        csv.writer(fh).writerow(["vertex", "x", "y", "subdomain", "p"])
+        for start in range(0, n, _SOLUTION_CHUNK):
+            rows = zip(*(c[start:start + _SOLUTION_CHUNK].tolist() for c in columns))
+            fields = tuple(v for row in rows for v in row)
+            fh.write(_SOLUTION_ROW * (len(fields) // 5) % fields)

@@ -1,11 +1,17 @@
-"""Sparse SPD solvers: copy-group block-Jacobi CG and a dense Cholesky oracle.
+"""Sparse SPD solvers: multigrid-preconditioned CG and a dense Cholesky oracle.
 
-Every solve runs preconditioned CG. The preconditioner inverts the
-diagonal blocks of the matrix over copy groups: the dofs that share one
-pre-split vertex (``SplitMesh.vertex_origin``), 2 on a fracture line and 3
-or 4 at T-junctions and crossings. The ``kf/eps`` jump penalty couples
-exactly those copies, which plain Jacobi cannot see. A dof without copies
-is a group of one, so with no groups the preconditioner is plain Jacobi.
+Every solve runs preconditioned CG. ``solve`` preconditions it with one
+smoothed-aggregation V-cycle (``multigrid``; Vanek, Mandel & Brezina,
+Computing 56, 1996), which keeps the iteration count nearly independent of
+the mesh size. Its finest-level smoother is copy-group block Jacobi: it
+inverts the diagonal blocks of the matrix over copy groups, the dofs that
+share one pre-split vertex (``SplitMesh.vertex_origin``), 2 on a fracture
+line and 3 or 4 at T-junctions and crossings. The ``kf/eps`` jump penalty
+couples exactly those copies, which plain Jacobi cannot see, and the
+aggregation keeps strongly coupled copies in one aggregate, so the penalty
+never reaches a coarse level. A dof without copies is a group of one, so
+with no groups the smoother is plain Jacobi. ``cg_solve`` without a
+hierarchy is CG preconditioned by the block Jacobi alone.
 
 Matrices are scipy CSR; the CG loop is written out so the iteration count
 and residual history are available for reporting. ``cholesky_solve`` is
@@ -19,12 +25,28 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NonConvergenceError, SolverError
 
-__all__ = ["SolveReport", "cg_solve", "cholesky_solve", "solve"]
+__all__ = ["Multigrid", "SolveReport", "cg_solve", "cholesky_solve", "multigrid", "solve"]
 
 DENSE_LIMIT = 2000
+# Smoothed aggregation: -a_ij >= theta sqrt(a_ii a_jj) is a strong coupling.
+# Below the 0.125 of an isotropic Q1 stencil; the positive couplings of
+# stretched cells are never strong.
+STRENGTH_THETA = 0.08
+# Coarsening stops at this many dofs; that level is factored by dense Cholesky.
+COARSE_DOFS = 400
+# A level that keeps more than this share of its parent's dofs is not built.
+# On a symmetric matrix every aggregate holds a root and a neighbour, so each
+# level at most halves; a one-sided strength pattern can make every node a
+# root of its own aggregate.
+MIN_SHRINK = 0.8
+# Power steps for the spectral radius that damps the smoother.
+POWER_STEPS = 15
+# Fixed seed of the aggregation priorities and the power iteration start.
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -35,6 +57,7 @@ class SolveReport:
     method: str = "cg"
     residual_norms: tuple[float, ...] = field(default=(), repr=False)
     refinement_iterations: tuple[int, ...] = ()
+    multigrid_levels: tuple[int, ...] = ()
 
 
 def _as_csr(A) -> sp.csr_matrix:
@@ -43,57 +66,233 @@ def _as_csr(A) -> sp.csr_matrix:
     A = A.tocsr()
     if A.shape[0] != A.shape[1]:
         raise SolverError(f"matrix must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A.data)):
+        raise SolverError("non-finite values in the linear system")
     return A
 
 
-def _group_blocks(A: sp.csr_matrix, groups) -> tuple[np.ndarray, sp.csr_matrix | None]:
-    """(dofs, P) with P the inverse of A's diagonal blocks over the groups
-    that hold more than one dof, in the order of ``dofs``; (empty, None)
-    when every group is a single dof."""
+def _group_blocks(A: sp.csr_matrix, groups) -> sp.csr_matrix:
+    """Block-Jacobi inverse: the inverse of A's diagonal blocks over the
+    copy groups, as an n x n CSR matrix. Dofs of groups of one (all dofs
+    when ``groups`` is None) get the inverse diagonal."""
     n = A.shape[0]
-    groups = np.asarray(groups)
-    if groups.shape != (n,) or not np.issubdtype(groups.dtype, np.integer) \
-            or (n and groups.min() < 0):
-        raise SolverError(f"groups must be {n} non-negative integer labels, "
-                          f"got shape {groups.shape} of {groups.dtype}")
-    dofs = np.flatnonzero(np.bincount(groups)[groups] > 1)
-    if len(dofs) == 0:
-        return dofs, None
-    dofs = dofs[np.argsort(groups[dofs], kind="stable")]
-    g = groups[dofs]
-    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-    sizes = np.diff(np.r_[starts, len(g)])
-    block = np.repeat(np.arange(len(starts)), sizes)
-    local = np.arange(len(g)) - starts[block]
+    diag = A.diagonal()
+    if np.any(diag <= 0.0):
+        raise SolverError("matrix has a non-positive diagonal entry; not SPD")
+    inv_diag = 1.0 / diag
+    dofs = np.zeros(0, dtype=np.intp)
+    if groups is not None:
+        groups = np.asarray(groups)
+        if groups.shape != (n,) or not np.issubdtype(groups.dtype, np.integer) \
+                or (n and groups.min() < 0):
+            raise SolverError(f"groups must be {n} non-negative integer labels, "
+                              f"got shape {groups.shape} of {groups.dtype}")
+        dofs = np.flatnonzero(np.bincount(groups)[groups] > 1)
+    single = np.ones(n, dtype=bool)
+    single[dofs] = False
+    rows = [np.flatnonzero(single)]
+    cols = [rows[0]]
+    vals = [inv_diag[single]]
+    if len(dofs):
+        dofs = dofs[np.argsort(groups[dofs], kind="stable")]
+        g = groups[dofs]
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        sizes = np.diff(np.r_[starts, len(g)])
+        block = np.repeat(np.arange(len(starts)), sizes)
+        local = np.arange(len(g)) - starts[block]
 
-    # Dense blocks padded to the largest group with an identity tail.
-    sub = A[dofs][:, dofs].tocoo()
-    same = block[sub.row] == block[sub.col]
-    k = np.arange(sizes.max())
-    used = k < sizes[:, None]
-    B = np.zeros((len(sizes), len(k), len(k)))
-    np.add.at(B, (block[sub.row[same]], local[sub.row[same]], local[sub.col[same]]),
-              sub.data[same])
-    B[:, k, k] += ~used
+        # Dense blocks padded to the largest group with an identity tail.
+        sub = A[dofs][:, dofs].tocoo()
+        same = block[sub.row] == block[sub.col]
+        k = np.arange(sizes.max())
+        used = k < sizes[:, None]
+        B = np.zeros((len(sizes), len(k), len(k)))
+        np.add.at(B, (block[sub.row[same]], local[sub.row[same]], local[sub.col[same]]),
+                  sub.data[same])
+        B[:, k, k] += ~used
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(B))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("a copy-group block is not positive definite; "
+                              "matrix not SPD") from exc
+        P = np.einsum("mki,mkj->mij", L_inv, L_inv)        # B^-1 = L^-T L^-1
+        P = 0.5 * (P + P.transpose(0, 2, 1))
+        m, i, j = np.nonzero(used[:, :, None] & used[:, None, :])
+        rows.append(dofs[starts[m] + i])
+        cols.append(dofs[starts[m] + j])
+        vals.append(P[m, i, j])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def _smoother(A: sp.csr_matrix, groups) -> sp.csr_matrix:
+    """Block Jacobi damped by 4 / (3 rho), rho the spectral radius of
+    M^-1 A estimated from below by power steps; the damped sweep then
+    contracts every error mode in the A-norm."""
+    M_inv = _group_blocks(A, groups)
+    x = np.random.default_rng(SEED).standard_normal(A.shape[0])
+    for _ in range(POWER_STEPS):
+        Ax = A @ x
+        y = M_inv @ Ax
+        # Rayleigh quotient of A^1/2 M^-1 A^1/2, which shares M^-1 A's spectrum.
+        rho = float(y @ Ax) / float(x @ Ax)
+        if not (np.isfinite(rho) and rho > 0.0):
+            raise SolverError("matrix is not SPD: non-positive energy in the smoother")
+        x = y / np.linalg.norm(y)
+    M_inv.data *= 4.0 / (3.0 * rho)
+    return M_inv
+
+
+def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
+    """Aggregate label of each dof (-1: not aggregated) and the count.
+
+    Copies of one group joined by a strong coupling become one node of the
+    strength graph, so they always share an aggregate. Roots are a
+    distance-2 maximal independent set of the nodes, picked by Luby rounds
+    with fixed-seed priorities; each aggregate is a root, its neighbours,
+    then the nodes next to those. Nodes without strong couplings (Dirichlet
+    rows among them) stay out: the smoother alone handles them.
+    """
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+    cols = A.indices
+    scale = 1.0 / np.sqrt(A.diagonal())
+    strength = -A.data * scale[rows]
+    strength *= scale[cols]
+    strong = strength >= STRENGTH_THETA
+    del strength
+    strong &= rows != cols
+    rows, cols = rows[strong], cols[strong]
+    del strong
+
+    node = np.arange(n)
+    if groups is not None:
+        groups = np.asarray(groups)
+        same = groups[rows] == groups[cols]
+        merge = sp.csr_matrix((np.ones(int(same.sum()), dtype=np.int8),
+                               (rows[same], cols[same])), shape=(n, n))
+        _, node = connected_components(merge, directed=False)
+        node = node.astype(np.int32)
+        keep = ~same
+        rows, cols = node[rows[keep]], node[cols[keep]]
+    m = int(node.max()) + 1
+    isolated = np.bincount(rows, minlength=m) == 0
+    loops = np.arange(m, dtype=np.int32)
+    S = sp.csr_matrix((np.ones(len(rows) + m, dtype=np.int8),
+                       (np.r_[rows, loops], np.r_[cols, loops])), shape=(m, m))
+    del rows, cols
+
+    def neighbour_max(v):        # max over each node's neighbours and itself
+        return np.maximum.reduceat(v[S.indices], S.indptr[:-1])
+
+    # state: 0 out, 1 undecided, 2 root; a key orders (state, priority)
+    key = np.min_scalar_type(3 * m)
+    rank = np.random.default_rng(SEED).permutation(m).astype(key)
+    state = np.where(isolated, 0, 1).astype(key)
+    while np.any(state == 1):
+        own = state * key.type(m) + rank
+        best = neighbour_max(neighbour_max(own))
+        undecided = state == 1
+        state[undecided & (best >= 2 * m)] = 0
+        state[undecided & (best == own)] = 2
+
+    # aggregate number + 1 of each node, 0 while unassigned
+    agg = np.zeros(m, dtype=key)
+    roots = np.flatnonzero(state == 2)
+    agg[roots] = np.arange(1, len(roots) + 1)
+    for _ in range(2):
+        free = (agg == 0) & ~isolated
+        agg[free] = neighbour_max(agg)[free]
+    return agg[node].astype(np.intp) - 1, len(roots)
+
+
+@dataclass(frozen=True)
+class _Level:
+    A: sp.csr_matrix
+    smoother: sp.csr_matrix | None = None   # damped block Jacobi
+    P: sp.csr_matrix | None = None          # prolongation from the next level
+    factor: tuple | None = None             # dense Cholesky of the coarsest A
+
+
+class Multigrid:
+    """Smoothed-aggregation hierarchy; calling it applies one V-cycle.
+
+    The V-cycle smooths once before and once after the coarse correction
+    with the same symmetric smoother and starts from zero, so it is a fixed
+    symmetric positive definite operator, as CG requires. The coarsest
+    level is factored by dense Cholesky when it has at most ``COARSE_DOFS``
+    dofs, and is only smoothed when coarsening stalled above that.
+    """
+
+    def __init__(self, levels: list[_Level]):
+        self.levels = levels
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Dofs per level, finest first."""
+        return tuple(level.A.shape[0] for level in self.levels)
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        return self._cycle(0, b)
+
+    def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
+        level = self.levels[k]
+        if level.factor is not None:
+            return scipy.linalg.cho_solve(level.factor, b)
+        x = level.smoother @ b
+        if level.P is not None:
+            x += level.P @ self._cycle(k + 1, level.P.T @ (b - level.A @ x))
+        x += level.smoother @ (b - level.A @ x)
+        return x
+
+
+def multigrid(A, groups=None) -> Multigrid:
+    """Build the smoothed-aggregation hierarchy of the SPD matrix ``A``.
+
+    ``groups`` labels copy groups as in ``cg_solve``; they shape the finest
+    smoother and aggregates. Each coarser level is P^T A P with the smoothed
+    prolongator P = (I - S A) T, T the aggregates' indicator and S the
+    damped smoother. Coarsening stops at ``COARSE_DOFS`` or when a level
+    would keep more than ``MIN_SHRINK`` of its parent's dofs. Raises
+    SolverError on a matrix that is not SPD.
+    """
+    A = _as_csr(A)
+    levels: list[_Level] = []
+    while A.shape[0] > COARSE_DOFS:
+        S = _smoother(A, groups)
+        agg, n_coarse = _aggregates(A, groups)
+        if n_coarse == 0 or n_coarse > MIN_SHRINK * A.shape[0]:
+            levels.append(_Level(A, S))           # stalled: smoothing only
+            return Multigrid(levels)
+        have = agg >= 0
+        T = sp.csr_matrix((np.ones(int(have.sum())), agg[have].astype(np.int32),
+                           np.r_[0, np.cumsum(have)].astype(np.int32)),
+                          shape=(A.shape[0], n_coarse))
+        P = T - S @ (A @ T)
+        del T
+        A_coarse = (P.T @ (A @ P)).tocsr()
+        levels.append(_Level(A, S, P))
+        A = (0.5 * (A_coarse + A_coarse.T)).tocsr()
+        groups = None
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(B))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("a copy-group block is not positive definite; "
-                          "matrix not SPD") from exc
-    P = np.einsum("mki,mkj->mij", L_inv, L_inv)        # B^-1 = L^-T L^-1
-    P = 0.5 * (P + P.transpose(0, 2, 1))
-    m, i, j = np.nonzero(used[:, :, None] & used[:, None, :])
-    return dofs, sp.csr_matrix((P[m, i, j], (starts[m] + i, starts[m] + j)),
-                               shape=(len(dofs), len(dofs)))
+        factor = scipy.linalg.cho_factor(A.toarray())
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise SolverError(f"coarsest multigrid level is not SPD: {exc}") from exc
+    levels.append(_Level(A, factor=factor))
+    return Multigrid(levels)
 
 
 def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
-             x0: np.ndarray | None = None, groups=None) -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients preconditioned by copy-group block Jacobi.
+             x0: np.ndarray | None = None, groups=None,
+             hierarchy: Multigrid | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Conjugate gradients preconditioned by a multigrid V-cycle or by
+    copy-group block Jacobi.
 
-    ``groups`` labels each dof with its copy group (for a split mesh, the
-    pre-split vertex it came from); dofs with equal labels form one block of
-    the preconditioner. Without groups every dof is its own block, which is
+    With ``hierarchy`` (built by ``multigrid`` for this matrix) each
+    iteration applies one V-cycle. Without it, ``groups`` labels each dof
+    with its copy group (for a split mesh, the pre-split vertex it came
+    from); dofs with equal labels form one block of a block-Jacobi
+    preconditioner. Without groups every dof is its own block, which is
     plain Jacobi.
 
     Convergence is measured in the Jacobi norm |r|_D = sqrt(r' D^-1 r) with
@@ -119,7 +318,7 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     n = A.shape[0]
     if b.shape != (n,):
         raise SolverError(f"rhs shape {b.shape} does not match matrix size {n}")
-    if not np.all(np.isfinite(b)) or not np.all(np.isfinite(A.data)):
+    if not np.all(np.isfinite(b)):
         raise SolverError("non-finite values in the linear system")
     if max_iter is None:
         max_iter = 10 * n
@@ -128,20 +327,21 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     if np.any(diag <= 0.0):
         raise SolverError("matrix has a non-positive diagonal entry; not SPD")
     inv_diag = 1.0 / diag
-    block_dofs, P_block = _group_blocks(A, groups) if groups is not None else (None, None)
-
-    def precondition(v: np.ndarray) -> np.ndarray:
-        z = inv_diag * v
-        if P_block is not None:
-            z[block_dofs] = P_block @ v[block_dofs]
-        return z
+    levels: tuple[int, ...] = ()
+    if hierarchy is not None:
+        levels = hierarchy.sizes
+        if levels[0] != n:
+            raise SolverError(f"hierarchy built for {levels[0]} dofs, matrix has {n}")
+        precondition = hierarchy
+    else:
+        precondition = _group_blocks(A, groups).dot
 
     def pnorm(v: np.ndarray) -> float:
         return float(np.sqrt(np.abs(v @ (inv_diag * v))))
 
     b_norm = pnorm(b)
     if b_norm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True, "cg", (0.0,))
+        return np.zeros(n), SolveReport(0, 0.0, True, "cg", (0.0,), multigrid_levels=levels)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
@@ -158,7 +358,8 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
             # Guard against recursion drift: recompute before declaring done.
             true_norm = pnorm(b - A @ x)
             if true_norm <= tol * b_norm:
-                return x, SolveReport(it, true_norm / b_norm, True, "cg", tuple(history))
+                return x, SolveReport(it, true_norm / b_norm, True, "cg", tuple(history),
+                                      multigrid_levels=levels)
             if true_norm >= 0.9 * last_true:
                 stalled = True     # the recomputed residual stopped falling
                 break
@@ -183,7 +384,8 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
         it += 1
 
     true_norm = pnorm(b - A @ x)
-    report = SolveReport(it, true_norm / b_norm, true_norm <= tol * b_norm, "cg", tuple(history))
+    report = SolveReport(it, true_norm / b_norm, true_norm <= tol * b_norm, "cg",
+                         tuple(history), multigrid_levels=levels)
     if report.converged:
         return x, report
     reason = "stalled at the float64 floor" if stalled else f"budget of {max_iter} iterations exhausted"
@@ -203,9 +405,9 @@ def cholesky_solve(A, b) -> tuple[np.ndarray, SolveReport]:
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise SolverError(f"rhs shape {b.shape} does not match matrix size {n}")
-    dense = A.toarray()
-    if not np.all(np.isfinite(dense)) or not np.all(np.isfinite(b)):
+    if not np.all(np.isfinite(b)):
         raise SolverError("non-finite values in the linear system")
+    dense = A.toarray()
     try:
         c, low = scipy.linalg.cho_factor(dense)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
@@ -222,9 +424,12 @@ def cholesky_solve(A, b) -> tuple[np.ndarray, SolveReport]:
 
 
 def solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
-          groups=None) -> tuple[np.ndarray, SolveReport]:
-    """Copy-group block-Jacobi CG at any size (see ``cg_solve``)."""
-    return cg_solve(A, b, tol=tol, max_iter=max_iter, groups=groups)
+          groups=None, hierarchy: Multigrid | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Multigrid-preconditioned CG at any size (see ``cg_solve``). Builds
+    the hierarchy over ``groups`` unless a prebuilt one is passed."""
+    if hierarchy is None:
+        hierarchy = multigrid(A, groups)
+    return cg_solve(A, b, tol=tol, max_iter=max_iter, hierarchy=hierarchy)
 
 
 def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,
@@ -238,12 +443,14 @@ def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,
     pair jumps and means) plus the boundary loads, puts each Dirichlet row's
     value mismatch in its place, and solves for the correction, restoring
     conservation to machine precision.
-    Every solve is preconditioned over the system's copy groups; the
-    returned report is the first solve's, with the iteration count of each
+    One multigrid hierarchy over the system's copy groups is built and
+    preconditions the first solve and every refinement solve; the returned
+    report is the first solve's, with the iteration count of each
     refinement solve attached.
     """
-    groups = system.copy_groups
-    x, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter, groups=groups)
+    hierarchy = multigrid(system.matrix, system.copy_groups)
+    x, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter,
+                      hierarchy=hierarchy)
     refinement: list[int] = []
     for _ in range(refine):
         r = system.residual_raw(x) + (system.rhs_raw - system.rhs_body)
@@ -253,7 +460,7 @@ def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,
             break
         # The correction only needs a few digits; its error is scaled by ||r||.
         delta, round_report = solve(system.matrix, r, tol=1e-4, max_iter=max_iter,
-                                    groups=groups)
+                                    hierarchy=hierarchy)
         refinement.append(round_report.iterations)
         x = x + delta
     return x, replace(report, refinement_iterations=tuple(refinement))

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import fracflow.cli as cli
+from fracflow.solver import COARSE_DOFS
 
 
 SUMMARY_KEYS = {"scenario", "variant", "n", "params", "dofs", "subdomains",
                 "interface_entities", "method", "cg_iterations",
                 "relative_residual", "converged", "boundary_fluxes",
                 "mass_balance_defect", "inflow", "profiles", "fractures",
-                "refinement_iterations"}
+                "refinement_iterations", "multigrid_levels"}
 
 
 def run_cli(*argv):
@@ -63,6 +64,11 @@ def test_run_regular2d_benchmark_counts(tmp_path):
     assert summary["cg_iterations"] > 0
     assert len(summary["refinement_iterations"]) == 2
     assert all(k > 0 for k in summary["refinement_iterations"])
+    # dofs per multigrid level, finest first, down to a dense coarsest level
+    levels = summary["multigrid_levels"]
+    assert levels[0] == 1210 and len(levels) >= 2
+    assert all(a > b for a, b in zip(levels, levels[1:]))
+    assert levels[-1] <= COARSE_DOFS
 
 
 def test_run_is_deterministic(tmp_path):

@@ -233,3 +233,34 @@ def test_write_solution_csv(tmp_path, solved_vertical_16):
     assert np.array_equal(got, pressure)
     subs = np.array([int(r[3]) for r in rows])
     assert np.array_equal(subs, split.subdomain_of_vertex())
+
+
+def csv_writer_solution(path, split, solution):
+    """The per-row csv.writer version of write_solution_csv, kept as the
+    byte-level reference."""
+    sub = split.subdomain_of_vertex()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["vertex", "x", "y", "subdomain", "p"])
+        for i, (pt, v) in enumerate(zip(split.base.vertices, solution)):
+            x = float(pt[0])
+            y = float(pt[1]) if len(pt) > 1 else 0.0
+            w.writerow([i, f"{x:.17g}", f"{y:.17g}", int(sub[i]), f"{v:.17g}"])
+
+
+@pytest.mark.parametrize("chunk", [8192, 7])
+def test_write_solution_csv_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
+    import fracflow.postprocess as postprocess
+    monkeypatch.setattr(postprocess, "_SOLUTION_CHUNK", chunk)
+    interval = split_mesh(build_interval(8, 1.0), FractureNetwork((FractureSpec(
+        path=(Point(0.5),), aperture=ConstantAperture(1e-2), mobility=1e-2),)))
+    for name, split in (("2d", split_mesh(unit_square(6), vertical_network(1e-2, 1.0))),
+                        ("1d", interval)):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(split.n_dofs) * 10.0 ** rng.integers(-20, 20, split.n_dofs)
+        values[:3] = (-0.0, 1.0 / 3.0, 1e300)
+        write_solution_csv(tmp_path / f"{name}.csv", split, values)
+        csv_writer_solution(tmp_path / f"{name}_ref.csv", split, values)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert got.count(b"\r\n") == split.n_dofs + 1

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from fracflow import (NonConvergenceError, SolverError, cg_solve,
                       cholesky_solve, run_scenario, solve, solve_system)
-from fracflow.solver import DENSE_LIMIT
+from fracflow import solver
+from fracflow.solver import COARSE_DOFS, DENSE_LIMIT, multigrid
 
 
 def random_spd(n: int, seed: int, scale_spread: float = 0.0) -> np.ndarray:
@@ -235,11 +236,15 @@ def conductive_64():
 
 def test_groups_make_conductive_as_cheap_as_blocking(conductive_64):
     """The kf/eps = 1e8 jump penalty couples each vertex's copies. Block
-    Jacobi over the copy groups sees that coupling; plain Jacobi does not
-    (9,300 iterations at this size)."""
-    blocking = run_scenario("regular2d", n=64, variant="blocking")
-    grouped = conductive_64.report.iterations
-    assert grouped <= 1.5 * blocking.report.iterations
+    Jacobi over the copy groups (the multigrid's finest smoother) sees that
+    coupling; plain Jacobi does not (9,300 iterations at this size)."""
+    iterations = {}
+    for variant in ("conductive", "blocking"):
+        system = run_scenario("regular2d", n=64, variant=variant).system
+        _, report = cg_solve(system.matrix, system.rhs, groups=system.copy_groups)
+        iterations[variant] = report.iterations
+    grouped = iterations["conductive"]
+    assert grouped <= 1.5 * iterations["blocking"]
     system = conductive_64.system
     with pytest.raises(NonConvergenceError):
         cg_solve(system.matrix, system.rhs, max_iter=3 * grouped)
@@ -283,3 +288,102 @@ def test_solve_system_refinement_tightens_conservation():
     d_refined = mass_balance_defect(boundary_flux(split, system, x_refined))
     assert d_refined <= max(d_plain, 1e-12)
     assert d_refined <= 1e-8   # the conservation gate at unit inflow
+
+
+# --- multigrid preconditioner -------------------------------------------------
+
+@pytest.mark.parametrize("variant", ["conductive", "blocking"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_multigrid_iterations_stay_flat(n, variant):
+    """Block-Jacobi CG needed 1,292 first-solve iterations at conductive
+    n=256 and grew linearly with n; the V-cycle keeps the count flat."""
+    report = run_scenario("regular2d", n=n, variant=variant).report
+    assert report.converged
+    assert report.iterations <= 40
+    levels = report.multigrid_levels
+    assert len(levels) >= 2
+    assert all(2 * coarse <= fine for fine, coarse in zip(levels, levels[1:]))
+
+
+@pytest.fixture(scope="module")
+def conductive_32_system():
+    return run_scenario("regular2d", n=32, variant="conductive").system
+
+
+def test_vcycle_is_symmetric_positive_definite(conductive_32_system):
+    system = conductive_32_system
+    mg = multigrid(system.matrix, system.copy_groups)
+    assert len(mg.sizes) >= 2
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u, v = rng.standard_normal((2, system.matrix.shape[0]))
+        uMv, vMu = u @ mg(v), v @ mg(u)
+        assert abs(uMv - vMu) <= 1e-12 * np.sqrt((u @ mg(u)) * (v @ mg(v)))
+        assert v @ mg(v) > 0.0
+
+
+def test_multigrid_builds_are_deterministic(conductive_32_system):
+    system = conductive_32_system
+    x1, r1 = solve(system.matrix, system.rhs, groups=system.copy_groups)
+    x2, r2 = solve(system.matrix, system.rhs, groups=system.copy_groups)
+    assert np.array_equal(x1, x2)
+    assert r1.iterations == r2.iterations
+    assert r1.multigrid_levels == r2.multigrid_levels
+
+
+def test_multigrid_on_diagonal_matrix_stops_coarsening():
+    """A diagonal matrix has no strong couplings, so nothing aggregates: the
+    hierarchy is the smoothed finest level alone, without a dense factor of
+    the 5,000 dofs, and the V-cycle is a multiple of the inverse."""
+    n = 5000
+    d = 10.0 ** np.linspace(-6, 6, n)
+    A = sp.diags(d).tocsr()
+    mg = multigrid(A)
+    assert mg.sizes == (n,)
+    assert all(level.factor is None or len(level.factor[0]) <= COARSE_DOFS
+               for level in mg.levels)
+    x, report = solve(A, np.ones(n), tol=1e-12)
+    assert report.iterations <= 2
+    assert np.allclose(x * d, 1.0, rtol=1e-12)
+
+
+def test_multigrid_skips_a_level_that_would_not_shrink():
+    """Every other dof couples strongly to dof 0, but not dof 0 to them: each
+    becomes a root of its own aggregate, and that level is not built."""
+    n = 1000
+    A = sp.eye(n, format="lil")
+    A[1:, 0] = -0.5
+    mg = multigrid(A.tocsr())
+    assert mg.sizes == (n,)
+    assert mg.levels[0].factor is None
+
+
+def test_small_system_is_one_dense_level():
+    A = random_spd(30, seed=12)
+    mg = multigrid(A)
+    assert mg.sizes == (30,)
+    x, report = solve(A, A @ np.ones(30), tol=1e-12)
+    assert report.iterations <= 2
+    assert np.allclose(x, 1.0, atol=1e-9)
+
+
+def test_refinement_reuses_one_hierarchy(monkeypatch, conductive_32_system):
+    builds = []
+
+    def counting(A, groups=None):
+        builds.append(A.shape[0])
+        return multigrid(A, groups)
+
+    monkeypatch.setattr(solver, "multigrid", counting)
+    x, report = solve_system(conductive_32_system)
+    assert builds == [conductive_32_system.matrix.shape[0]]
+    assert len(report.refinement_iterations) == 2
+    assert report.multigrid_levels == multigrid(
+        conductive_32_system.matrix, conductive_32_system.copy_groups).sizes
+
+
+def test_hierarchy_must_match_matrix(conductive_32_system):
+    mg = multigrid(random_spd(10, seed=13))
+    system = conductive_32_system
+    with pytest.raises(SolverError):
+        cg_solve(system.matrix, system.rhs, hierarchy=mg)
