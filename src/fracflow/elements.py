@@ -38,35 +38,69 @@ def _q1_dshape(xi: float, eta: float) -> np.ndarray:
     ])
 
 
+# The stiffness's ten upper entries (a, b), a <= b, and the one each full
+# entry is read from.
+_Q1_TRIU = np.triu_indices(4)
+_Q1_FULL = np.zeros((4, 4), dtype=np.intp)
+_Q1_FULL[_Q1_TRIU] = np.arange(10)
+_Q1_FULL = np.maximum(_Q1_FULL, _Q1_FULL.T).ravel()
+# Cells per block in q1_stiffness_batch, so that a block's arrays stay in cache.
+_Q1_BLOCK = 4096
+
+
 def q1_stiffness_batch(cell_vertices: np.ndarray, k: np.ndarray) -> np.ndarray:
     """(n, 4, 4) stiffness of bilinear quads for the operator -div(k grad p).
 
     ``cell_vertices`` is (n, 4, 2), each cell counter-clockwise; ``k`` holds
     one mobility per cell. Raises GeometryError on a wrong shape or when an
     isoparametric map degenerates (non-positive Jacobian at a Gauss point).
+
+    At each Gauss point, J[i, d] = sum_a dN_a/dxi_i x_a,d, the physical
+    gradients are grad N_a = J^-1 dN_a, and the point adds k det(J)
+    grad N_a . grad N_b to entry (a, b). Each step is one operation on the
+    arrays of a block of cells, with the reference derivatives as scalars.
+    Only the ten upper entries are formed, so each matrix is exactly
+    symmetric.
     """
     X = np.asarray(cell_vertices, dtype=float)
     if X.ndim != 3 or X.shape[1:] != (4, 2):
         raise GeometryError(f"expected (n, 4, 2) quad vertices, got shape {X.shape}")
-    kv = np.asarray(k, dtype=float)
-    n = len(X)
-    K = np.zeros((n, 4, 4))
+    kv = np.broadcast_to(np.asarray(k, dtype=float), (len(X),))
+    K = np.empty((len(X), 16))
+    for start in range(0, len(X), _Q1_BLOCK):
+        block = slice(start, start + _Q1_BLOCK)
+        K[block] = _q1_upper(X[block], kv[block], start)[:, _Q1_FULL]
+    return K.reshape(len(X), 4, 4)
+
+
+def _q1_upper(X: np.ndarray, k: np.ndarray, first: int) -> np.ndarray:
+    """(m, 10) upper stiffness entries of the cells X (m, 4, 2); ``first`` is
+    the batch index of X[0], for the error message."""
+    coords = [[np.ascontiguousarray(X[:, a, d]) for a in range(4)] for d in range(2)]
+    upper = [0.0] * 10
     for xi, eta in GAUSS_2X2:
-        dN = _q1_dshape(xi, eta)
-        J = np.einsum("ai,nad->nid", dN, X)        # (n, 2, 2)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        dN = _q1_dshape(xi, eta).tolist()
+
+        def along(i, c):           # sum_a dN_a/dxi_i c_a, in vertex order
+            s = dN[0][i] * c[0]
+            for a in range(1, 4):
+                s = s + dN[a][i] * c[a]
+            return s
+
+        j00, j01 = along(0, coords[0]), along(0, coords[1])
+        j10, j11 = along(1, coords[0]), along(1, coords[1])
+        det = j00 * j11 - j01 * j10
         if np.any(det <= 0.0):
-            bad = int(np.argmax(det <= 0.0))
+            bad = first + int(np.argmax(det <= 0.0))
             raise GeometryError(f"degenerate quadrilateral in batch at index {bad}")
-        Jinv = np.empty_like(J)
-        Jinv[:, 0, 0] = J[:, 1, 1]
-        Jinv[:, 0, 1] = -J[:, 0, 1]
-        Jinv[:, 1, 0] = -J[:, 1, 0]
-        Jinv[:, 1, 1] = J[:, 0, 0]
-        Jinv /= det[:, None, None]
-        grads = np.einsum("ad,ndi->nai", dN, np.swapaxes(Jinv, 1, 2))
-        K += (det * kv)[:, None, None] * np.einsum("nai,nbi->nab", grads, grads)
-    return K
+        inv = ((j11 / det, -j01 / det), (-j10 / det, j00 / det))
+        grads = [[dN[a][0] * inv[i][0] + dN[a][1] * inv[i][1] for i in range(2)]
+                 for a in range(4)]
+        weight = det * k
+        for e, (a, b) in enumerate(zip(*_Q1_TRIU)):
+            ga, gb = grads[a], grads[b]
+            upper[e] = upper[e] + weight * (ga[0] * gb[0] + ga[1] * gb[1])
+    return np.stack(upper, axis=1)
 
 
 def _segments(length, coeff) -> tuple[np.ndarray, np.ndarray]:

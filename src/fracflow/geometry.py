@@ -375,38 +375,42 @@ def build_interval(n: int, length: float) -> Mesh:
     return Mesh(vertices=vertices, cells=cells, boundary_facets=facets)
 
 
-_QUAD_EDGE_LOCAL = np.array([[0, 1], [1, 2], [2, 3], [3, 0]], dtype=np.int64)
-
-
 class _EdgeTable:
-    """Unique undirected edges of a quad mesh with cell incidence."""
+    """Unique undirected edges of a quad mesh with cell incidence.
+
+    Each incidence is a slot ``4 c + k``: local edge k of cell c, running
+    from its corner k to corner k + 1 (mod 4), so a slot is also the flat
+    index of that first corner in ``cells``. The slots of edge e are
+    ``slots[offsets[e]:offsets[e + 1]]``, in cell order.
+    """
 
     def __init__(self, mesh: Mesh):
         cells = mesh.cells
         nv = mesh.n_vertices
-        pairs = cells[:, _QUAD_EDGE_LOCAL].reshape(-1, 2)
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        codes_all = lo * nv + hi
-        owner = np.repeat(np.arange(len(cells), dtype=np.int64), 4)
+        a = cells.ravel()
+        b = cells[:, [1, 2, 3, 0]].ravel()
+        codes_all = np.minimum(a, b) * nv + np.maximum(a, b)
         order = np.argsort(codes_all, kind="stable")
         sorted_codes = codes_all[order]
+        first = np.flatnonzero(np.diff(sorted_codes, prepend=-1))
         self._nv = nv
-        self.codes, first = np.unique(sorted_codes, return_index=True)
+        self.codes = sorted_codes[first]
         self.offsets = np.append(first, len(sorted_codes))
-        self.cells_flat = owner[order]
+        self.slots = order
 
-    def edge_id(self, a: int, b: int) -> int:
-        """Index of undirected edge (a, b), or -1 if absent."""
-        lo, hi = (a, b) if a < b else (b, a)
-        code = lo * self._nv + hi
-        idx = int(np.searchsorted(self.codes, code))
-        if idx < len(self.codes) and self.codes[idx] == code:
-            return idx
-        return -1
+    def edge_ids(self, a, b) -> np.ndarray:
+        """Index of each undirected edge (a[i], b[i]), or -1 if absent."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        code = np.minimum(a, b) * self._nv + np.maximum(a, b)
+        idx = np.searchsorted(self.codes, code)
+        found = idx < len(self.codes)
+        found[found] = self.codes[idx[found]] == code[found]
+        return np.where(found, idx, -1)
 
-    def cells_of(self, edge_id: int) -> np.ndarray:
-        return self.cells_flat[self.offsets[edge_id]:self.offsets[edge_id + 1]]
+    def slot(self, edge_ids, i: int = 0) -> np.ndarray:
+        """The i-th incidence slot of each edge."""
+        return self.slots[self.offsets[edge_ids] + i]
 
     @property
     def n_edges(self) -> int:
@@ -414,6 +418,11 @@ class _EdgeTable:
 
     def incidence_counts(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+
+def _slot_ends(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``cells`` indices of the two corners a local-edge slot joins."""
+    return slots, slots - slots % 4 + (slots + 1) % 4
 
 
 def _default_tol(mesh: Mesh) -> float:
@@ -428,6 +437,12 @@ def check_conformity(mesh: Mesh, network: FractureNetwork, tol: float | None = N
     one-element list with the matched vertex id. Raises ConformityError if
     any portion of a path fails to coincide with mesh edges/vertices.
     """
+    return _match_paths(mesh, network, tol, _EdgeTable(mesh) if mesh.dim == 2 else None)
+
+
+def _match_paths(mesh: Mesh, network: FractureNetwork, tol: float | None,
+                 table: _EdgeTable | None):
+    """``check_conformity`` on the edge table of a 2D mesh (None in 1D)."""
     if tol is None:
         tol = _default_tol(mesh)
     for f in network:
@@ -445,7 +460,6 @@ def check_conformity(mesh: Mesh, network: FractureNetwork, tol: float | None = N
             chains.append([int(hits[0])])
         return chains
 
-    table = _EdgeTable(mesh)
     verts = mesh.vertices
     chains = []
     for j, frac in enumerate(network):
@@ -459,16 +473,18 @@ def check_conformity(mesh: Mesh, network: FractureNetwork, tol: float | None = N
             if seg_len <= tol:
                 raise GeometryError(f"fracture {j}: degenerate path segment {k}")
             that = seg / seg_len
-            t = (verts - pa) @ that
-            tc = np.clip(t, 0.0, seg_len)
-            closest = pa + tc[:, None] * that
-            dist = np.linalg.norm(verts - closest, axis=1)
-            on = np.nonzero(dist <= tol)[0]
-            if len(on) < 2:
+            # A vertex on the segment lies in its bounding box, widened by tol.
+            mid, half = 0.5 * (pa + qa), 0.5 * np.abs(seg) + 2.0 * tol
+            near = np.flatnonzero((np.abs(verts[:, 0] - mid[0]) <= half[0])
+                                  & (np.abs(verts[:, 1] - mid[1]) <= half[1]))
+            t = (verts[near] - pa) @ that
+            closest = pa + np.clip(t, 0.0, seg_len)[:, None] * that
+            on = np.linalg.norm(verts[near] - closest, axis=1) <= tol
+            if np.count_nonzero(on) < 2:
                 raise ConformityError(
                     f"fracture {j}, segment {k}: path does not follow mesh vertices"
                 )
-            order = on[np.argsort(t[on], kind="stable")]
+            order = near[on][np.argsort(t[on], kind="stable")]
             if np.linalg.norm(verts[order[0]] - pa) > tol:
                 raise ConformityError(
                     f"fracture {j}, segment {k}: start point {tuple(pa)} is not a mesh vertex"
@@ -481,35 +497,17 @@ def check_conformity(mesh: Mesh, network: FractureNetwork, tol: float | None = N
                 raise ConformityError(
                     f"fracture {j}: path segments {k - 1} and {k} do not share a mesh vertex"
                 )
-            for va, vb in zip(order[:-1], order[1:]):
-                if table.edge_id(int(va), int(vb)) < 0:
-                    raise ConformityError(
-                        f"fracture {j}, segment {k}: no mesh edge between vertices "
-                        f"{int(va)} and {int(vb)}; the path crosses cell interiors"
-                    )
-                edges.append((int(va), int(vb)))
+            missing = np.flatnonzero(table.edge_ids(order[:-1], order[1:]) < 0)
+            if len(missing):
+                va, vb = order[missing[0]], order[missing[0] + 1]
+                raise ConformityError(
+                    f"fracture {j}, segment {k}: no mesh edge between vertices "
+                    f"{int(va)} and {int(vb)}; the path crosses cell interiors"
+                )
+            edges.extend(zip(order[:-1].tolist(), order[1:].tolist()))
             prev_end = int(order[-1])
         chains.append(edges)
     return chains
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 def split_mesh(mesh: Mesh, network: FractureNetwork, tol: float | None = None) -> SplitMesh:
@@ -527,12 +525,10 @@ def split_mesh(mesh: Mesh, network: FractureNetwork, tol: float | None = None) -
     fracture), for fractures running along the domain boundary, and for
     overlapping fractures.
     """
-    if tol is None:
-        tol = _default_tol(mesh)
-    chains = check_conformity(mesh, network, tol)
     if mesh.dim == 1:
-        return _split_mesh_1d(mesh, network, chains)
-    return _split_mesh_2d(mesh, network, chains)
+        return _split_mesh_1d(mesh, network, _match_paths(mesh, network, tol, None))
+    table = _EdgeTable(mesh)
+    return _split_mesh_2d(mesh, network, _match_paths(mesh, network, tol, table), table)
 
 
 def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, chains) -> SplitMesh:
@@ -610,168 +606,146 @@ def _labels_first_encounter(n: int, rows, cols) -> np.ndarray:
     return rank[raw].astype(np.int64)
 
 
-def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains) -> SplitMesh:
-    table = _EdgeTable(mesh)
+def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
+                   table: _EdgeTable) -> SplitMesh:
     cells = mesh.cells
     n_cells = mesh.n_cells
-
-    # Which edges are fractures; reject overlaps and boundary-glued fractures.
-    fracture_of_edge: dict[int, int] = {}
-    for j, chain in enumerate(chains):
-        for va, vb in chain:
-            eid = table.edge_id(va, vb)
-            if eid in fracture_of_edge:
-                raise UnsupportedTopologyError(
-                    f"fractures {fracture_of_edge[eid]} and {j} overlap on edge ({va}, {vb})"
-                )
-            if len(table.cells_of(eid)) != 2:
-                raise UnsupportedTopologyError(
-                    f"fracture {j} runs along the domain boundary at edge ({va}, {vb})"
-                )
-            fracture_of_edge[eid] = j
-
-    counts = table.incidence_counts()
-    boundary_vertex = np.zeros(mesh.n_vertices, dtype=bool)
-    boundary_edge_ids = np.nonzero(counts == 1)[0]
     nv = mesh.n_vertices
-    for eid in boundary_edge_ids:
-        code = int(table.codes[eid])
-        boundary_vertex[code // nv] = True
-        boundary_vertex[code % nv] = True
+    counts = table.incidence_counts()
+
+    # Fracture edges in chain order; reject overlaps and boundary-glued fractures.
+    chain_a = np.array([e[0] for chain in chains for e in chain], dtype=np.int64)
+    chain_b = np.array([e[1] for chain in chains for e in chain], dtype=np.int64)
+    chain_frac = np.repeat(np.arange(len(chains)), [len(chain) for chain in chains])
+    eids = table.edge_ids(chain_a, chain_b)
+    _uniq, first = np.unique(eids, return_index=True)
+    repeated = np.ones(len(eids), dtype=bool)
+    repeated[first] = False
+    bad = repeated | (counts[eids] != 2)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        va, vb, j = int(chain_a[i]), int(chain_b[i]), int(chain_frac[i])
+        if repeated[i]:
+            other = int(chain_frac[np.argmax(eids == eids[i])])
+            raise UnsupportedTopologyError(
+                f"fractures {other} and {j} overlap on edge ({va}, {vb})")
+        raise UnsupportedTopologyError(
+            f"fracture {j} runs along the domain boundary at edge ({va}, {vb})")
+    on_fracture = np.zeros(table.n_edges, dtype=bool)
+    on_fracture[eids] = True
+
+    boundary_vertex = np.zeros(nv, dtype=bool)
+    for ends in np.divmod(table.codes[counts == 1], nv):
+        boundary_vertex[ends] = True
 
     # Fracture tips must rest on the boundary or on another fracture edge.
-    fr_edge_degree: dict[int, int] = {}
-    for eid in fracture_of_edge:
-        code = int(table.codes[eid])
-        for v in (code // nv, code % nv):
-            fr_edge_degree[v] = fr_edge_degree.get(v, 0) + 1
+    fr_edge_degree = np.bincount(np.r_[chain_a, chain_b], minlength=nv)
     for j, chain in enumerate(chains):
         for tip in (chain[0][0], chain[-1][1]):
-            if fr_edge_degree.get(tip, 0) <= 1 and not boundary_vertex[tip]:
+            if fr_edge_degree[tip] <= 1 and not boundary_vertex[tip]:
                 raise UnsupportedTopologyError(
                     f"fracture {j} terminates inside a subdomain at vertex {tip}"
                 )
 
     # Subdomains: flood fill over cells joined by non-fracture edges.
-    rows, cols = [], []
-    interior = np.nonzero(counts == 2)[0]
-    starts = table.offsets[interior]
-    pair_a = table.cells_flat[starts]
-    pair_b = table.cells_flat[starts + 1]
-    keep = np.ones(len(interior), dtype=bool)
-    if fracture_of_edge:
-        fr_ids = np.fromiter(fracture_of_edge.keys(), dtype=np.int64)
-        keep = ~np.isin(interior, fr_ids)
-    rows = pair_a[keep]
-    cols = pair_b[keep]
-    subdomain = _labels_first_encounter(n_cells, rows, cols)
+    joining = np.flatnonzero((counts == 2) & ~on_fracture)
+    slot1, slot2 = table.slot(joining, 0), table.slot(joining, 1)
+    subdomain = _labels_first_encounter(n_cells, slot1 // 4, slot2 // 4)
     n_sub = int(subdomain.max()) + 1 if n_cells else 0
 
-    # Corner groups around each fracture vertex.
-    fr_verts = sorted({v for chain in chains for e in chain for v in e})
-    fr_vert_set = set(fr_verts)
-    vertex_cells: dict[int, list[int]] = {v: [] for v in fr_verts}
-    if fr_verts:
-        mask = np.isin(cells, np.asarray(fr_verts)).any(axis=1)
-        for c in np.nonzero(mask)[0]:
-            for v in cells[c]:
-                if int(v) in fr_vert_set:
-                    vertex_cells[int(v)].append(int(c))
-
-    new_coords: list[np.ndarray] = []
-    origin_extra: list[int] = []
-    replace: dict[tuple[int, int], int] = {}
-    next_id = mesh.n_vertices
-    groups_at: dict[int, list[list[int]]] = {}
-    for v in fr_verts:
-        incident = vertex_cells[v]
-        uf = _UnionFind(incident)
-        for c in incident:
-            ring = cells[c]
-            pos = int(np.nonzero(ring == v)[0][0])
-            for w in (int(ring[pos - 1]), int(ring[(pos + 1) % 4])):
-                eid = table.edge_id(v, w)
-                if eid in fracture_of_edge:
-                    continue
-                flanking = table.cells_of(eid)
-                if len(flanking) == 2:
-                    uf.union(int(flanking[0]), int(flanking[1]))
-        comp: dict[int, list[int]] = {}
-        for c in incident:
-            comp.setdefault(uf.find(c), []).append(c)
-        groups = sorted(comp.values(), key=min)
-        if len(groups) < 2:
-            raise UnsupportedTopologyError(
-                f"fracture vertex {v} does not separate its neighbourhood"
-            )
-        groups_at[v] = groups
-        for gi, grp in enumerate(groups):
-            if gi == 0:
-                continue
-            vid = next_id
-            next_id += 1
-            new_coords.append(mesh.vertices[v].copy())
-            origin_extra.append(v)
-            for c in grp:
-                replace[(c, v)] = vid
-
+    # Corner groups: the corners (cell, fracture vertex) around each
+    # fracture vertex, connected through the non-fracture edges at it.
+    old_flat = cells.ravel()
+    is_fr_vertex = np.zeros(nv, dtype=bool)
+    is_fr_vertex[chain_a] = True
+    is_fr_vertex[chain_b] = True
+    corner_at = np.flatnonzero(is_fr_vertex[old_flat])
+    corner_of = np.full(len(old_flat), -1, dtype=np.int64)
+    corner_of[corner_at] = np.arange(len(corner_at))
+    # Corner k of the first cell meets corner (k or k + 1) of the second
+    # cell that holds the same vertex.
+    ends1, ends2 = _slot_ends(slot1), _slot_ends(slot2)
+    aligned = old_flat[ends1[0]] == old_flat[ends2[0]]
+    links = np.concatenate([
+        np.stack([ends1[0], np.where(aligned, ends2[0], ends2[1])]),
+        np.stack([ends1[1], np.where(aligned, ends2[1], ends2[0])]),
+    ], axis=1)
+    links = corner_of[links[:, is_fr_vertex[old_flat[links[0]]]]]
+    n_groups, group = connected_components(
+        coo_matrix((np.ones(links.shape[1]), (links[0], links[1])),
+                   shape=(len(corner_at), len(corner_at))), directed=False)
+    # Each group's vertex and lowest cell (corners are in cell order).
+    _uniq, first = np.unique(group, return_index=True)
+    group_vertex = old_flat[corner_at[first]]
+    group_order = np.lexsort((corner_at[first] // 4, group_vertex))
+    sorted_vertex = group_vertex[group_order]
+    starts = np.flatnonzero(np.diff(sorted_vertex, prepend=-1))
+    lonely = np.diff(np.append(starts, n_groups)) < 2
+    if np.any(lonely):
+        raise UnsupportedTopologyError(
+            f"fracture vertex {int(sorted_vertex[starts[np.argmax(lonely)]])} "
+            "does not separate its neighbourhood")
+    # The group with the lowest cell keeps the vertex id; the others get new
+    # ids by vertex, then by lowest cell.
+    rank = np.arange(n_groups) - np.repeat(starts, np.diff(np.append(starts, n_groups)))
+    copied = group_order[rank > 0]
+    group_id = group_vertex.copy()
+    group_id[copied] = nv + np.arange(len(copied))
     new_cells = cells.copy()
-    for (c, v), vid in replace.items():
-        pos = int(np.nonzero(cells[c] == v)[0][0])
-        new_cells[c, pos] = vid
+    new_flat = new_cells.reshape(-1)
+    new_flat[corner_at] = group_id[group]
 
-    def copy_of(v: int, c: int) -> int:
-        return replace.get((c, v), v)
+    def copy_at(v: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The split id of each v in the cell of its slot, v an end of that local edge."""
+        start, end = _slot_ends(slots)
+        return new_flat[np.where(old_flat[start] == v, start, end)]
 
     # Boundary facets follow their owning cell's copies.
-    facets = []
-    for vs, tag in mesh.boundary_facets:
-        a, b = vs
-        eid = table.edge_id(a, b)
-        owners = table.cells_of(eid) if eid >= 0 else np.empty(0, dtype=np.int64)
-        if eid < 0 or len(owners) != 1:
-            raise GeometryError(f"boundary facet {vs} is not owned by exactly one cell")
-        c = int(owners[0])
-        facets.append(((copy_of(a, c), copy_of(b, c)), tag))
+    facet_vs = np.array([vs for vs, _tag in mesh.boundary_facets],
+                        dtype=np.int64).reshape(-1, 2)
+    facet_ids = table.edge_ids(facet_vs[:, 0], facet_vs[:, 1])
+    unowned = (facet_ids < 0) | (counts[facet_ids] != 1)
+    if np.any(unowned):
+        vs = mesh.boundary_facets[int(np.argmax(unowned))][0]
+        raise GeometryError(f"boundary facet {vs} is not owned by exactly one cell")
+    owner = table.slot(facet_ids)
+    facets = tuple(zip(zip(copy_at(facet_vs[:, 0], owner).tolist(),
+                           copy_at(facet_vs[:, 1], owner).tolist()),
+                       (tag for _vs, tag in mesh.boundary_facets)))
 
-    vertices = mesh.vertices if not new_coords else np.vstack([mesh.vertices, np.asarray(new_coords)])
-    base = Mesh(vertices=vertices, cells=new_cells, boundary_facets=tuple(facets))
-    vertex_origin = np.concatenate([
-        np.arange(mesh.n_vertices, dtype=np.int64),
-        np.asarray(origin_extra, dtype=np.int64),
-    ]) if origin_extra else np.arange(mesh.n_vertices, dtype=np.int64)
+    origin_extra = group_vertex[copied]
+    base = Mesh(vertices=np.vstack([mesh.vertices, mesh.vertices[origin_extra]]),
+                cells=new_cells, boundary_facets=facets)
+    vertex_origin = np.concatenate([np.arange(nv, dtype=np.int64), origin_extra])
 
-    centroids = mesh.vertices[cells].mean(axis=1)
+    # Interface edges: side 1 is the cell with the lower (subdomain, cell id).
+    s1, s2 = table.slot(eids, 0), table.slot(eids, 1)
+    swap = subdomain[s2 // 4] < subdomain[s1 // 4]       # s1's cell id is the lower
+    s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
+    pa = mesh.vertices[chain_a]
+    pb = mesh.vertices[chain_b]
+    tangent = pb - pa
+    length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
+    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / length[:, None]
+    centroids = mesh.vertices[cells[np.stack([s1 // 4, s2 // 4])]].mean(axis=2)
+    flip = np.einsum("ij,ij->i", normal, centroids[1] - centroids[0]) < 0.0
+    normal[flip] = -normal[flip]
+    records = zip(chain_frac.tolist(),
+                  copy_at(chain_a, s1).tolist(), copy_at(chain_a, s2).tolist(),
+                  copy_at(chain_b, s1).tolist(), copy_at(chain_b, s2).tolist(),
+                  normal.tolist(), length.tolist(), pa.tolist(), pb.tolist())
     edges: list[InterfaceEdge] = []
-    for j, chain in enumerate(chains):
-        frac = network.fractures[j]
-        for va, vb in chain:
-            eid = table.edge_id(va, vb)
-            c1, c2 = (int(c) for c in table.cells_of(eid))
-            key1 = (int(subdomain[c1]), c1)
-            key2 = (int(subdomain[c2]), c2)
-            if key2 < key1:
-                c1, c2 = c2, c1
-            pa = mesh.vertices[va]
-            pb = mesh.vertices[vb]
-            tangent = pb - pa
-            length = float(np.linalg.norm(tangent))
-            normal = np.array([-tangent[1], tangent[0]]) / length
-            if float(normal @ (centroids[c2] - centroids[c1])) < 0.0:
-                normal = -normal
-            ea = Point(float(pa[0]), float(pa[1]))
-            eb = Point(float(pb[0]), float(pb[1]))
-            edges.append(InterfaceEdge(
-                fracture_id=j,
-                node_pairs=(
-                    (copy_of(va, c1), copy_of(va, c2)),
-                    (copy_of(vb, c1), copy_of(vb, c2)),
-                ),
-                eta=(float(normal[0]), float(normal[1])),
-                length=length,
-                endpoints=(ea, eb),
-                aperture_at_nodes=(float(frac.aperture(ea)), float(frac.aperture(eb))),
-            ))
+    for j, a1, a2, b1, b2, eta, edge_length, xa, xb in records:
+        aperture = network.fractures[j].aperture
+        ea, eb = Point(*xa), Point(*xb)
+        edges.append(InterfaceEdge(
+            fracture_id=j,
+            node_pairs=((a1, a2), (b1, b2)),
+            eta=tuple(eta),
+            length=edge_length,
+            endpoints=(ea, eb),
+            aperture_at_nodes=(float(aperture(ea)), float(aperture(eb))),
+        ))
 
     return SplitMesh(
         base=base,

@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 from .assembly import LinearSystem
 from .errors import ConfigurationError, GeometryError
-from .geometry import InterfaceEdge, InterfacePoint, Point, SplitMesh
+from .geometry import InterfacePoint, Mesh, Point, SplitMesh
 
 __all__ = [
     "Profile",
@@ -53,47 +53,67 @@ class Profile:
 
 
 def _q1_shape(xi: np.ndarray) -> np.ndarray:
-    """The four bilinear shape functions at reference coordinates (xi, eta)."""
+    """The four bilinear shape functions at reference coordinates (xi, eta),
+    along the first axis; xi is (2,) or (2, m)."""
     return 0.25 * np.array([(1 - xi[0]) * (1 - xi[1]), (1 + xi[0]) * (1 - xi[1]),
                             (1 + xi[0]) * (1 + xi[1]), (1 - xi[0]) * (1 + xi[1])])
 
 
 def _invert_bilinear(X: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Reference coordinates (xi, eta) of p in the bilinear cell X (4, 2)."""
-    xi = np.zeros(2)
+    """Reference coordinates (m, 2) of the points p (m, 2) in the bilinear
+    cells X (m, 4, 2), by Newton steps from the cell centre; each pair stops
+    once its residual is at roundoff."""
+    xi = np.zeros((len(p), 2))
+    stop = 1e-14 + 1e-14 * np.abs(X).max(axis=(1, 2))
+    active = np.arange(len(p))
     for _ in range(30):
-        r = _q1_shape(xi) @ X - p
-        if np.abs(r).max() < 1e-14 + 1e-14 * np.abs(X).max():
+        x, y = xi[active].T
+        r = np.einsum("am,mad->md", _q1_shape(xi[active].T), X[active]) - p[active]
+        moving = ~(np.abs(r).max(axis=1) < stop[active])
+        active, r, x, y = active[moving], r[moving], x[moving], y[moving]
+        if not len(active):
             break
         dN = 0.25 * np.array([
-            [-(1 - xi[1]), (1 - xi[1]), (1 + xi[1]), -(1 + xi[1])],
-            [-(1 - xi[0]), -(1 + xi[0]), (1 + xi[0]), (1 - xi[0])],
+            [-(1 - y), (1 - y), (1 + y), -(1 + y)],
+            [-(1 - x), -(1 + x), (1 + x), (1 - x)],
         ])
-        J = dN @ X                      # rows: d(x,y)/dxi, d(x,y)/deta
-        xi = xi - np.linalg.solve(J.T, r)
+        J = np.einsum("iam,mad->mdi", dN, X[active])       # transposed Jacobian
+        xi[active] -= np.linalg.solve(J, r[:, :, None])[:, :, 0]
     return xi
+
+
+def _cell_locator(mesh: Mesh) -> tuple[cKDTree, float]:
+    """KD-tree over the cell centres and the largest centre-to-corner
+    distance. The mesh arrays are read-only, so it is built on first use
+    and kept on the mesh."""
+    locator = vars(mesh).get("_cell_locator")
+    if locator is None:
+        corners = mesh.vertices[mesh.cells]
+        centers = corners.mean(axis=1)
+        offsets = corners - centers[:, None, :]
+        radius = float(np.sqrt(np.einsum("cad,cad->ca", offsets, offsets).max()))
+        # Cheaper to build than the default; queries find the same cells.
+        tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
+        locator = vars(mesh)["_cell_locator"] = (tree, radius)
+    return locator
 
 
 def _sample_2d(split: SplitMesh, values: np.ndarray, pts: np.ndarray,
                tol: float) -> np.ndarray:
     mesh = split.base
-    corners = mesh.vertices[mesh.cells]            # (ncell, 4, 2)
-    centers = corners.mean(axis=1)
-    radius = np.sqrt(((corners - centers[:, None, :]) ** 2).sum(axis=2)).max()
-    tree = cKDTree(centers)
-
-    out = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        hits = []
-        for ci in tree.query_ball_point(p, r=radius * (1.0 + 1e-12) + tol):
-            X = corners[ci]
-            N = _q1_shape(np.clip(_invert_bilinear(X, p), -1.0, 1.0))
-            if np.linalg.norm(N @ X - p) <= tol:
-                hits.append(float(N @ values[mesh.cells[ci]]))
-        if not hits:
-            raise GeometryError(f"sample point {tuple(p)} lies outside the mesh")
-        out[i] = float(np.mean(hits))
-    return out
+    tree, radius = _cell_locator(mesh)
+    near = tree.query_ball_point(pts, r=radius * (1.0 + 1e-12) + tol)
+    point = np.repeat(np.arange(len(pts)), [len(cs) for cs in near])
+    cell = np.fromiter((c for cs in near for c in cs), dtype=np.int64, count=len(point))
+    X = mesh.vertices[mesh.cells[cell]]
+    p = pts[point]
+    N = _q1_shape(np.clip(_invert_bilinear(X, p), -1.0, 1.0).T)
+    hit = np.linalg.norm(np.einsum("am,mad->md", N, X) - p, axis=1) <= tol
+    count = np.bincount(point[hit], minlength=len(pts))
+    if not np.all(count):
+        raise GeometryError(f"sample point {tuple(pts[np.argmin(count)])} lies outside the mesh")
+    value = np.einsum("am,ma->m", N[:, hit], values[mesh.cells[cell[hit]]])
+    return np.bincount(point[hit], weights=value, minlength=len(pts)) / count
 
 
 def _sample_1d(split: SplitMesh, values: np.ndarray, xs: np.ndarray,
@@ -148,19 +168,23 @@ def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Poin
     return Profile(s=s, points=pts, values=vals)
 
 
-def _arc_position(path: tuple[Point, ...], pt: np.ndarray, tol: float) -> float:
-    prefix = 0.0
-    for p0, p1 in zip(path[:-1], path[1:]):
-        a, b = p0.as_array(), p1.as_array()
-        seg = b - a
-        L = float(np.linalg.norm(seg))
-        t = float(np.dot(pt - a, seg)) / (L * L)
-        if -tol <= t * L <= L + tol:
-            closest = a + np.clip(t, 0.0, 1.0) * seg
-            if np.linalg.norm(pt - closest) <= tol:
-                return prefix + np.clip(t, 0.0, 1.0) * L
-        prefix += L
-    raise GeometryError(f"interface node {tuple(pt)} not on its fracture path")
+def _arc_positions(path: tuple[Point, ...], pts: np.ndarray, tol: float) -> np.ndarray:
+    """Arc position along the polyline ``path`` of each point (m, 2), read on
+    the first segment that passes within tol of it."""
+    corners = np.array([p.coords for p in path])
+    a, seg = corners[:-1], np.diff(corners, axis=0)
+    L = np.sqrt(np.einsum("kd,kd->k", seg, seg))
+    prefix = np.r_[0.0, np.cumsum(L)[:-1]]
+    rel = pts[:, None, :] - a[None]                       # (m, segments, 2)
+    t = np.einsum("mkd,kd->mk", rel, seg) / (L * L)
+    tc = np.clip(t, 0.0, 1.0)
+    off = np.linalg.norm(rel - tc[:, :, None] * seg, axis=2)
+    on = (-tol <= t * L) & (t * L <= L + tol) & (off <= tol)
+    if not np.all(on.any(axis=1)):
+        pt = pts[np.argmin(on.any(axis=1))]
+        raise GeometryError(f"interface node {tuple(pt)} not on its fracture path")
+    k = np.argmax(on, axis=1)
+    return prefix[k] + tc[np.arange(len(pts)), k] * L[k]
 
 
 def _fracture_nodal(split: SplitMesh, values: np.ndarray, fracture_id: int):
@@ -183,32 +207,21 @@ def _fracture_nodal(split: SplitMesh, values: np.ndarray, fracture_id: int):
     total = sum(float(np.linalg.norm(p1.as_array() - p0.as_array()))
                 for p0, p1 in zip(path[:-1], path[1:]))
     tol = 1e-9 * max(total, 1.0)
-    recs = []
-    for edge in entities:
-        assert isinstance(edge, InterfaceEdge)
-        for (d1, d2), loc in zip(edge.node_pairs, edge.endpoints):
-            pt = loc.as_array()
-            s = _arc_position(path, pt, tol)
-            mean = 0.5 * (values[d1] + values[d2])
-            jump = values[d2] - values[d1]
-            recs.append((s, pt, mean, jump))
-    recs.sort(key=lambda r: r[0])
-    s_out, pts_out, mean_out, jump_out = [], [], [], []
-    for s, pt, mean, jump in recs:
-        if s_out and s - s_out[-1][0] <= tol:
-            s_out[-1].append(s)
-            pts_out[-1].append(pt)
-            mean_out[-1].append(mean)
-            jump_out[-1].append(jump)
-        else:
-            s_out.append([s])
-            pts_out.append([pt])
-            mean_out.append([mean])
-            jump_out.append([jump])
-    return (np.array([np.mean(g) for g in s_out]),
-            np.array([np.mean(g, axis=0) for g in pts_out]),
-            np.array([np.mean(g) for g in mean_out]),
-            np.array([np.mean(g) for g in jump_out]))
+    # Both endpoints of every edge, in edge order.
+    pairs = np.array([edge.node_pairs for edge in entities]).reshape(-1, 2)
+    pts = np.array([loc.coords for edge in entities for loc in edge.endpoints])
+    s = _arc_positions(path, pts, tol)
+    order = np.argsort(s, kind="stable")
+    s, pts, pairs = s[order], pts[order], pairs[order]
+    # Positions within tol of their predecessor are one node.
+    starts = np.flatnonzero(np.r_[True, np.diff(s) > tol])
+    size = np.diff(np.append(starts, len(s)))
+    mean = 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])
+    jump = values[pairs[:, 1]] - values[pairs[:, 0]]
+    return (np.add.reduceat(s, starts) / size,
+            np.add.reduceat(pts, starts) / size[:, None],
+            np.add.reduceat(mean, starts) / size,
+            np.add.reduceat(jump, starts) / size)
 
 
 def fracture_pressure(split: SplitMesh, values: np.ndarray, fracture_id: int) -> Profile:

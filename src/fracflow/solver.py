@@ -182,19 +182,31 @@ def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
                        (np.r_[rows, loops], np.r_[cols, loops])), shape=(m, m))
     del rows, cols
 
-    def neighbour_max(v):        # max over each node's neighbours and itself
-        return np.maximum.reduceat(v[S.indices], S.indptr[:-1])
+    def neighbour_max(v, r=None):  # max over each node's neighbours and itself (nodes r)
+        rows = S if r is None else S[r]
+        return np.maximum.reduceat(v[rows.indices], rows.indptr[:-1])
 
     # state: 0 out, 1 undecided, 2 root; a key orders (state, priority)
     key = np.min_scalar_type(3 * m)
     rank = np.random.default_rng(SEED).permutation(m).astype(key)
     state = np.where(isolated, 0, 1).astype(key)
-    while np.any(state == 1):
+    undecided = np.flatnonzero(state == 1)
+    while len(undecided):
+        # The largest key within distance 2 of each undecided node. Once
+        # they are a minority, only the rows of their neighbours are read.
         own = state * key.type(m) + rank
-        best = neighbour_max(neighbour_max(own))
-        undecided = state == 1
-        state[undecided & (best >= 2 * m)] = 0
-        state[undecided & (best == own)] = 2
+        if 2 * len(undecided) > m:
+            best = neighbour_max(neighbour_max(own))[undecided]
+        else:
+            near = np.zeros(m, dtype=bool)
+            near[S[undecided].indices] = True
+            near = np.flatnonzero(near)
+            inner = np.zeros_like(own)
+            inner[near] = neighbour_max(own, near)
+            best = neighbour_max(inner, undecided)
+        state[undecided[best >= 2 * m]] = 0
+        state[undecided[best == own[undecided]]] = 2
+        undecided = undecided[state[undecided] == 1]
 
     # aggregate number + 1 of each node, 0 while unassigned
     agg = np.zeros(m, dtype=key)

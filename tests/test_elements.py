@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracflow.elements import (GAUSS_1D, GAUSS_2X2, facet_load,
+from fracflow.elements import (GAUSS_1D, GAUSS_2X2, _q1_dshape, facet_load,
                                p1_segment_load, p1_segment_mass,
                                p1_segment_stiffness, q1_stiffness_batch)
 from fracflow.errors import GeometryError
@@ -75,6 +75,45 @@ def test_q1_stiffness_rejects_degenerate_cells():
         one_cell(UNIT_QUAD[:3], 1.0)
     with pytest.raises(GeometryError):
         q1_stiffness_batch(UNIT_QUAD, [1.0])       # one cell, not a batch
+
+
+def test_q1_stiffness_reports_degenerate_index_across_blocks():
+    cells = np.repeat(UNIT_QUAD[None], 9000, axis=0)
+    cells[8500] = UNIT_QUAD[::-1]
+    with pytest.raises(GeometryError, match="index 8500"):
+        q1_stiffness_batch(cells, np.ones(9000))
+
+
+def einsum_stiffness(cell_vertices, k):
+    """The per-Gauss-point einsum kernel, kept as the reference."""
+    X = np.asarray(cell_vertices, dtype=float)
+    K = np.zeros((len(X), 4, 4))
+    for xi, eta in GAUSS_2X2:
+        dN = _q1_dshape(xi, eta)
+        J = np.einsum("ai,nad->nid", dN, X)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        Jinv = np.stack([np.stack([J[:, 1, 1], -J[:, 0, 1]], axis=1),
+                         np.stack([-J[:, 1, 0], J[:, 0, 0]], axis=1)], axis=1)
+        Jinv /= det[:, None, None]
+        grads = np.einsum("ad,ndi->nai", dN, np.swapaxes(Jinv, 1, 2))
+        K += (det * np.asarray(k))[:, None, None] * np.einsum("nai,nbi->nab", grads, grads)
+    return K
+
+
+def test_q1_stiffness_matches_per_gauss_point_einsum():
+    # distorted cells of very different sizes and positions, k over 8 decades,
+    # more cells than one block of the batch kernel
+    rng = np.random.default_rng(3)
+    n = 10000
+    size = rng.uniform(1e-3, 3.0, (n, 1, 2))
+    X = (UNIT_QUAD + 0.2 * rng.uniform(-1.0, 1.0, (n, 4, 2))) * size
+    X += rng.uniform(-5.0, 5.0, (n, 1, 2))
+    k = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    K = q1_stiffness_batch(X, k)
+    ref = einsum_stiffness(X, k)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert np.all(np.abs(K - ref).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert np.array_equal(K, np.swapaxes(K, 1, 2))
 
 
 def test_segment_stiffness_constant_and_pair():

@@ -190,6 +190,52 @@ def test_split_six_fracture_network_pinned_counts():
     assert lengths == pytest.approx([1.0, 1.0, 0.5, 0.5, 0.25, 0.25])
 
 
+def corner_group_cells(mesh, chains):
+    """Cells after splitting, from the corner groups found vertex by vertex
+    (kept as the reference): around each fracture vertex, in id order, the
+    incident cells are joined through the non-fracture edges at the vertex;
+    the group with the lowest cell keeps the id, and the others take new ids
+    in the order of their lowest cells."""
+    fracture_edges = {frozenset(e) for chain in chains for e in chain}
+    edge_cells = {}
+    for c, cell in enumerate(mesh.cells.tolist()):
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            edge_cells.setdefault(frozenset((a, b)), []).append(c)
+    cells = mesh.cells.copy()
+    next_id = mesh.n_vertices
+    for v in sorted({v for chain in chains for e in chain for v in e}):
+        label = {c: c for c in np.nonzero((mesh.cells == v).any(axis=1))[0].tolist()}
+
+        def find(c):
+            while label[c] != c:
+                c = label[c]
+            return c
+
+        for edge, owners in edge_cells.items():
+            if v in edge and edge not in fracture_edges and len(owners) == 2:
+                a, b = sorted((find(owners[0]), find(owners[1])))
+                label[b] = a
+        groups = {}
+        for c in label:
+            groups.setdefault(find(c), []).append(c)
+        for group in sorted(groups.values(), key=min)[1:]:
+            for c in group:
+                cells[c][cells[c] == v] = next_id
+            next_id += 1
+    return cells
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_split_copy_ids_follow_corner_group_order(n):
+    # crossings and T-junctions: three or four groups at one vertex
+    split = run_scenario("regular2d", n=n, variant="blocking").split
+    mesh = unit_square(n)
+    expected = corner_group_cells(mesh, check_conformity(mesh, split.network))
+    assert np.array_equal(split.base.cells, expected)
+    assert np.array_equal(split.vertex_origin[mesh.n_vertices:],
+                          np.sort(split.vertex_origin[mesh.n_vertices:]))
+
+
 def test_split_no_fracture_is_identity():
     mesh = unit_square(4)
     split = split_mesh(mesh, FractureNetwork(()))

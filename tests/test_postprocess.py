@@ -4,14 +4,16 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fracflow import (BoundaryConditionSet, ConfigurationError,
                       ConstantAperture, FractureNetwork, FractureSpec,
                       GeometryError, Point, Profile, assemble, boundary_flux,
                       build_interval, fracture_jump, fracture_pressure,
                       mass_balance_defect, profile_error, sample_profile,
-                      solve_system, split_mesh, write_fracture_csv,
-                      write_profile_csv, write_solution_csv)
+                      run_scenario, solve_system, split_mesh,
+                      write_fracture_csv, write_profile_csv, write_solution_csv)
+from fracflow import postprocess
 from conftest import THROUGHFLOW, coeffs_for, unit_square, vertical_network
 
 
@@ -60,7 +62,132 @@ def test_sample_profile_1d():
     assert np.allclose(prof.values, 1.0 - prof.s, atol=1e-13)
 
 
+@pytest.fixture(scope="module")
+def conductive_32():
+    res = run_scenario("regular2d", n=32, variant="conductive")
+    return res.split, res.pressure
+
+
+def sample_per_point(split, values, pts, tol):
+    """The per-point sampling loop, kept as the reference: a KD-tree over
+    the cell centres, one Newton inversion per candidate cell, the mean of
+    the cells that contain the point."""
+    mesh = split.base
+    corners = mesh.vertices[mesh.cells]
+    centers = corners.mean(axis=1)
+    radius = np.sqrt(((corners - centers[:, None, :]) ** 2).sum(axis=2)).max()
+    tree = cKDTree(centers)
+    out = np.empty(len(pts))
+    for i, p in enumerate(pts):
+        hits = []
+        for ci in tree.query_ball_point(p, r=radius * (1.0 + 1e-12) + tol):
+            X = corners[ci]
+            xi = np.zeros(2)
+            for _ in range(30):
+                r = postprocess._q1_shape(xi) @ X - p
+                if np.abs(r).max() < 1e-14 + 1e-14 * np.abs(X).max():
+                    break
+                dN = 0.25 * np.array([
+                    [-(1 - xi[1]), (1 - xi[1]), (1 + xi[1]), -(1 + xi[1])],
+                    [-(1 - xi[0]), -(1 + xi[0]), (1 + xi[0]), (1 - xi[0])],
+                ])
+                xi = xi - np.linalg.solve((dN @ X).T, r)
+            N = postprocess._q1_shape(np.clip(xi, -1.0, 1.0))
+            if np.linalg.norm(N @ X - p) <= tol:
+                hits.append(float(N @ values[mesh.cells[ci]]))
+        out[i] = float(np.mean(hits))
+    return out
+
+
+@pytest.mark.parametrize("start, end, m", [
+    ((0.5, 0.0), (0.5, 1.0), 129),       # on fracture 1, across the crossing
+    ((0.0, 0.5), (1.0, 0.5), 65),        # on fracture 0, T-junctions at x=0.625, 0.75
+    ((0.05, 0.1), (0.95, 0.9), 101),     # oblique, through cell interiors
+])
+def test_batched_sampling_matches_per_point_loop(conductive_32, start, end, m):
+    split, pressure = conductive_32
+    pts = np.linspace(start, end, m)
+    got = sample_profile(split, pressure, Point(*start), Point(*end), m).values
+    want = sample_per_point(split, pressure, pts, 1e-12)
+    assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.abs(want).max())
+
+
+def test_sampling_locator_is_built_once_per_mesh(monkeypatch):
+    built = []
+
+    class CountingTree(postprocess.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(postprocess, "cKDTree", CountingTree)
+    split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
+    values = split.base.vertices[:, 0].copy()
+    for end in (Point(1.0, 1.0), Point(0.5, 1.0), Point(0.0, 1.0)):
+        sample_profile(split, values, Point(0.5, 0.0), end, 9)
+    assert len(built) == 1
+    other = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
+    sample_profile(other, values, Point(0.0, 0.0), Point(1.0, 1.0), 9)
+    assert len(built) == 2
+
+
 # --- fracture extraction --------------------------------------------------------
+
+def fracture_nodal_per_edge(split, values, fracture_id):
+    """The per-edge-endpoint extraction, kept as the reference: each endpoint
+    is placed on the path segment by segment, then sorted records within tol
+    of a group's first position are averaged."""
+    path = split.network.fractures[fracture_id].path
+    total = sum(float(np.linalg.norm(q.as_array() - p.as_array()))
+                for p, q in zip(path[:-1], path[1:]))
+    tol = 1e-9 * max(total, 1.0)
+
+    def arc_position(pt):
+        prefix = 0.0
+        for p0, p1 in zip(path[:-1], path[1:]):
+            a, seg = p0.as_array(), p1.as_array() - p0.as_array()
+            L = float(np.linalg.norm(seg))
+            t = float(np.dot(pt - a, seg)) / (L * L)
+            if -tol <= t * L <= L + tol:
+                if np.linalg.norm(pt - (a + np.clip(t, 0.0, 1.0) * seg)) <= tol:
+                    return prefix + np.clip(t, 0.0, 1.0) * L
+            prefix += L
+        raise AssertionError(f"{pt} not on the path")
+
+    recs = []
+    for edge in split.edges_of_fracture(fracture_id):
+        for (d1, d2), loc in zip(edge.node_pairs, edge.endpoints):
+            pt = loc.as_array()
+            recs.append((arc_position(pt), pt, 0.5 * (values[d1] + values[d2]),
+                         values[d2] - values[d1]))
+    recs.sort(key=lambda r: r[0])
+    groups = []
+    for rec in recs:
+        if groups and rec[0] - groups[-1][0][0] <= tol:
+            groups[-1].append(rec)
+        else:
+            groups.append([rec])
+    return tuple(np.array([np.mean([r[k] for r in g], axis=0) for g in groups])
+                 for k in range(4))
+
+
+@pytest.mark.parametrize("fracture_id", range(6))
+def test_batched_fracture_extraction_matches_per_edge(conductive_32, fracture_id):
+    # every fracture of the network: crossings and T-junctions included
+    split, pressure = conductive_32
+    got = postprocess._fracture_nodal(split, pressure, fracture_id)
+    want = fracture_nodal_per_edge(split, pressure, fracture_id)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-15 * max(1.0, np.abs(w).max())
+
+
+def test_fracture_extraction_rejects_node_off_path():
+    split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
+    with pytest.raises(GeometryError, match="not on its fracture path"):
+        postprocess._arc_positions(split.network.fractures[0].path,
+                                   np.array([[0.5, 0.5], [0.25, 0.5]]), 1e-9)
+
 
 def test_fracture_mean_and_jump_2d():
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))

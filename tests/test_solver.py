@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from fracflow import (NonConvergenceError, SolverError, cg_solve,
                       cholesky_solve, run_scenario, solve, solve_system)
@@ -320,6 +321,68 @@ def test_vcycle_is_symmetric_positive_definite(conductive_32_system):
         uMv, vMu = u @ mg(v), v @ mg(u)
         assert abs(uMv - vMu) <= 1e-12 * np.sqrt((u @ mg(u)) * (v @ mg(v)))
         assert v @ mg(v) > 0.0
+
+
+def aggregates_full_graph(A, groups):
+    """The aggregation with every Luby round over the whole strength graph,
+    kept as the reference."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+    cols = A.indices
+    scale = 1.0 / np.sqrt(A.diagonal())
+    strong = (-A.data * scale[rows] * scale[cols] >= solver.STRENGTH_THETA) & (rows != cols)
+    rows, cols = rows[strong], cols[strong]
+    node = np.arange(n)
+    if groups is not None:
+        groups = np.asarray(groups)
+        same = groups[rows] == groups[cols]
+        merge = sp.csr_matrix((np.ones(int(same.sum()), dtype=np.int8),
+                               (rows[same], cols[same])), shape=(n, n))
+        _, node = connected_components(merge, directed=False)
+        rows, cols = node[rows[~same]], node[cols[~same]]
+    m = int(node.max()) + 1
+    isolated = np.bincount(rows, minlength=m) == 0
+    loops = np.arange(m)
+    S = sp.csr_matrix((np.ones(len(rows) + m, dtype=np.int8),
+                       (np.r_[rows, loops], np.r_[cols, loops])), shape=(m, m))
+
+    def neighbour_max(v):
+        return np.maximum.reduceat(v[S.indices], S.indptr[:-1])
+
+    rank = np.random.default_rng(solver.SEED).permutation(m)
+    state = np.where(isolated, 0, 1)
+    while np.any(state == 1):
+        own = state * m + rank
+        best = neighbour_max(neighbour_max(own))
+        undecided = state == 1
+        state[undecided & (best >= 2 * m)] = 0
+        state[undecided & (best == own)] = 2
+    agg = np.zeros(m, dtype=np.int64)
+    roots = np.flatnonzero(state == 2)
+    agg[roots] = np.arange(1, len(roots) + 1)
+    for _ in range(2):
+        free = (agg == 0) & ~isolated
+        agg[free] = neighbour_max(agg)[free]
+    return agg[node] - 1, len(roots)
+
+
+@pytest.mark.parametrize("variant", ["conductive", "blocking"])
+def test_aggregates_match_full_graph_rounds(monkeypatch, variant):
+    """Rounds restricted to the neighbourhood of the undecided nodes pick the
+    same roots and aggregates, on every level of the hierarchy."""
+    system = run_scenario("regular2d", n=64, variant=variant).system
+    levels = []
+    restricted = solver._aggregates
+
+    def both(A, groups):
+        agg, count = restricted(A, groups)
+        want_agg, want_count = aggregates_full_graph(A, groups)
+        levels.append(count == want_count and np.array_equal(agg, want_agg))
+        return agg, count
+
+    monkeypatch.setattr(solver, "_aggregates", both)
+    multigrid(system.matrix, system.copy_groups)
+    assert levels and all(levels)
 
 
 def test_multigrid_builds_are_deterministic(conductive_32_system):
