@@ -6,7 +6,6 @@ averages the containing cells on both sides and returns the side mean there.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,47 +300,60 @@ def profile_error(candidate: Profile, reference: Profile) -> tuple[float, float]
     return l2, max_err
 
 
-def _coords_row(pt: np.ndarray) -> tuple[float, float]:
-    x = float(pt[0])
-    y = float(pt[1]) if len(pt) > 1 else 0.0
-    return x, y
+def _rows(row_format: str, columns) -> str:
+    """Text of the rows of ``columns`` (lists of one length), one
+    ``row_format`` per row. The formats below give csv.writer's bytes."""
+    k, m = len(columns), len(columns[0])
+    fields = [None] * (k * m)
+    for i, column in enumerate(columns):     # row-major interleave
+        fields[i::k] = column
+    return row_format * m % tuple(fields)
+
+
+def _profile_columns(profile: Profile) -> list[list]:
+    """s, x, y and value of each sample as lists; y is 0 for 1D points."""
+    pts = profile.points
+    y = pts[:, 1] if pts.shape[1] > 1 else np.zeros(len(pts))
+    return [profile.s.tolist(), pts[:, 0].tolist(), y.tolist(), profile.values.tolist()]
 
 
 def write_profile_csv(path, profile: Profile) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "x", "y", "p"])
-        for s, pt, v in zip(profile.s, profile.points, profile.values):
-            x, y = _coords_row(pt)
-            w.writerow([f"{s:.17g}", f"{x:.17g}", f"{y:.17g}", f"{v:.17g}"])
+        fh.write("s,x,y,p\r\n")
+        fh.write(_rows("%.17g,%.17g,%.17g,%.17g\r\n", _profile_columns(profile)))
 
 
 def write_fracture_csv(path, mean: Profile, jump: Profile) -> None:
     if len(mean) != len(jump) or np.max(np.abs(mean.s - jump.s)) > 0:
         raise GeometryError("mean and jump profiles must share abscissae")
+    columns = _profile_columns(mean) + [jump.values.tolist()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "x", "y", "p", "jump"])
-        for s, pt, v, j in zip(mean.s, mean.points, mean.values, jump.values):
-            x, y = _coords_row(pt)
-            w.writerow([f"{s:.17g}", f"{x:.17g}", f"{y:.17g}", f"{v:.17g}", f"{j:.17g}"])
+        fh.write("s,x,y,p,jump\r\n")
+        fh.write(_rows("%.17g,%.17g,%.17g,%.17g,%.17g\r\n", columns))
 
 
 # Rows of solution.csv formatted per write; bounds the text held in memory.
 _SOLUTION_CHUNK = 8192
-_SOLUTION_ROW = "%d,%.17g,%.17g,%d,%.17g\r\n"     # csv.writer's bytes for these fields
 
 
 def write_solution_csv(path, split: SplitMesh, solution: np.ndarray) -> None:
+    """One row per dof: vertex id, x, y (0 in 1D), subdomain, pressure.
+
+    A mesh repeats its coordinates (a structured one has n+1 distinct x and
+    y values), so each distinct coordinate is formatted once and only the
+    pressure is formatted per row. Coordinates are told apart by their bits,
+    which keeps -0.0 and 0.0 apart as the per-row format does.
+    """
     solution = np.asarray(solution, dtype=float)
     vertices = split.base.vertices
     n = len(vertices)
-    columns = (np.arange(n), vertices[:, 0],
-               vertices[:, 1] if vertices.shape[1] > 1 else np.zeros(n),
-               split.subdomain_of_vertex(), solution)
+    coords = np.concatenate([vertices[:, 0],
+                             vertices[:, 1] if vertices.shape[1] > 1 else np.zeros(n)])
+    bits, inverse = np.unique(coords.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    columns = (np.arange(n), text[:n], text[n:], split.subdomain_of_vertex(), solution)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["vertex", "x", "y", "subdomain", "p"])
+        fh.write("vertex,x,y,subdomain,p\r\n")
         for start in range(0, n, _SOLUTION_CHUNK):
-            rows = zip(*(c[start:start + _SOLUTION_CHUNK].tolist() for c in columns))
-            fields = tuple(v for row in rows for v in row)
-            fh.write(_SOLUTION_ROW * (len(fields) // 5) % fields)
+            fh.write(_rows("%d,%s,%s,%d,%.17g\r\n",
+                           [c[start:start + _SOLUTION_CHUNK].tolist() for c in columns]))

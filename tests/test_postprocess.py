@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from fracflow import (BoundaryConditionSet, ConfigurationError,
                       ConstantAperture, FractureNetwork, FractureSpec,
-                      GeometryError, Point, Profile, assemble, boundary_flux,
+                      GeometryError, Mesh, Point, Profile, assemble, boundary_flux,
                       build_interval, fracture_jump, fracture_pressure,
                       mass_balance_defect, profile_error, sample_profile,
                       run_scenario, solve_system, split_mesh,
@@ -375,14 +375,28 @@ def csv_writer_solution(path, split, solution):
             w.writerow([i, f"{x:.17g}", f"{y:.17g}", int(sub[i]), f"{v:.17g}"])
 
 
+def distorted_square(n: int, seed: int) -> Mesh:
+    """unit_square(n) with every vertex moved by up to h/10, so that every
+    non-zero coordinate is distinct; -0.0 and 0.0 occur side by side."""
+    mesh = unit_square(n)
+    v = mesh.vertices + np.random.default_rng(seed).uniform(-0.1, 0.1, mesh.vertices.shape) / n
+    v[0] = (-0.0, 0.0)
+    v[n + 1, 0] = 0.0
+    v[1, 1] = -0.0
+    return Mesh(v, mesh.cells, mesh.boundary_facets)
+
+
 @pytest.mark.parametrize("chunk", [8192, 7])
 def test_write_solution_csv_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
     import fracflow.postprocess as postprocess
     monkeypatch.setattr(postprocess, "_SOLUTION_CHUNK", chunk)
     interval = split_mesh(build_interval(8, 1.0), FractureNetwork((FractureSpec(
         path=(Point(0.5),), aperture=ConstantAperture(1e-2), mobility=1e-2),)))
+    distorted = split_mesh(distorted_square(6, seed=4), FractureNetwork(()))
+    xy = distorted.base.vertices
+    assert len(np.unique(xy[xy != 0.0])) == np.count_nonzero(xy)
     for name, split in (("2d", split_mesh(unit_square(6), vertical_network(1e-2, 1.0))),
-                        ("1d", interval)):
+                        ("1d", interval), ("distorted", distorted)):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(split.n_dofs) * 10.0 ** rng.integers(-20, 20, split.n_dofs)
         values[:3] = (-0.0, 1.0 / 3.0, 1e300)
@@ -391,3 +405,40 @@ def test_write_solution_csv_bytes_match_csv_writer(tmp_path, monkeypatch, chunk)
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
         assert got.count(b"\r\n") == split.n_dofs + 1
+
+
+def csv_writer_profile(path, mean, jump=None):
+    """The per-row csv.writer version of write_profile_csv (without
+    ``jump``) and write_fracture_csv, kept as the byte-level reference."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["s", "x", "y", "p"] + ([] if jump is None else ["jump"]))
+        extra = [[]] * len(mean) if jump is None else [[j] for j in jump.values]
+        for s, pt, v, more in zip(mean.s, mean.points, mean.values, extra):
+            x = float(pt[0])
+            y = float(pt[1]) if len(pt) > 1 else 0.0
+            w.writerow([f"{c:.17g}" for c in (s, x, y, v, *more)])
+
+
+@pytest.mark.parametrize("dim, m", [(2, 40), (1, 40), (2, 1), (1, 1)])
+def test_profile_and_fracture_csv_bytes_match_csv_writer(tmp_path, dim, m):
+    rng = np.random.default_rng(dim * 100 + m)
+
+    def extreme(k):
+        return rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, k)
+
+    s = np.sort(np.abs(extreme(m)))
+    pts = extreme(m * dim).reshape(m, dim)
+    values, jumps = extreme(m), extreme(m)
+    if m > 3:
+        pts[:3, 0] = (-0.0, np.nan, np.inf)
+        values[:3] = (-0.0, 1.0 / 3.0, 1e300)
+    mean, jump = Profile(s, pts, values), Profile(s, pts, jumps)
+    write_profile_csv(tmp_path / "p.csv", mean)
+    csv_writer_profile(tmp_path / "p_ref.csv", mean)
+    write_fracture_csv(tmp_path / "f.csv", mean, jump)
+    csv_writer_profile(tmp_path / "f_ref.csv", mean, jump)
+    for name in ("p", "f"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert got.count(b"\r\n") == m + 1

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from fracflow import (NonConvergenceError, SolverError, cg_solve,
                       cholesky_solve, run_scenario, solve, solve_system)
 from fracflow import solver
-from fracflow.solver import COARSE_DOFS, DENSE_LIMIT, multigrid
+from fracflow.solver import COARSE_DOFS, DENSE_LIMIT, Multigrid, multigrid
 
 
 def random_spd(n: int, seed: int, scale_spread: float = 0.0) -> np.ndarray:
@@ -450,3 +451,61 @@ def test_hierarchy_must_match_matrix(conductive_32_system):
     system = conductive_32_system
     with pytest.raises(SolverError):
         cg_solve(system.matrix, system.rhs, hierarchy=mg)
+
+
+def csc_view_cycle(mg, k, b):
+    """The V-cycle restricting through the CSC view ``P.T``, kept as the
+    reference for the stored CSR restriction."""
+    level = mg.levels[k]
+    if level.factor is not None:
+        return scipy.linalg.cho_solve(level.factor, b)
+    x = level.smoother @ b
+    if level.P is not None:
+        x += level.P @ csc_view_cycle(mg, k + 1, level.P.T @ (b - level.A @ x))
+    x += level.smoother @ (b - level.A @ x)
+    return x
+
+
+@pytest.mark.parametrize("variant", ["conductive", "blocking"])
+def test_stored_restriction_cycle_matches_csc_view(variant):
+    system = run_scenario("regular2d", n=32, variant=variant).system
+    mg = multigrid(system.matrix, system.copy_groups)
+    coarse = [level for level in mg.levels if level.P is not None]
+    assert coarse
+    for level in coarse:
+        assert level.R.format == "csr"
+        assert (level.R != level.P.T).nnz == 0
+    rng = np.random.default_rng(5)
+    for b in (system.rhs, *rng.standard_normal((3, len(system.rhs)))):
+        assert np.array_equal(mg(b), csc_view_cycle(mg, 0, b))
+
+
+class CountingMultigrid(Multigrid):
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.calls = 0
+
+    def __call__(self, b):
+        self.calls += 1
+        return super().__call__(b)
+
+
+def test_zero_start_applies_the_hierarchy_once_per_iteration_plus_one(conductive_32_system):
+    system = conductive_32_system
+    mg = CountingMultigrid(multigrid(system.matrix, system.copy_groups).levels)
+    x, report = cg_solve(system.matrix, system.rhs, hierarchy=mg)
+    assert report.converged and report.iterations > 0
+    assert mg.calls == report.iterations + 1
+
+
+def test_warm_start_with_hierarchy_matches_oracle(conductive_32_system):
+    """A given x0 still reaches the dense solution, with one more V-cycle
+    for the trigger."""
+    system = conductive_32_system
+    exact, _ = cholesky_solve(system.matrix, system.rhs)
+    x0 = exact + 1e-3 * np.random.default_rng(9).standard_normal(len(exact))
+    mg = CountingMultigrid(multigrid(system.matrix, system.copy_groups).levels)
+    x, report = cg_solve(system.matrix, system.rhs, x0=x0, hierarchy=mg)
+    assert report.converged and report.iterations > 0
+    assert mg.calls == report.iterations + 2
+    assert np.max(np.abs(x - exact)) <= 1e-8 * np.max(np.abs(exact))
