@@ -29,8 +29,7 @@ from .geometry import (
     EllipticalAperture,
     FractureNetwork,
     FractureSpec,
-    InterfaceEdge,
-    InterfacePoint,
+    InterfaceEntities,
     Mesh,
     Point,
     SplitMesh,

@@ -35,7 +35,7 @@ from .elements import (
     q1_stiffness_batch,
 )
 from .errors import ConfigurationError
-from .geometry import InterfacePoint, Point, SplitMesh
+from .geometry import Point, SplitMesh
 
 __all__ = [
     "InterfaceCoefficients",
@@ -47,47 +47,37 @@ __all__ = [
     "assemble",
 ]
 
-Coefficient = Union[float, tuple[float, float]]
 BCValue = Union[float, Callable[[Point], float]]
 
 _COEFFICIENTS = ("kappa_j", "r_j", "h_j", "kappa_a", "r_a", "h_a")
 
 
-def _coeff_values(c: Coefficient) -> tuple[float, float]:
-    if np.isscalar(c):
-        return float(c), float(c)
-    a, b = c
-    return float(a), float(b)
-
-
 @dataclass(frozen=True)
 class InterfaceCoefficients:
-    """The six interface coefficients; each constant or a per-edge nodal pair.
+    """The six interface coefficients of one fracture.
 
+    Each is a scalar, a nodal pair or an array that broadcasts to the
+    fracture's (m_j, k) entity nodes (k = 2 on 2D edges, 1 on 1D points).
     kappa_j / r_j / h_j act on the side MEAN (they discretize the condition
     on the flux jump); kappa_a / r_a / h_a act on the JUMP (condition on the
     flux average). Stiffness and reaction coefficients must be >= 0.
     """
 
-    kappa_j: Coefficient = 0.0
-    r_j: Coefficient = 0.0
-    h_j: Coefficient = 0.0
-    kappa_a: Coefficient = 0.0
-    r_a: Coefficient = 0.0
-    h_a: Coefficient = 0.0
+    kappa_j: object = 0.0
+    r_j: object = 0.0
+    h_j: object = 0.0
+    kappa_a: object = 0.0
+    r_a: object = 0.0
+    h_a: object = 0.0
 
     def __post_init__(self):
-        for name in ("kappa_j", "r_j", "kappa_a", "r_a"):
-            for v in _coeff_values(getattr(self, name)):
-                if not np.isfinite(v) or v < 0.0:
-                    raise ConfigurationError(f"interface coefficient {name} must be >= 0, got {v!r}")
-        for name in ("h_j", "h_a"):
-            for v in _coeff_values(getattr(self, name)):
-                if not np.isfinite(v):
-                    raise ConfigurationError(f"interface load {name} must be finite, got {v!r}")
-
-
-CoefficientSource = Union[InterfaceCoefficients, Callable[[object], InterfaceCoefficients]]
+        for name in _COEFFICIENTS:
+            v = np.asarray(getattr(self, name), dtype=float)
+            load = name in ("h_j", "h_a")
+            bad = ~np.isfinite(v) | ((v < 0.0) & (not load))
+            if np.any(bad):
+                rule = f"load {name} must be finite" if load else f"coefficient {name} must be >= 0"
+                raise ConfigurationError(f"interface {rule}, got {float(v[bad].flat[0])!r}")
 
 
 def default_eps_floor(max_aperture: float) -> float:
@@ -101,34 +91,26 @@ def fracture_to_coeffs(k_f: float, eps_at_nodes, eps_floor: float) -> InterfaceC
 
     Tangential diffusion of the side mean with kappa_j = k_f * eps and a
     jump penalty r_a = k_f / eps; all other coefficients vanish. Apertures
-    are floored at ``eps_floor`` before use.
+    (a scalar or an array) are floored at ``eps_floor`` before use, and the
+    coefficients take their shape.
     """
     if not (np.isfinite(k_f) and k_f > 0.0):
         raise ConfigurationError(f"fracture mobility must be positive, got {k_f!r}")
     if not (np.isfinite(eps_floor) and eps_floor > 0.0):
         raise ConfigurationError(f"eps_floor must be positive, got {eps_floor!r}")
-    scalar = np.isscalar(eps_at_nodes)
-    ea, eb = _coeff_values(eps_at_nodes)
-    if ea < 0.0 or eb < 0.0:
-        raise ConfigurationError(f"apertures must be >= 0, got {(ea, eb)!r}")
-    ea = max(ea, eps_floor)
-    eb = max(eb, eps_floor)
-    if scalar:
-        return InterfaceCoefficients(kappa_j=k_f * ea, r_a=k_f / ea)
-    return InterfaceCoefficients(kappa_j=(k_f * ea, k_f * eb), r_a=(k_f / ea, k_f / eb))
+    eps = np.asarray(eps_at_nodes, dtype=float)
+    if np.any(eps < 0.0):
+        raise ConfigurationError(f"apertures must be >= 0, got {eps.tolist()!r}")
+    eps = np.maximum(eps, eps_floor)
+    return InterfaceCoefficients(kappa_j=k_f * eps, r_a=k_f / eps)
 
 
 def fracture_coefficient_map(mobility: float, max_aperture: float,
-                             eps_floor: float | None = None) -> Callable[[object], InterfaceCoefficients]:
-    """Per-edge coefficient callable for one fracture (handles 1D points too)."""
+                             eps_floor: float | None = None) -> Callable[[np.ndarray], InterfaceCoefficients]:
+    """Coefficient callable for one fracture: nodal apertures (m_j, k) to
+    the fracture's InterfaceCoefficients (see ``fracture_to_coeffs``)."""
     floor = default_eps_floor(max_aperture) if eps_floor is None else eps_floor
-
-    def per_entity(entity):
-        if isinstance(entity, InterfacePoint):
-            return fracture_to_coeffs(mobility, entity.aperture, floor)
-        return fracture_to_coeffs(mobility, entity.aperture_at_nodes, floor)
-
-    return per_entity
+    return lambda apertures: fracture_to_coeffs(mobility, apertures, floor)
 
 
 @dataclass(frozen=True)
@@ -223,23 +205,28 @@ def _interface_operators(split: SplitMesh, coeffs: list):
     """(pairs, K_mean, f_mean, K_jump, f_jump) over the unique interface node
     pairs: a 2x2 block and 2-vector per 2D edge, a 1x1 entry per 1D point."""
     entities = split.interface_edges
-    values = np.zeros((len(entities), len(_COEFFICIENTS), 2))
-    for i, entity in enumerate(entities):
-        source = coeffs[entity.fracture_id]
-        c = source(entity) if callable(source) else source
+    ends = entities.node_pairs                                          # (m, k, 2)
+    values = np.zeros((len(_COEFFICIENTS),) + ends.shape[:2])           # (6, m, k)
+    for j, source in enumerate(coeffs):
+        rows = entities.fracture_id == j
+        c = source(entities.apertures[rows]) if callable(source) else source
         if not isinstance(c, InterfaceCoefficients):
             raise ConfigurationError(
-                f"coefficient source for fracture {entity.fracture_id} must yield "
+                f"coefficient source for fracture {j} must yield "
                 f"InterfaceCoefficients, got {type(c).__name__}")
-        values[i] = [_coeff_values(getattr(c, name)) for name in _COEFFICIENTS]
-    kappa_j, r_j, h_j, kappa_a, r_a, h_a = values.transpose(1, 0, 2)     # each (m, 2)
-    if entities and isinstance(entities[0], InterfacePoint):
-        ends = np.array([[e.node_pair] for e in entities])               # (m, 1, 2)
-        blocks_mean, blocks_jump = r_j[:, :1, None], r_a[:, :1, None]
-        load_mean, load_jump = h_j[:, :1], h_a[:, :1]
+        shape = (np.count_nonzero(rows), ends.shape[1])
+        for i, name in enumerate(_COEFFICIENTS):
+            try:
+                values[i, rows] = np.broadcast_to(getattr(c, name), shape)
+            except ValueError:
+                raise ConfigurationError(f"interface coefficient {name} of fracture {j} "
+                                         f"does not broadcast to its {shape} nodes") from None
+    kappa_j, r_j, h_j, kappa_a, r_a, h_a = values
+    if ends.shape[1] == 1:
+        blocks_mean, blocks_jump = r_j[:, :, None], r_a[:, :, None]
+        load_mean, load_jump = h_j, h_a
     else:
-        ends = np.array([e.node_pairs for e in entities], dtype=np.int64).reshape(-1, 2, 2)
-        L = np.array([e.length for e in entities])
+        L = entities.length
         blocks_mean = p1_segment_stiffness(L, kappa_j) + p1_segment_mass(L, r_j)
         blocks_jump = p1_segment_stiffness(L, kappa_a) + p1_segment_mass(L, r_a)
         load_mean, load_jump = p1_segment_load(L, h_j), p1_segment_load(L, h_a)
@@ -270,8 +257,11 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         Ignored when ``k_per_cell`` is given (used by the equi-dimensional
         oracle, which needs per-cell heterogeneity without fractures).
     coeffs_per_fracture : one entry per fracture: an InterfaceCoefficients
-        applied to every edge of that fracture, or a callable mapping an
-        interface entity to its InterfaceCoefficients.
+        applied to every node of that fracture, or a callable that takes the
+        fracture's nodal apertures, the (m_j, k) array
+        ``split.edges_of_fracture(j).apertures``, and returns its
+        InterfaceCoefficients. Each callable is called once, and each field
+        of what it returns must broadcast to (m_j, k).
     bcs : BoundaryConditionSet over the mesh's facet tags.
     """
     mesh = split.base

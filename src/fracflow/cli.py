@@ -41,6 +41,11 @@ _CONFIG_KEYS = {"scenario", "n", "variant", "tol", "oracle", "out",
                 "fractures", "profiles"}
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -64,7 +69,7 @@ def _load_config(path: str) -> dict:
             raise ConfigurationError("config field 'n' must be an integer")
     if "variant" in data and not isinstance(data["variant"], str):
         raise ConfigurationError("config field 'variant' must be a string")
-    if "tol" in data and not isinstance(data["tol"], (int, float)):
+    if "tol" in data and not _is_number(data["tol"]):
         raise ConfigurationError("config field 'tol' must be a number")
     if "oracle" in data and not isinstance(data["oracle"], str):
         raise ConfigurationError("config field 'oracle' must be a string")
@@ -88,15 +93,14 @@ def _parse_fractures(raw) -> FractureNetwork:
         path = entry.get("path")
         if (not isinstance(path, list) or len(path) < 2
                 or not all(isinstance(p, list) and len(p) == 2
-                           and all(isinstance(c, (int, float)) for c in p)
-                           for p in path)):
+                           and all(_is_number(c) for c in p) for p in path)):
             raise ConfigurationError(
                 f"{where}.path must be a list of at least two [x, y] pairs")
         aperture = entry.get("aperture")
-        if not isinstance(aperture, (int, float)) or aperture <= 0:
+        if not _is_number(aperture) or aperture <= 0:
             raise ConfigurationError(f"{where}.aperture must be a positive number")
         mobility = entry.get("mobility")
-        if not isinstance(mobility, (int, float)) or mobility <= 0:
+        if not _is_number(mobility) or mobility <= 0:
             raise ConfigurationError(f"{where}.mobility must be a positive number")
         specs.append(FractureSpec(
             path=tuple(Point(float(x), float(y)) for x, y in path),
@@ -121,7 +125,7 @@ def _parse_profiles(raw) -> dict[str, tuple[Point, Point, int]]:
         for key in ("start", "end"):
             p = entry.get(key)
             if (not isinstance(p, list) or len(p) not in (1, 2)
-                    or not all(isinstance(c, (int, float)) for c in p)):
+                    or not all(_is_number(c) for c in p)):
                 raise ConfigurationError(
                     f"{where}.{key} must be [x] or [x, y] coordinates")
             pts.append(Point(*[float(c) for c in p]))

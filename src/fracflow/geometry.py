@@ -9,8 +9,8 @@ the assembly stage needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass, fields
+from typing import Union
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -25,8 +25,7 @@ __all__ = [
     "FractureSpec",
     "FractureNetwork",
     "Mesh",
-    "InterfaceEdge",
-    "InterfacePoint",
+    "InterfaceEntities",
     "SplitMesh",
     "build_structured_quad",
     "build_interval",
@@ -71,7 +70,11 @@ class ConstantAperture:
             raise GeometryError(f"aperture must be positive, got {self.value!r}")
 
     def __call__(self, point: Point) -> float:
-        return self.value
+        return float(self.at(point.as_array()[None])[0])
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """Aperture at each of the (n, d) points."""
+        return np.full(len(points), self.value)
 
     @property
     def max_value(self) -> float:
@@ -98,11 +101,15 @@ class EllipticalAperture:
             raise GeometryError(f"minor axis must be positive, got {self.minor!r}")
 
     def __call__(self, point: Point) -> float:
-        d = np.linalg.norm(point.as_array() - self.center.as_array())
-        ratio = d / (0.5 * self.major)
-        if ratio >= 1.0:
-            return 0.0
-        return self.minor * float(np.sqrt(1.0 - ratio * ratio))
+        return float(self.at(point.as_array()[None])[0])
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """Aperture at each of the (n, d) points, d the dimension of the centre."""
+        off = np.asarray(points, dtype=float) - self.center.as_array()
+        # Row-wise dot products round as np.linalg.norm of each row does.
+        ratio = np.sqrt((off[:, None, :] @ off[:, :, None])[:, 0, 0]) / (0.5 * self.major)
+        r2 = ratio * ratio
+        return np.where(ratio < 1.0, self.minor * np.sqrt(np.maximum(1.0 - r2, 0.0)), 0.0)
 
     @property
     def max_value(self) -> float:
@@ -140,6 +147,9 @@ class FractureSpec:
                 raise GeometryError("fracture path repeats a point")
         if not (np.isfinite(self.mobility) and self.mobility > 0.0):
             raise GeometryError(f"fracture mobility must be positive, got {self.mobility!r}")
+        if isinstance(self.aperture, EllipticalAperture) and self.aperture.center.dim != self.dim:
+            raise GeometryError(
+                f"aperture centre is {self.aperture.center.dim}D, fracture path is {self.dim}D")
 
     @property
     def dim(self) -> int:
@@ -240,36 +250,35 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class InterfaceEdge:
-    """One mesh edge on a 2D fracture, after splitting.
+class InterfaceEntities:
+    """Interface entities of a split mesh as read-only arrays, one row each.
 
-    ``node_pairs = ((a1, a2), (b1, b2))`` are the duplicated vertex ids of
-    the edge endpoints; index 1 is the side-1 copy (lower subdomain id, ties
-    broken by lower cell id). ``eta`` is the unit normal pointing from side 1
-    into side 2.
+    An entity is a mesh edge on a 2D fracture (k = 2 nodes) or a duplicated
+    vertex in 1D (k = 1). ``fracture_id`` (m,) names its fracture.
+    ``node_pairs`` (m, k, 2) holds each node's side-1 copy (lower subdomain
+    id, ties broken by lower cell id) in ``[..., 0]`` and its side-2 copy in
+    ``[..., 1]``. ``points`` (m, k, d) and ``apertures`` (m, k) are taken at
+    the nodes, ``normal`` (m, d) is the unit normal from side 1 into side 2
+    (+1 in 1D) and ``length`` (m,) the edge length (1 for a point). Indexing
+    with a slice, mask or index array gives those rows as a new record.
     """
 
-    fracture_id: int
-    node_pairs: tuple[tuple[int, int], tuple[int, int]]
-    eta: tuple[float, float]
-    length: float
-    endpoints: tuple[Point, Point]
-    aperture_at_nodes: tuple[float, float]
+    fracture_id: np.ndarray
+    node_pairs: np.ndarray
+    points: np.ndarray
+    apertures: np.ndarray
+    normal: np.ndarray
+    length: np.ndarray
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _readonly(np.asarray(getattr(self, f.name))))
 
-@dataclass(frozen=True)
-class InterfacePoint:
-    """The 1D counterpart of InterfaceEdge: a single duplicated vertex.
+    def __len__(self) -> int:
+        return len(self.fracture_id)
 
-    ``node_pair = (left, right)`` with side 1 the lower subdomain id (the
-    left side); ``eta`` is +1, pointing from side 1 into side 2.
-    """
-
-    fracture_id: int
-    node_pair: tuple[int, int]
-    location: Point
-    aperture: float
-    eta: float = 1.0
+    def __getitem__(self, rows) -> InterfaceEntities:
+        return InterfaceEntities(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -279,19 +288,21 @@ class SplitMesh:
     ``base`` holds the duplicated vertex set; ``vertex_origin[v]`` maps each
     vertex back to the pre-split vertex it was copied from (identity for
     untouched vertices). Degrees of freedom are the vertices of ``base``.
+    ``interface_edges`` is the one ``InterfaceEntities`` record of every
+    interface edge (2D) or point (1D), the rows of each fracture in the
+    order of its path.
     """
 
     base: Mesh
     subdomain_of_cell: np.ndarray
     n_subdomains: int
-    interface_edges: tuple
+    interface_edges: InterfaceEntities
     vertex_origin: np.ndarray
     network: FractureNetwork
 
     def __post_init__(self):
         object.__setattr__(self, "subdomain_of_cell", _readonly(np.asarray(self.subdomain_of_cell, dtype=np.int64)))
         object.__setattr__(self, "vertex_origin", _readonly(np.asarray(self.vertex_origin, dtype=np.int64)))
-        object.__setattr__(self, "interface_edges", tuple(self.interface_edges))
 
     @property
     def n_dofs(self) -> int:
@@ -301,8 +312,9 @@ class SplitMesh:
         """All post-split vertex ids that stem from one pre-split vertex."""
         return np.nonzero(self.vertex_origin == origin_vertex)[0]
 
-    def edges_of_fracture(self, fracture_id: int) -> tuple:
-        return tuple(e for e in self.interface_edges if e.fracture_id == fracture_id)
+    def edges_of_fracture(self, fracture_id: int) -> InterfaceEntities:
+        """The rows of ``interface_edges`` on one fracture."""
+        return self.interface_edges[self.interface_edges.fracture_id == fracture_id]
 
     def subdomain_of_vertex(self) -> np.ndarray:
         """Subdomain id of each dof (every copy is used by one side only)."""
@@ -533,65 +545,73 @@ def split_mesh(mesh: Mesh, network: FractureNetwork, tol: float | None = None) -
 
 
 def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, chains) -> SplitMesh:
-    n_cells = mesh.n_cells
-    fr_vertex_of: dict[int, int] = {}
-    for j, chain in enumerate(chains):
-        v = chain[0]
-        if v in fr_vertex_of:
-            raise UnsupportedTopologyError(f"fractures {fr_vertex_of[v]} and {j} coincide at vertex {v}")
-        fr_vertex_of[v] = j
+    nv = mesh.n_vertices
+    fr_vertex = np.array([chain[0] for chain in chains], dtype=np.int64)
+    repeated = _repeated(fr_vertex)
+    if np.any(repeated):
+        j = int(np.argmax(repeated))
+        v = int(fr_vertex[j])
+        raise UnsupportedTopologyError(
+            f"fractures {int(np.argmax(fr_vertex == v))} and {j} coincide at vertex {v}")
 
-    vertex_cells: dict[int, list[int]] = {}
-    for c, cell in enumerate(mesh.cells):
-        for v in cell:
-            vertex_cells.setdefault(int(v), []).append(c)
-    for v in fr_vertex_of:
-        if len(vertex_cells.get(v, ())) != 2:
-            raise UnsupportedTopologyError(f"1D fracture vertex {v} must be interior to the mesh")
+    # Cell incidences (flat indices 2 c + k into cells) grouped by vertex, in
+    # cell order: those of v are order[start[v]:start[v] + count[v]].
+    order = np.argsort(mesh.cells.ravel(), kind="stable")
+    count = np.bincount(mesh.cells.ravel(), minlength=nv)
+    start = np.cumsum(count) - count
+    inner = count[fr_vertex] != 2
+    if np.any(inner):
+        raise UnsupportedTopologyError(
+            f"1D fracture vertex {int(fr_vertex[np.argmax(inner)])} must be interior to the mesh")
 
     # Flood fill over cells; shared non-fracture vertices connect neighbours.
-    rows, cols = [], []
-    for v, cs in vertex_cells.items():
-        if v in fr_vertex_of or len(cs) != 2:
-            continue
-        rows.append(cs[0])
-        cols.append(cs[1])
-    subdomain = _labels_first_encounter(n_cells, rows, cols)
-    n_sub = int(subdomain.max()) + 1 if n_cells else 0
+    joining = count == 2
+    joining[fr_vertex] = False
+    subdomain = _labels_first_encounter(mesh.n_cells, order[start[joining]] // 2,
+                                        order[start[joining] + 1] // 2)
+    n_sub = int(subdomain.max()) + 1 if mesh.n_cells else 0
 
-    coords = [mesh.vertices[i].copy() for i in range(mesh.n_vertices)]
-    origin = list(range(mesh.n_vertices))
+    left, right = order[start[fr_vertex]], order[start[fr_vertex] + 1]
+    if np.any(subdomain[left // 2] >= subdomain[right // 2]):
+        raise UnsupportedTopologyError("1D subdomain ordering violated")
+    # The right cell gets the new copy; the left keeps the original id.
+    copy_id = nv + np.arange(len(fr_vertex))
     cells = mesh.cells.copy()
-    points: list[InterfacePoint] = []
-    for j, chain in enumerate(chains):
-        v = chain[0]
-        left, right = sorted(vertex_cells[v])
-        new_id = len(coords)
-        coords.append(mesh.vertices[v].copy())
-        origin.append(v)
-        # The right cell gets the new copy; left keeps the original id.
-        pos = np.nonzero(cells[right] == v)[0][0]
-        cells[right, pos] = new_id
-        if subdomain[left] >= subdomain[right]:
-            raise UnsupportedTopologyError("1D subdomain ordering violated")
-        frac = network.fractures[j]
-        loc = Point(float(mesh.vertices[v, 0]))
-        points.append(InterfacePoint(
-            fracture_id=j,
-            node_pair=(v, new_id),
-            location=loc,
-            aperture=float(frac.aperture(loc)),
-        ))
+    cells.reshape(-1)[right] = copy_id
 
-    base = Mesh(vertices=np.asarray(coords), cells=cells, boundary_facets=mesh.boundary_facets)
+    fracture_id = np.arange(len(fr_vertex))
+    points = mesh.vertices[fr_vertex][:, None, :]
     return SplitMesh(
-        base=base,
+        base=Mesh(vertices=np.vstack([mesh.vertices, mesh.vertices[fr_vertex]]), cells=cells,
+                  boundary_facets=mesh.boundary_facets),
         subdomain_of_cell=subdomain,
         n_subdomains=n_sub,
-        interface_edges=tuple(points),
-        vertex_origin=np.asarray(origin, dtype=np.int64),
+        interface_edges=InterfaceEntities(
+            fracture_id, np.stack([fr_vertex, copy_id], axis=1)[:, None, :], points,
+            _apertures(network, fracture_id, points), np.ones((len(fr_vertex), 1)),
+            np.ones(len(fr_vertex))),
+        vertex_origin=np.concatenate([np.arange(nv, dtype=np.int64), fr_vertex]),
         network=network,
     )
+
+
+def _repeated(ids: np.ndarray) -> np.ndarray:
+    """True where an entry equals an earlier one."""
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    return repeated
+
+
+def _apertures(network: FractureNetwork, fracture_id: np.ndarray,
+               points: np.ndarray) -> np.ndarray:
+    """The aperture (m, k) at the entity nodes ``points`` (m, k, d), one
+    profile evaluation per fracture."""
+    m, k, d = points.shape
+    out = np.empty((m, k))
+    for j, frac in enumerate(network):
+        rows = fracture_id == j
+        out[rows] = frac.aperture.at(points[rows].reshape(-1, d)).reshape(-1, k)
+    return out
 
 
 def _labels_first_encounter(n: int, rows, cols) -> np.ndarray:
@@ -619,9 +639,7 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
     chain_b = np.array([e[1] for chain in chains for e in chain], dtype=np.int64)
     chain_frac = np.repeat(np.arange(len(chains)), [len(chain) for chain in chains])
     eids = table.edge_ids(chain_a, chain_b)
-    _uniq, first = np.unique(eids, return_index=True)
-    repeated = np.ones(len(eids), dtype=bool)
-    repeated[first] = False
+    repeated = _repeated(eids)
     bad = repeated | (counts[eids] != 2)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -723,36 +741,23 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
     s1, s2 = table.slot(eids, 0), table.slot(eids, 1)
     swap = subdomain[s2 // 4] < subdomain[s1 // 4]       # s1's cell id is the lower
     s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
-    pa = mesh.vertices[chain_a]
-    pb = mesh.vertices[chain_b]
-    tangent = pb - pa
+    ends = np.stack([chain_a, chain_b], axis=1)
+    points = mesh.vertices[ends]
+    tangent = points[:, 1] - points[:, 0]
     length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / length[:, None]
     centroids = mesh.vertices[cells[np.stack([s1 // 4, s2 // 4])]].mean(axis=2)
     flip = np.einsum("ij,ij->i", normal, centroids[1] - centroids[0]) < 0.0
     normal[flip] = -normal[flip]
-    records = zip(chain_frac.tolist(),
-                  copy_at(chain_a, s1).tolist(), copy_at(chain_a, s2).tolist(),
-                  copy_at(chain_b, s1).tolist(), copy_at(chain_b, s2).tolist(),
-                  normal.tolist(), length.tolist(), pa.tolist(), pb.tolist())
-    edges: list[InterfaceEdge] = []
-    for j, a1, a2, b1, b2, eta, edge_length, xa, xb in records:
-        aperture = network.fractures[j].aperture
-        ea, eb = Point(*xa), Point(*xb)
-        edges.append(InterfaceEdge(
-            fracture_id=j,
-            node_pairs=((a1, a2), (b1, b2)),
-            eta=tuple(eta),
-            length=edge_length,
-            endpoints=(ea, eb),
-            aperture_at_nodes=(float(aperture(ea)), float(aperture(eb))),
-        ))
+    node_pairs = np.stack([copy_at(ends, s1[:, None]), copy_at(ends, s2[:, None])], axis=2)
 
     return SplitMesh(
         base=base,
         subdomain_of_cell=subdomain,
         n_subdomains=n_sub,
-        interface_edges=tuple(edges),
+        interface_edges=InterfaceEntities(chain_frac, node_pairs, points,
+                                          _apertures(network, chain_frac, points),
+                                          normal, length),
         vertex_origin=vertex_origin,
         network=network,
     )

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 
 from .assembly import LinearSystem
 from .errors import ConfigurationError, GeometryError
-from .geometry import InterfacePoint, Mesh, Point, SplitMesh
+from .geometry import Mesh, Point, SplitMesh
 
 __all__ = [
     "Profile",
@@ -190,33 +190,26 @@ def _fracture_nodal(split: SplitMesh, values: np.ndarray, fracture_id: int):
     """Unique arc positions with side-mean and jump values for one fracture."""
     values = np.asarray(values, dtype=float)
     entities = split.edges_of_fracture(fracture_id)
-    if not entities:
+    if not len(entities):
         raise GeometryError(f"fracture {fracture_id} has no interface entities")
-    frac = split.network.fractures[fracture_id]
+    # Every node of every entity, in entity order.
+    pairs = entities.node_pairs.reshape(-1, 2)
+    pts = entities.points.reshape(len(pairs), -1)
+    mean = 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])
+    jump = values[pairs[:, 1]] - values[pairs[:, 0]]
+    path = split.network.fractures[fracture_id].path
+    if len(path) == 1:                     # a 1D point: one node at s = 0
+        return np.zeros(1), pts, mean, jump
 
-    if isinstance(entities[0], InterfacePoint):
-        ent = entities[0]
-        n1, n2 = ent.node_pair
-        mean = 0.5 * (values[n1] + values[n2])
-        jump = values[n2] - values[n1]
-        pt = ent.location.as_array()
-        return (np.array([0.0]), pt[None, :], np.array([mean]), np.array([jump]))
-
-    path = frac.path
     total = sum(float(np.linalg.norm(p1.as_array() - p0.as_array()))
                 for p0, p1 in zip(path[:-1], path[1:]))
     tol = 1e-9 * max(total, 1.0)
-    # Both endpoints of every edge, in edge order.
-    pairs = np.array([edge.node_pairs for edge in entities]).reshape(-1, 2)
-    pts = np.array([loc.coords for edge in entities for loc in edge.endpoints])
     s = _arc_positions(path, pts, tol)
     order = np.argsort(s, kind="stable")
-    s, pts, pairs = s[order], pts[order], pairs[order]
+    s, pts, mean, jump = s[order], pts[order], mean[order], jump[order]
     # Positions within tol of their predecessor are one node.
     starts = np.flatnonzero(np.r_[True, np.diff(s) > tol])
     size = np.diff(np.append(starts, len(s)))
-    mean = 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])
-    jump = values[pairs[:, 1]] - values[pairs[:, 0]]
     return (np.add.reduceat(s, starts) / size,
             np.add.reduceat(pts, starts) / size[:, None],
             np.add.reduceat(mean, starts) / size,

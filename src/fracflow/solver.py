@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NonConvergenceError, SolverError
+from .errors import ConfigurationError, NonConvergenceError, SolverError
 
 __all__ = ["Multigrid", "SolveReport", "cg_solve", "cholesky_solve", "multigrid", "solve"]
 
@@ -333,8 +333,11 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
 
     Raises NonConvergenceError (carrying the report) when the budget of
     ``max_iter`` (default 10 n) iterations is exhausted or the residual
-    stalls, SolverError on non-finite values or a matrix that is not SPD.
+    stalls, SolverError on non-finite values or a matrix that is not SPD, and
+    ConfigurationError unless ``tol`` is finite and positive.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigurationError(f"solver tolerance must be finite and positive, got {tol!r}")
     A = _as_csr(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]

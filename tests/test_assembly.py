@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from fracflow import (BoundaryConditionSet, ConfigurationError,
                       ConstantAperture, FractureNetwork, FractureSpec,
-                      InterfaceCoefficients, Point, assemble,
+                      InterfaceCoefficients, Point, assemble, build_interval,
                       default_eps_floor, fracture_coefficient_map,
                       fracture_to_coeffs, sample_profile, solve_system,
                       split_mesh)
@@ -49,6 +49,8 @@ def test_interface_coefficients_validation():
         InterfaceCoefficients(r_a=(1.0, -2.0))
     with pytest.raises(ConfigurationError):
         InterfaceCoefficients(h_j=np.inf)
+    with pytest.raises(ConfigurationError, match="r_j must be >= 0, got nan"):
+        InterfaceCoefficients(r_j=np.array([[1.0, 2.0], [np.nan, 0.0]]))
     InterfaceCoefficients(h_a=-3.0)   # loads may be negative
 
 
@@ -59,12 +61,69 @@ def test_coefficient_map_applies_floor_for_vanishing_aperture():
         path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=ap, mobility=1.0),))
     split = split_mesh(unit_square(8), network)
     cmap = fracture_coefficient_map(1.0, ap.max_value)
-    for edge in split.edges_of_fracture(0):
-        c = cmap(edge)
-        for v in np.atleast_1d(c.r_a):
-            assert np.isfinite(v) and v > 0.0     # floored, never infinite
-        for v in np.atleast_1d(c.kappa_j):
-            assert v >= 1.0 * default_eps_floor(ap.max_value)
+    apertures = split.edges_of_fracture(0).apertures
+    assert apertures.shape == (8, 2) and apertures.min() == 0.0   # the tips pinch
+    c = cmap(apertures)
+    assert c.r_a.shape == c.kappa_j.shape == (8, 2)
+    assert np.all(np.isfinite(c.r_a)) and np.all(c.r_a > 0.0)     # floored, never infinite
+    assert np.all(c.kappa_j >= 1.0 * default_eps_floor(ap.max_value))
+
+
+def t_network():
+    horizontal = FractureSpec(path=(Point(0.0, 0.5), Point(1.0, 0.5)),
+                              aperture=ConstantAperture(1e-2), mobility=1.0)
+    vertical = FractureSpec(path=(Point(0.5, 0.5), Point(0.5, 1.0)),
+                            aperture=ConstantAperture(1e-3), mobility=1e2)
+    return FractureNetwork((horizontal, vertical))
+
+
+def test_coefficient_callable_runs_once_per_fracture():
+    split = split_mesh(unit_square(8), t_network())
+    calls = []
+
+    def counting(cmap):
+        def source(apertures):
+            calls.append(apertures.copy())
+            return cmap(apertures)
+        return source
+
+    maps = coeffs_for(split.network)
+    system = assemble(split, np.ones(split.n_subdomains), [counting(c) for c in maps], THROUGHFLOW)
+    assert [a.shape for a in calls] == [(8, 2), (4, 2)]
+    assert np.array_equal(calls[0], np.full((8, 2), 1e-2))
+    assert np.array_equal(calls[1], np.full((4, 2), 1e-3))
+    # array-valued constants give the same system as the callables
+    constants = [c(split.edges_of_fracture(j).apertures) for j, c in enumerate(maps)]
+    again = assemble(split, np.ones(split.n_subdomains), constants, THROUGHFLOW)
+    assert (again.matrix_raw != system.matrix_raw).nnz == 0
+    assert np.array_equal(again.rhs, system.rhs)
+
+
+def test_coefficient_callable_on_1d_points_gets_one_node():
+    network = FractureNetwork(tuple(
+        FractureSpec(path=(Point(x),), aperture=ConstantAperture(1e-3), mobility=1.0)
+        for x in (0.25, 0.75)))
+    split = split_mesh(build_interval(8, 1.0), network)
+    calls = []
+
+    def source(apertures):
+        calls.append(apertures.shape)
+        return InterfaceCoefficients(r_a=(1.0,))
+
+    assemble(split, np.ones(3), [source, source], THROUGHFLOW)
+    assert calls == [(1, 1), (1, 1)]
+
+
+def test_coefficient_source_must_yield_interface_coefficients():
+    split = split_mesh(unit_square(4), vertical_network(1e-2, 1.0))
+    with pytest.raises(ConfigurationError, match="fracture 0 must yield InterfaceCoefficients"):
+        assemble(split, np.ones(2), [lambda apertures: {"r_a": 1.0}], THROUGHFLOW)
+    with pytest.raises(ConfigurationError, match="fracture 0 must yield InterfaceCoefficients"):
+        assemble(split, np.ones(2), [1.0], THROUGHFLOW)
+    # fields must broadcast to the fracture's (4, 2) nodes
+    with pytest.raises(ConfigurationError, match="kappa_j of fracture 0"):
+        assemble(split, np.ones(2), [InterfaceCoefficients(kappa_j=(1.0, 2.0, 3.0))],
+                 THROUGHFLOW)
 
 
 # --- boundary condition sets ------------------------------------------------

@@ -133,6 +133,22 @@ def test_config_extra_profile(tmp_path):
                      "mobility": 1.0}]}, "aperture"),
     ({"scenario": "onedim",
       "profiles": {"q": {"start": [0.0], "end": [1.0], "n": 1}}}, "n"),
+    # JSON booleans are not numbers
+    ({"scenario": "onedim", "tol": True}, "'tol'"),
+    ({"scenario": "regular2d",
+      "fractures": [{"path": [[0.5, 0.0], [0.5, 1.0]], "aperture": True,
+                     "mobility": 1.0}]}, "aperture"),
+    ({"scenario": "regular2d",
+      "fractures": [{"path": [[0.5, 0.0], [0.5, 1.0]], "aperture": 1e-3,
+                     "mobility": True}]}, "mobility"),
+    ({"scenario": "regular2d",
+      "fractures": [{"path": [[0.5, False], [0.5, 1.0]], "aperture": 1e-3,
+                     "mobility": 1.0}]}, "path"),
+    ({"scenario": "onedim",
+      "profiles": {"q": {"start": [True], "end": [1.0]}}}, "start"),
+    # a tolerance the solver cannot use
+    ({"scenario": "onedim", "tol": float("nan")}, "tolerance"),
+    ({"scenario": "onedim", "tol": -1.0}, "tolerance"),
 ])
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, config, needle):
     cfg = tmp_path / "bad.json"

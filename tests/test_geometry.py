@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
-                      FractureNetwork, FractureSpec, GeometryError, Point,
-                      build_interval, build_structured_quad, check_conformity,
-                      run_scenario, split_mesh)
+                      FractureNetwork, FractureSpec, GeometryError,
+                      InterfaceEntities, Point, build_interval,
+                      build_structured_quad, check_conformity, run_scenario,
+                      split_mesh)
 from conftest import unit_square, vertical_network
 
 
@@ -42,6 +43,29 @@ def test_elliptical_aperture_profile():
     assert ap.max_value == 1e-2
     with pytest.raises(GeometryError):
         EllipticalAperture(center=Point(0.0, 0.0), major=-1.0, minor=1e-2)
+
+
+@pytest.mark.parametrize("center", [Point(0.5, 0.5), Point(0.3)])
+def test_aperture_arrays_match_per_point_profile(center):
+    # the array form rounds as the per-point norm of the offset does
+    ap = EllipticalAperture(center=center, major=1.0, minor=1e-2)
+    pts = np.random.default_rng(7).random((2000, center.dim)) * 1.2 - 0.1
+    ratio = np.array([np.linalg.norm(p - center.as_array()) / 0.5 for p in pts])
+    want = np.where(ratio < 1.0, 1e-2 * np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0)), 0.0)
+    assert np.array_equal(ap.at(pts), want)
+    assert ap(Point(*pts[0])) == want[0]
+    assert np.array_equal(ConstantAperture(1e-3).at(pts), np.full(2000, 1e-3))
+
+
+def test_elliptical_centre_must_match_path_dimension():
+    flat = EllipticalAperture(center=Point(0.5), major=1.0, minor=1e-2)
+    with pytest.raises(GeometryError, match="centre"):
+        FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=flat, mobility=1.0)
+    plane = EllipticalAperture(center=Point(0.5, 0.5), major=1.0, minor=1e-2)
+    with pytest.raises(GeometryError, match="centre"):
+        FractureSpec(path=(Point(0.5),), aperture=plane, mobility=1.0)
+    FractureSpec(path=(Point(0.5),), aperture=flat, mobility=1.0)
+    FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=plane, mobility=1.0)
 
 
 # --- mesh builders ----------------------------------------------------------
@@ -136,20 +160,40 @@ def test_split_preserves_coordinates_and_origin():
 def test_split_edge_geometry():
     eps = 1e-3
     split = split_mesh(unit_square(8), vertical_network(eps, 1.0))
-    total = 0.0
-    for edge in split.interface_edges:
-        assert edge.fracture_id == 0
-        assert edge.length == pytest.approx(1.0 / 8.0)
-        a, b = edge.endpoints
-        assert a.coords[0] == pytest.approx(0.5)
-        assert b.coords[0] == pytest.approx(0.5)
-        assert edge.aperture_at_nodes == pytest.approx((eps, eps))
-        # node pairs hold two copies of the same underlying vertex
-        for pair in edge.node_pairs:
-            assert split.vertex_origin[pair[0]] == split.vertex_origin[pair[1]]
-            assert pair[0] != pair[1]
-        total += edge.length
-    assert total == pytest.approx(1.0)
+    edges = split.interface_edges
+    assert len(edges) == 8
+    assert np.all(edges.fracture_id == 0)
+    assert edges.length == pytest.approx(np.full(8, 1.0 / 8.0))
+    assert edges.points.shape == (8, 2, 2)
+    assert edges.points[:, :, 0] == pytest.approx(np.full((8, 2), 0.5))
+    assert edges.apertures == pytest.approx(np.full((8, 2), eps))
+    # node pairs hold two copies of the same underlying vertex
+    side1, side2 = edges.node_pairs[..., 0], edges.node_pairs[..., 1]
+    assert np.array_equal(split.vertex_origin[side1], split.vertex_origin[side2])
+    assert np.all(side1 != side2)
+    assert edges.length.sum() == pytest.approx(1.0)
+
+
+def test_interface_record_rows_are_read_only_records():
+    split = run_scenario("regular2d", n=8, variant="blocking").split
+    edges = split.interface_edges
+    assert isinstance(edges, InterfaceEntities)
+    assert len(edges) == len(edges.fracture_id) == 28
+    for name in ("fracture_id", "node_pairs", "points", "apertures", "normal", "length"):
+        assert not getattr(edges, name).flags.writeable
+    # the rows of each fracture, in order, make up the record
+    rows = [split.edges_of_fracture(j) for j in range(6)]
+    assert all(isinstance(r, InterfaceEntities) for r in rows)
+    assert np.array_equal(np.concatenate([r.node_pairs for r in rows]), edges.node_pairs)
+    assert np.array_equal(edges[3:5].points, edges.points[3:5])
+    assert len(split.edges_of_fracture(6)) == 0
+    # side 1 is the lower subdomain; unit normals across their edges
+    side = split.subdomain_of_vertex()[edges.node_pairs]
+    assert np.all(side[..., 0] < side[..., 1])
+    tangent = edges.points[:, 1] - edges.points[:, 0]
+    assert np.allclose(np.linalg.norm(edges.normal, axis=1), 1.0)
+    assert np.allclose(np.einsum("md,md->m", edges.normal, tangent), 0.0)
+    assert np.allclose(np.linalg.norm(tangent, axis=1), edges.length)
 
 
 def test_split_rejects_interior_tip():
@@ -172,6 +216,8 @@ def test_split_accepts_tip_on_other_fracture():
     assert split.n_subdomains == 3
     assert len(split.edges_of_fracture(0)) == 8
     assert len(split.edges_of_fracture(1)) == 4
+    assert np.all(split.edges_of_fracture(1).fracture_id == 1)
+    assert split.edges_of_fracture(1).points[:, :, 0] == pytest.approx(np.full((4, 2), 0.5))
 
 
 def test_split_six_fracture_network_pinned_counts():
@@ -186,7 +232,7 @@ def test_split_six_fracture_network_pinned_counts():
     assert split.n_subdomains == 10
     assert split.n_dofs == 1210
     assert len(split.interface_edges) == 112
-    lengths = [sum(e.length for e in split.edges_of_fracture(j)) for j in range(6)]
+    lengths = [split.edges_of_fracture(j).length.sum() for j in range(6)]
     assert lengths == pytest.approx([1.0, 1.0, 0.5, 0.5, 0.25, 0.25])
 
 
@@ -252,12 +298,16 @@ def test_split_1d_point_interface():
     split = split_mesh(mesh, FractureNetwork((spec,)))
     assert split.n_dofs == 12          # one duplicated vertex
     assert split.n_subdomains == 2
-    assert len(split.interface_edges) == 1
-    point = split.interface_edges[0]
-    assert point.aperture == pytest.approx(1e-3)
-    i, j = point.node_pair
+    point = split.interface_edges
+    assert len(point) == 1
+    assert point.apertures.shape == (1, 1)
+    assert point.apertures[0, 0] == pytest.approx(1e-3)
+    assert point.node_pairs.shape == (1, 1, 2)
+    i, j = point.node_pairs[0, 0]
     assert split.vertex_origin[i] == split.vertex_origin[j]
     assert split.base.vertices[i, 0] == pytest.approx(0.5)
+    assert point.points[0, 0, 0] == pytest.approx(0.5)
+    assert point.normal.tolist() == [[1.0]]
 
 
 def test_split_rejects_nonconforming():

@@ -155,9 +155,9 @@ def fracture_nodal_per_edge(split, values, fracture_id):
         raise AssertionError(f"{pt} not on the path")
 
     recs = []
-    for edge in split.edges_of_fracture(fracture_id):
-        for (d1, d2), loc in zip(edge.node_pairs, edge.endpoints):
-            pt = loc.as_array()
+    edges = split.edges_of_fracture(fracture_id)
+    for i in range(len(edges)):
+        for (d1, d2), pt in zip(edges.node_pairs[i], edges.points[i]):
             recs.append((arc_position(pt), pt, 0.5 * (values[d1] + values[d2]),
                          values[d2] - values[d1]))
     recs.sort(key=lambda r: r[0])
@@ -224,6 +224,35 @@ def test_fracture_mean_and_jump_1d_point():
     assert len(mean) == 1
     assert mean.values[0] == pytest.approx(1.5)
     assert abs(jump.values[0]) == pytest.approx(1.0)
+
+
+def test_two_fracture_1d_network_reads_each_point():
+    # series resistances: the bar (1/k = 1) and each point (eps/kf)
+    mesh = build_interval(10, 1.0)
+    network = FractureNetwork((
+        FractureSpec(path=(Point(0.3),), aperture=ConstantAperture(5e-4), mobility=1e-3),
+        FractureSpec(path=(Point(0.7),), aperture=ConstantAperture(5e-4), mobility=2e-3)))
+    split = split_mesh(mesh, network)
+    assert split.n_subdomains == 3 and len(split.interface_edges) == 2
+    values = np.arange(split.n_dofs, dtype=float) ** 2
+    for j, (x, vertex) in enumerate(((0.3, 3), (0.7, 7))):
+        side1, side2 = split.copies_of(vertex)           # the original id is side 1
+        mean = fracture_pressure(split, values, j)
+        jump = fracture_jump(split, values, j)
+        assert mean.s.tolist() == jump.s.tolist() == [0.0]
+        assert mean.points.tolist() == jump.points.tolist() == [[mesh.vertices[vertex, 0]]]
+        assert mean.points[0, 0] == pytest.approx(x)
+        assert mean.values[0] == 0.5 * (values[side1] + values[side2])
+        assert jump.values[0] == values[side2] - values[side1]
+
+    bcs = BoundaryConditionSet(dirichlet={"left": 1.0, "right": 0.0}, neumann={})
+    system = assemble(split, np.ones(3), coeffs_for(network), bcs)
+    pressure, _ = solve_system(system)
+    flux = 1.0 / (1.0 + 0.5 + 0.25)
+    for j, resistance in enumerate((0.5, 0.25)):
+        assert fracture_jump(split, pressure, j).values[0] == pytest.approx(-flux * resistance,
+                                                                           rel=1e-9)
+    assert boundary_flux(split, system, pressure, "left") == pytest.approx(-flux, rel=1e-9)
 
 
 # --- boundary fluxes -------------------------------------------------------------

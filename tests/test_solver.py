@@ -6,8 +6,9 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from fracflow import (NonConvergenceError, SolverError, cg_solve,
-                      cholesky_solve, run_scenario, solve, solve_system)
+from fracflow import (ConfigurationError, NonConvergenceError, SolverError,
+                      cg_solve, cholesky_solve, run_scenario, solve,
+                      solve_system)
 from fracflow import solver
 from fracflow.solver import COARSE_DOFS, DENSE_LIMIT, Multigrid, multigrid
 
@@ -31,6 +32,16 @@ def test_cg_matches_direct_solve():
     assert report.method == "cg"
     assert report.relative_residual <= 1e-12
     assert np.allclose(x, x_exact, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_cg_rejects_tolerance_that_is_not_finite_and_positive(tol):
+    A = random_spd(10, seed=2)
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        cg_solve(A, np.ones(10), tol=tol)
+    # a tiny tolerance stays valid
+    x, report = cg_solve(sp.identity(10, format="csr"), np.ones(10), tol=1e-30)
+    assert report.converged and np.array_equal(x, np.ones(10))
 
 
 def test_cg_jacobi_handles_badly_scaled_diagonal():
