@@ -32,10 +32,10 @@ from .elements import (
     p1_segment_load,
     p1_segment_mass,
     p1_segment_stiffness,
-    q1_stiffness_batch,
+    q1_stiffness_upper,
 )
 from .errors import ConfigurationError
-from .geometry import Point, SplitMesh
+from .geometry import Mesh, Point, SplitMesh
 
 __all__ = [
     "InterfaceCoefficients",
@@ -141,8 +141,24 @@ def _pair_scatter(pairs: np.ndarray, mean_part: np.ndarray, jump_part: np.ndarra
     """M^T mean_part + J^T jump_part: half of each pair's mean term to both
     sides, its jump term with sign -/+ to side 1/2."""
     half = 0.5 * mean_part
-    return (np.bincount(pairs[:, 0], half - jump_part, minlength=n)
-            + np.bincount(pairs[:, 1], half + jump_part, minlength=n))
+    out = np.bincount(pairs[:, 0], half - jump_part, minlength=n)
+    out += np.bincount(pairs[:, 1], half + jump_part, minlength=n)
+    return out
+
+
+def _with_interface(matrix_domain: sp.csr_matrix, pairs: np.ndarray, K_mean: sp.csr_matrix,
+                    K_jump: sp.csr_matrix) -> sp.csr_matrix:
+    """A new matrix matrix_domain + M^T K_mean M + J^T K_jump J; a copy of
+    matrix_domain when there are no pairs."""
+    if not len(pairs):
+        return matrix_domain.copy()
+    n = matrix_domain.shape[0]
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    return matrix_domain + (M.T @ K_mean @ M + J.T @ K_jump @ J)
 
 
 @dataclass
@@ -150,21 +166,20 @@ class LinearSystem:
     """Assembled system before and after Dirichlet elimination.
 
     ``matrix``/``rhs`` are the symmetric eliminated system handed to the
-    solver. ``matrix_raw`` keeps all couplings; ``rhs_raw`` all loads;
-    ``rhs_body`` only the non-boundary loads (interface h terms), which is
-    what consistent boundary-flux recovery subtracts. ``matrix_domain`` is
-    the subdomain diffusion alone; ``interface_pairs`` (p, 2) holds the
-    (side 1, side 2) dofs of each interface node pair, and ``interface_mean``
-    / ``interface_jump`` are the p x p operators on the pairs' side means and
-    jumps, so ``matrix_raw = matrix_domain + M^T interface_mean M
-    + J^T interface_jump J`` (see the module docstring). ``copy_groups``
-    labels each dof with the pre-split vertex it was copied from; the solver
-    preconditions over these groups.
+    solver; ``rhs_raw`` holds all loads and ``rhs_body`` only the
+    non-boundary loads (interface h terms), which is what consistent
+    boundary-flux recovery subtracts. ``matrix_domain`` is the subdomain
+    diffusion alone; ``interface_pairs`` (p, 2) holds the (side 1, side 2)
+    dofs of each interface node pair, and ``interface_mean`` /
+    ``interface_jump`` are the p x p operators on the pairs' side means and
+    jumps (see the module docstring). The matrix with all couplings before
+    elimination is not stored: ``matrix_raw`` forms it on each access.
+    ``copy_groups`` labels each dof with the pre-split vertex it was copied
+    from; the solver preconditions over these groups.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    matrix_raw: sp.csr_matrix
     rhs_raw: np.ndarray
     rhs_body: np.ndarray
     n_dofs: int
@@ -177,8 +192,16 @@ class LinearSystem:
     dirichlet_tags: tuple[str, ...] = ()
     neumann_tags: tuple[str, ...] = ()
 
+    @property
+    def matrix_raw(self) -> sp.csr_matrix:
+        """All couplings before elimination, ``matrix_domain + M^T
+        interface_mean M + J^T interface_jump J``, as a new matrix on each
+        access; ``assemble`` eliminates the same sum."""
+        return _with_interface(self.matrix_domain, self.interface_pairs,
+                               self.interface_mean, self.interface_jump)
+
     def residual_raw(self, solution: np.ndarray) -> np.ndarray:
-        """rhs_body - A_raw @ solution, with the interface part in jump/mean form.
+        """rhs_body - matrix_raw @ solution, with the interface part in jump/mean form.
 
         The domain matrix is applied as it is. The interface part first takes
         each pair's jump and side mean, scales them by ``interface_jump`` and
@@ -194,11 +217,10 @@ class LinearSystem:
         interface = _pair_scatter(self.interface_pairs,
                                   self.interface_mean @ (0.5 * (x[lo] + x[hi])),
                                   self.interface_jump @ (x[hi] - x[lo]), self.n_dofs)
-        return self.rhs_body - self.matrix_domain @ x - interface
-
-
-def _eval_bc(value: BCValue, point: Point) -> float:
-    return float(value(point)) if callable(value) else float(value)
+        r = self.matrix_domain @ x
+        np.subtract(self.rhs_body, r, out=r)
+        r -= interface
+        return r
 
 
 def _interface_operators(split: SplitMesh, coeffs: list):
@@ -262,7 +284,13 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         ``split.edges_of_fracture(j).apertures``, and returns its
         InterfaceCoefficients. Each callable is called once, and each field
         of what it returns must broadcast to (m_j, k).
-    bcs : BoundaryConditionSet over the mesh's facet tags.
+    bcs : BoundaryConditionSet over the mesh's facet tags. A callable value
+        gets one Point per facet vertex.
+
+    The domain matrix and the pair operators are stored; their sum is formed
+    once and the Dirichlet rows and columns are eliminated in place on it,
+    which gives ``matrix``. The sum itself is not kept:
+    ``LinearSystem.matrix_raw`` forms it again on access.
     """
     mesh = split.base
     n = split.n_dofs
@@ -293,113 +321,49 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         if tag not in known_tags:
             raise ConfigurationError(f"unknown boundary tag {tag!r}; mesh has {sorted(known_tags)}")
 
-    # Subdomain diffusion.
-    cells = mesh.cells
-    if mesh.dim == 2:
-        K = q1_stiffness_batch(mesh.vertices[cells], k_cell)
-    else:
-        x = mesh.vertices[:, 0]
-        s = k_cell / (x[cells[:, 1]] - x[cells[:, 0]])
-        K = np.stack([np.stack([s, -s], axis=1), np.stack([-s, s], axis=1)], axis=1)
-
-    # Domain matrix kept separate: summing O(1) stiffness and O(1/eps)
-    # interface entries into one float loses the exact row cancellation the
-    # conservative flux recovery relies on. Its triplets carry the index dtype
-    # the matrix stores, so building it makes no second copy of the (16 per
-    # cell) index arrays.
-    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    A_domain = sp.coo_matrix(
-        (K.ravel(), (np.broadcast_to(cells[:, :, None], K.shape).astype(idx).ravel(),
-                     np.broadcast_to(cells[:, None, :], K.shape).astype(idx).ravel())),
-        shape=(n, n)).tocsr()
-    del K
-    A_domain.sum_duplicates()
-    A_domain = A_domain.copy()    # summing leaves views into the longer unsummed arrays
+    A_domain = _domain_matrix(mesh, k_cell, n)
 
     # Interface terms, over the node pairs.
     pairs, K_mean, f_mean, K_jump, f_jump = _interface_operators(split, coeffs)
     rhs_body = _pair_scatter(pairs, f_mean, f_jump, n)
-    A_raw = A_domain
-    if len(pairs):
-        rows = np.repeat(np.arange(len(pairs)), 2)
-        M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
-                          shape=(len(pairs), n))
-        J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
-                          shape=(len(pairs), n))
-        A_raw = A_domain + (M.T @ K_mean @ M + J.T @ K_jump @ J)   # one full-size sum
 
-    # Neumann loads.
+    # Neumann loads, added in facet order.
     rhs_neumann = np.zeros(n)
-    verts = mesh.vertices
-    for vs, tag in mesh.boundary_facets:
-        if tag not in bcs.neumann:
-            continue
-        h = bcs.neumann[tag]
-        if mesh.dim == 1:
-            p = Point(float(verts[vs[0], 0]))
-            rhs_neumann[vs[0]] += _eval_bc(h, p)
-        else:
-            X = verts[list(vs)]
-            load = facet_load(X, [_eval_bc(h, Point(*x)) for x in X])
-            np.add.at(rhs_neumann, list(vs), load)
-
+    facets, h = _boundary_data(mesh, bcs.neumann)
+    if mesh.dim == 2:
+        h = facet_load(mesh.vertices[facets], h)
+    np.add.at(rhs_neumann, facets.ravel(), h.ravel())
     rhs_raw = rhs_body + rhs_neumann
 
-    # Dirichlet values; every copy of a constrained pre-split vertex is constrained.
-    dirichlet: dict[int, float] = {}
-
-    def constrain(dof: int, value: float):
-        if dof in dirichlet and abs(dirichlet[dof] - value) > 1e-12 * max(1.0, abs(value)):
-            raise ConfigurationError(
-                f"conflicting Dirichlet values at dof {dof}: {dirichlet[dof]} vs {value}")
-        dirichlet[dof] = value
-
-    for vs, tag in mesh.boundary_facets:
-        if tag not in bcs.dirichlet:
-            continue
-        g = bcs.dirichlet[tag]
-        for v in vs:
-            p = Point(*(float(c) for c in verts[v]))
-            constrain(int(v), _eval_bc(g, p))
-
-    if dirichlet:
-        origin = split.vertex_origin
-        by_origin: dict[int, list[int]] = {}
-        for dof in np.nonzero(np.bincount(origin, minlength=origin.max() + 1)[origin] > 1)[0]:
-            by_origin.setdefault(int(origin[dof]), []).append(int(dof))
-        for dof, value in list(dirichlet.items()):
-            for twin in by_origin.get(int(origin[dof]), ()):
-                constrain(twin, value)
-
-    if not dirichlet:
-        raise ConfigurationError("no Dirichlet dofs found; the system would be singular")
-
-    # Symmetric elimination.
-    d_idx = np.fromiter(sorted(dirichlet), dtype=np.int64)
+    d_idx, g = _dirichlet_values(split, bcs)
     g_vec = np.zeros(n)
-    g_vec[d_idx] = [dirichlet[int(d)] for d in d_idx]
+    g_vec[d_idx] = g
     free = np.ones(n, dtype=bool)
     free[d_idx] = False
 
-    rhs = rhs_raw - A_raw @ g_vec
-    rhs[d_idx] = g_vec[d_idx]
-    # Zero the fixed rows and columns in place on a copy; every dof lies in a
-    # cell, so its diagonal entry is stored and can take the fixed row's 1.
-    A = A_raw.copy()
-    row_of = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    fixed_entry = ~(free[row_of] & free[A.indices])
+    # Symmetric elimination, in place on the new sum: zero the fixed rows and
+    # columns; every dof lies in a cell, so its diagonal entry is stored and
+    # can take the fixed row's 1.
+    A = _with_interface(A_domain, pairs, K_mean, K_jump)
+    rhs = rhs_raw - A @ g_vec
+    rhs[d_idx] = g
+    count = np.diff(A.indptr)
+    fixed_entry = ~np.repeat(free, count)
+    fixed_entry |= ~free[A.indices]
     A.data[fixed_entry] = 0.0
-    A.data[fixed_entry & (row_of == A.indices)] = 1.0
+    del fixed_entry
+    size = count[d_idx]
+    fixed_row = np.arange(size.sum()) + np.repeat(A.indptr[d_idx] - (np.cumsum(size) - size), size)
+    A.data[fixed_row[A.indices[fixed_row] == np.repeat(d_idx, size)]] = 1.0
     A.eliminate_zeros()
 
     return LinearSystem(
         matrix=A,
         rhs=rhs,
-        matrix_raw=A_raw,
         rhs_raw=rhs_raw,
         rhs_body=rhs_body,
         n_dofs=n,
-        dirichlet_dofs={int(d): float(g_vec[d]) for d in d_idx},
+        dirichlet_dofs=dict(zip(d_idx.tolist(), g.tolist())),
         dirichlet_tags=tuple(sorted(bcs.dirichlet)),
         neumann_tags=tuple(sorted(bcs.neumann)),
         matrix_domain=A_domain,
@@ -408,3 +372,113 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         interface_jump=K_jump,
         copy_groups=split.vertex_origin,
     )
+
+
+def _domain_matrix(mesh: Mesh, k_cell: np.ndarray, n: int) -> sp.csr_matrix:
+    """Subdomain diffusion as an n x n CSR matrix with sorted indices.
+
+    It is kept apart from the interface terms: summing O(1) stiffness and
+    O(1/eps) interface entries into one float loses the exact row
+    cancellation the conservative flux recovery relies on. Each cell matrix
+    is exactly symmetric, so only its upper entries are formed. The strictly
+    upper ones go to (min, max) of their global indices, where scipy sums
+    them into U; two cells share at most one edge, so each sum has at most
+    two terms and does not depend on their order. The diagonal is summed per
+    dof in cell order by ``bincount``. Row i is then row i of U^T, the
+    diagonal and row i of U, placed without a further sum.
+    """
+    cells = mesh.cells
+    if mesh.dim == 2:
+        upper = q1_stiffness_upper(mesh.vertices, cells, k_cell)
+    else:
+        x = mesh.vertices[:, 0]
+        s = k_cell / (x[cells[:, 1]] - x[cells[:, 0]])
+        upper = np.stack([s, -s, s], axis=1)
+    a, b = np.triu_indices(cells.shape[1])
+    on = a == b
+    diag = np.bincount(cells.ravel(), upper[:, on].ravel(), minlength=n)
+    off = upper[:, ~on].ravel()
+    del upper
+    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    c = cells.astype(idx)
+    ia, ib = c[:, a[~on]].ravel(), c[:, b[~on]].ravel()
+    del c
+    U = sp.coo_matrix((off, (np.minimum(ia, ib), np.maximum(ia, ib))), shape=(n, n)).tocsr()
+    del off, ia, ib
+    L = U.T.tocsr()
+    below, above = np.diff(L.indptr), np.diff(U.indptr)
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(below + above + 1, out=indptr[1:])
+    diag_at = indptr[:-1] + below
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1])
+    indices[diag_at] = np.arange(n, dtype=idx)
+    data[diag_at] = diag
+    for part, first, count in ((L, indptr[:-1], below), (U, diag_at + 1, above)):
+        at = np.arange(part.nnz, dtype=idx) + np.repeat(first - part.indptr[:-1], count)
+        indices[at] = part.indices
+        data[at] = part.data
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _boundary_data(mesh: Mesh, data: Mapping[str, BCValue]) -> tuple[np.ndarray, np.ndarray]:
+    """The facets (f, k) whose tag is in ``data``, in facet order, and the
+    value (f, k) at each of their vertices: a constant per tag, or the
+    callable's value at one ``Point`` per facet vertex."""
+    chosen = [(vs, tag) for vs, tag in mesh.boundary_facets if tag in data]
+    facets = np.array([vs for vs, _tag in chosen], dtype=np.int64).reshape(len(chosen), mesh.dim)
+    tags = np.array([tag for _vs, tag in chosen], dtype=object)
+    values = np.empty(facets.shape)
+    for tag, value in data.items():
+        at = tags == tag
+        if callable(value):
+            values[at] = [[float(value(Point(*mesh.vertices[v].tolist()))) for v in vs]
+                          for vs in facets[at].tolist()]
+        else:
+            values[at] = float(value)
+    return facets, values
+
+
+def _dirichlet_values(split: SplitMesh,
+                      bcs: BoundaryConditionSet) -> tuple[np.ndarray, np.ndarray]:
+    """The constrained dofs, ascending, and their values.
+
+    Every vertex of a Dirichlet facet takes its tag's value, facet by facet;
+    then each of those dofs, in the order first met, passes its value to
+    every copy of its pre-split vertex, in dof order. In this sequence a later
+    value wins, and one that differs from the dof's earlier value by more than
+    1e-12 relative raises ConfigurationError, naming the first such dof.
+    """
+    facets, values = _boundary_data(split.base, bcs.dirichlet)
+    dofs, values = facets.ravel(), values.ravel()
+    if not len(dofs):
+        raise ConfigurationError("no Dirichlet dofs found; the system would be singular")
+    seeds, first = np.unique(dofs, return_index=True)
+    last = len(dofs) - 1 - np.unique(dofs[::-1], return_index=True)[1]
+    met = np.argsort(first, kind="stable")
+    seeds, seed_values = seeds[met], values[last[met]]
+
+    origin = split.vertex_origin
+    count = np.bincount(origin)
+    by_origin = np.argsort(origin, kind="stable")       # each group's dofs ascending
+    seeded = count[origin[seeds]] > 1
+    group = origin[seeds[seeded]]
+    size = count[group]
+    ends = np.cumsum(size)
+    within = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - size, size)
+    twins = by_origin[np.repeat((np.cumsum(count) - count)[group], size) + within]
+
+    dofs = np.concatenate([dofs, twins])
+    values = np.concatenate([values, np.repeat(seed_values[seeded], size)])
+    order = np.argsort(dofs, kind="stable")
+    dofs, values = dofs[order], values[order]
+    again = dofs[1:] == dofs[:-1]
+    old, new = values[:-1], values[1:]
+    clash = again & (np.abs(old - new) > 1e-12 * np.maximum(1.0, np.abs(new)))
+    if np.any(clash):
+        i = np.flatnonzero(clash)
+        i = i[np.argmin(order[1:][i])]                    # the first in the sequence
+        raise ConfigurationError(f"conflicting Dirichlet values at dof {int(dofs[i])}: "
+                                 f"{float(old[i])} vs {float(new[i])}")
+    keep = np.append(~again, True)                        # the last value of each dof
+    return dofs[keep], values[keep]

@@ -16,6 +16,7 @@ __all__ = [
     "GAUSS_1D",
     "GAUSS_2X2",
     "q1_stiffness_batch",
+    "q1_stiffness_upper",
     "p1_segment_stiffness",
     "p1_segment_mass",
     "p1_segment_load",
@@ -38,13 +39,13 @@ def _q1_dshape(xi: float, eta: float) -> np.ndarray:
     ])
 
 
-# The stiffness's ten upper entries (a, b), a <= b, and the one each full
-# entry is read from.
+# The stiffness's ten upper entries (a, b), a <= b, in np.triu_indices(4)
+# order, and the one each full entry is read from.
 _Q1_TRIU = np.triu_indices(4)
 _Q1_FULL = np.zeros((4, 4), dtype=np.intp)
 _Q1_FULL[_Q1_TRIU] = np.arange(10)
 _Q1_FULL = np.maximum(_Q1_FULL, _Q1_FULL.T).ravel()
-# Cells per block in q1_stiffness_batch, so that a block's arrays stay in cache.
+# Cells per block in q1_stiffness_upper, so that a block's arrays stay in cache.
 _Q1_BLOCK = 4096
 
 
@@ -54,23 +55,38 @@ def q1_stiffness_batch(cell_vertices: np.ndarray, k: np.ndarray) -> np.ndarray:
     ``cell_vertices`` is (n, 4, 2), each cell counter-clockwise; ``k`` holds
     one mobility per cell. Raises GeometryError on a wrong shape or when an
     isoparametric map degenerates (non-positive Jacobian at a Gauss point).
-
-    At each Gauss point, J[i, d] = sum_a dN_a/dxi_i x_a,d, the physical
-    gradients are grad N_a = J^-1 dN_a, and the point adds k det(J)
-    grad N_a . grad N_b to entry (a, b). Each step is one operation on the
-    arrays of a block of cells, with the reference derivatives as scalars.
-    Only the ten upper entries are formed, so each matrix is exactly
-    symmetric.
+    Each matrix is the symmetric expansion of ``q1_stiffness_upper``.
     """
     X = np.asarray(cell_vertices, dtype=float)
     if X.ndim != 3 or X.shape[1:] != (4, 2):
         raise GeometryError(f"expected (n, 4, 2) quad vertices, got shape {X.shape}")
-    kv = np.broadcast_to(np.asarray(k, dtype=float), (len(X),))
-    K = np.empty((len(X), 16))
-    for start in range(0, len(X), _Q1_BLOCK):
+    upper = q1_stiffness_upper(X.reshape(-1, 2), np.arange(4 * len(X)).reshape(-1, 4), k)
+    return upper[:, _Q1_FULL].reshape(len(X), 4, 4)
+
+
+def q1_stiffness_upper(vertices: np.ndarray, cells: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(n, 10) upper stiffness entries (a, b), a <= b, in ``np.triu_indices(4)``
+    order, of the bilinear quads ``cells`` (n, 4) over ``vertices`` (nv, 2).
+
+    At each Gauss point, J[i, d] = sum_a dN_a/dxi_i x_a,d, the physical
+    gradients are grad N_a = J^-1 dN_a, and the point adds k det(J)
+    grad N_a . grad N_b to entry (a, b). Each step is one operation on the
+    arrays of a block of cells, with the reference derivatives as scalars;
+    each block gathers its own corners, so no (n, 4, 2) array is formed.
+    Only these entries are formed, so the matrix they stand for is exactly
+    symmetric. Raises GeometryError as ``q1_stiffness_batch`` does.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    cells = np.asarray(cells)
+    if vertices.ndim != 2 or vertices.shape[1] != 2 or cells.ndim != 2 or cells.shape[1] != 4:
+        raise GeometryError(f"expected (nv, 2) vertices and (n, 4) cells, "
+                            f"got shapes {vertices.shape} and {cells.shape}")
+    kv = np.broadcast_to(np.asarray(k, dtype=float), (len(cells),))
+    upper = np.empty((len(cells), 10))
+    for start in range(0, len(cells), _Q1_BLOCK):
         block = slice(start, start + _Q1_BLOCK)
-        K[block] = _q1_upper(X[block], kv[block], start)[:, _Q1_FULL]
-    return K.reshape(len(X), 4, 4)
+        upper[block] = _q1_upper(vertices[cells[block]], kv[block], start)
+    return upper
 
 
 def _q1_upper(X: np.ndarray, k: np.ndarray, first: int) -> np.ndarray:
@@ -149,12 +165,15 @@ def p1_segment_mass(length, coeff) -> np.ndarray:
 
 
 def facet_load(facet_vertices: np.ndarray, h) -> np.ndarray:
-    """Load of an inward flux h on a straight boundary facet, exact for a
-    constant h or a linearly varying nodal pair (h_a, h_b)."""
+    """Load (..., 2) of an inward flux h on straight boundary facets
+    (..., 2, 2), exact for a constant h or a linearly varying nodal pair
+    (h_a, h_b) per facet."""
     X = np.asarray(facet_vertices, dtype=float)
-    if X.shape != (2, 2):
-        raise GeometryError(f"expected a 2-vertex facet in 2D, got shape {X.shape}")
-    L = float(np.linalg.norm(X[1] - X[0]))
-    if L <= 0.0:
+    if X.shape[-2:] != (2, 2):
+        raise GeometryError(f"expected 2-vertex facets in 2D, got shape {X.shape}")
+    d = X[..., 1, :] - X[..., 0, :]
+    # Row-wise dot products round as np.linalg.norm of each row does.
+    L = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    if np.any(L <= 0.0):
         raise GeometryError("facet has zero length")
     return p1_segment_load(L, h)

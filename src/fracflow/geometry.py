@@ -175,6 +175,11 @@ class FractureNetwork:
         return iter(self.fractures)
 
 
+# Cells per block of the per-cell checks and reductions, so that their
+# temporaries stay small.
+CELL_BLOCK = 4096
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -210,12 +215,14 @@ class Mesh:
             raise GeometryError(f"cell array must be (n, {want}) for dim {verts.shape[1]}")
         if cells.size and (cells.min() < 0 or cells.max() >= len(verts)):
             raise GeometryError("cell references a vertex out of range")
-        if verts.shape[1] == 2 and len(cells):
-            x = verts[cells, 0]
-            y = verts[cells, 1]
+        # Quads must be counter-clockwise with positive area.
+        for start in range(0, len(cells), CELL_BLOCK) if verts.shape[1] == 2 else ():
+            block = cells[start:start + CELL_BLOCK]
+            x = verts[block, 0]
+            y = verts[block, 1]
             area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
             if np.any(area <= 0.0):
-                bad = int(np.argmax(area <= 0.0))
+                bad = start + int(np.argmax(area <= 0.0))
                 raise GeometryError(f"cell {bad} is degenerate or not counter-clockwise")
         for vs, _tag in self.boundary_facets:
             nfv = 1 if verts.shape[1] == 1 else 2
@@ -402,13 +409,16 @@ class _EdgeTable:
         nv = mesh.n_vertices
         a = cells.ravel()
         b = cells[:, [1, 2, 3, 0]].ravel()
-        codes_all = np.minimum(a, b) * nv + np.maximum(a, b)
-        order = np.argsort(codes_all, kind="stable")
-        sorted_codes = codes_all[order]
-        first = np.flatnonzero(np.diff(sorted_codes, prepend=-1))
+        codes = np.minimum(a, b)
+        codes *= nv
+        codes += np.maximum(a, b, out=b)
+        del b
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
         self._nv = nv
-        self.codes = sorted_codes[first]
-        self.offsets = np.append(first, len(sorted_codes))
+        self.codes = codes[first]
+        self.offsets = np.append(first, len(codes))
         self.slots = order
 
     def edge_ids(self, a, b) -> np.ndarray:
@@ -682,8 +692,10 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
     corner_of = np.full(len(old_flat), -1, dtype=np.int64)
     corner_of[corner_at] = np.arange(len(corner_at))
     # Corner k of the first cell meets corner (k or k + 1) of the second
-    # cell that holds the same vertex.
-    ends1, ends2 = _slot_ends(slot1), _slot_ends(slot2)
+    # cell that holds the same vertex. Only edges at a fracture vertex link.
+    ends1 = _slot_ends(slot1)
+    near = is_fr_vertex[old_flat[ends1[0]]] | is_fr_vertex[old_flat[ends1[1]]]
+    ends1, ends2 = _slot_ends(slot1[near]), _slot_ends(slot2[near])
     aligned = old_flat[ends1[0]] == old_flat[ends2[0]]
     links = np.concatenate([
         np.stack([ends1[0], np.where(aligned, ends2[0], ends2[1])]),

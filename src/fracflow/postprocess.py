@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 
 from .assembly import LinearSystem
 from .errors import ConfigurationError, GeometryError
-from .geometry import Mesh, Point, SplitMesh
+from .geometry import CELL_BLOCK, Mesh, Point, SplitMesh
 
 __all__ = [
     "Profile",
@@ -87,13 +87,17 @@ def _cell_locator(mesh: Mesh) -> tuple[cKDTree, float]:
     and kept on the mesh."""
     locator = vars(mesh).get("_cell_locator")
     if locator is None:
-        corners = mesh.vertices[mesh.cells]
-        centers = corners.mean(axis=1)
-        offsets = corners - centers[:, None, :]
-        radius = float(np.sqrt(np.einsum("cad,cad->ca", offsets, offsets).max()))
+        centers = np.empty((mesh.n_cells, mesh.dim))
+        radius2 = 0.0
+        for start in range(0, mesh.n_cells, CELL_BLOCK):
+            block = slice(start, start + CELL_BLOCK)
+            corners = mesh.vertices[mesh.cells[block]]
+            centers[block] = corners.mean(axis=1)
+            offsets = corners - centers[block, None, :]
+            radius2 = max(radius2, float(np.einsum("cad,cad->ca", offsets, offsets).max()))
         # Cheaper to build than the default; queries find the same cells.
         tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
-        locator = vars(mesh)["_cell_locator"] = (tree, radius)
+        locator = vars(mesh)["_cell_locator"] = (tree, float(np.sqrt(radius2)))
     return locator
 
 
@@ -243,26 +247,20 @@ def boundary_flux(split: SplitMesh, system: LinearSystem, solution: np.ndarray,
             f"solution has {solution.shape} entries, system has {system.n_dofs} dofs")
     residual = system.residual_raw(solution)
 
-    tag_dofs: dict[str, set[int]] = {}
-    for vids, facet_tag in split.base.boundary_facets:
-        tag_dofs.setdefault(facet_tag, set()).update(int(v) for v in vids)
-
-    def rank(t: str):
-        if t in system.dirichlet_tags:
-            cls = 0
-        elif t in system.neumann_tags:
-            cls = 1
-        else:
-            cls = 2
-        return (cls, t)
-
-    owner: dict[int, str] = {}
-    for d in sorted(set().union(*tag_dofs.values())):
-        owner[d] = min((t for t, ds in tag_dofs.items() if d in ds), key=rank)
-
-    fluxes = {t: 0.0 for t in tag_dofs}
-    for d, t in owner.items():
-        fluxes[t] += float(residual[d])
+    # Tags in order of first appearance, and the order in which they claim dofs.
+    facets = split.base.boundary_facets
+    tags = list(dict.fromkeys(facet_tag for _vs, facet_tag in facets))
+    claim = sorted(tags, key=lambda t: (0 if t in system.dirichlet_tags
+                                        else 1 if t in system.neumann_tags else 2, t))
+    rank = {t: i for i, t in enumerate(claim)}
+    vids = np.array([vs for vs, _t in facets], dtype=np.int64).reshape(len(facets), split.base.dim)
+    facet_rank = np.array([rank[t] for _vs, t in facets], dtype=np.int64)
+    owner = np.full(system.n_dofs, len(claim))
+    np.minimum.at(owner, vids.ravel(), np.repeat(facet_rank, vids.shape[1]))
+    dofs = np.flatnonzero(owner < len(claim))
+    # Each tag's dofs summed in ascending order.
+    sums = np.bincount(owner[dofs], residual[dofs], minlength=len(claim))
+    fluxes = {t: float(sums[rank[t]]) for t in tags}
     if tag is None:
         return fluxes
     if tag not in fluxes:

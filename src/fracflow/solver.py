@@ -36,6 +36,8 @@ DENSE_LIMIT = 2000
 # Below the 0.125 of an isotropic Q1 stencil; the positive couplings of
 # stretched cells are never strong.
 STRENGTH_THETA = 0.08
+# Matrix entries per block of the strength test, which bounds its temporaries.
+STRENGTH_BLOCK = 1 << 14
 # Coarsening stops at this many dofs; that level is factored by dense Cholesky.
 COARSE_DOFS = 400
 # A level that keeps more than this share of its parent's dofs is not built.
@@ -87,7 +89,7 @@ def _group_blocks(A: sp.csr_matrix, groups) -> sp.csr_matrix:
                 or (n and groups.min() < 0):
             raise SolverError(f"groups must be {n} non-negative integer labels, "
                               f"got shape {groups.shape} of {groups.dtype}")
-        dofs = np.flatnonzero(np.bincount(groups)[groups] > 1)
+        dofs = np.flatnonzero((np.bincount(groups) > 1)[groups])
     single = np.ones(n, dtype=bool)
     single[dofs] = False
     rows = [np.flatnonzero(single)]
@@ -157,30 +159,37 @@ def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
     cols = A.indices
     scale = 1.0 / np.sqrt(A.diagonal())
-    strength = -A.data * scale[rows]
-    strength *= scale[cols]
-    strong = strength >= STRENGTH_THETA
-    del strength
+    strong = np.empty(len(cols), dtype=bool)
+    for start in range(0, len(cols), STRENGTH_BLOCK):
+        part = slice(start, start + STRENGTH_BLOCK)
+        # a_ij s_i s_j: the strength with its sign flipped, rounded alike.
+        strength = scale[rows[part]]
+        strength *= A.data[part]
+        strength *= scale[cols[part]]
+        np.less_equal(strength, -STRENGTH_THETA, out=strong[part])
     strong &= rows != cols
     rows, cols = rows[strong], cols[strong]
     del strong
 
-    node = np.arange(n)
+    node = np.arange(n, dtype=np.int32)
     if groups is not None:
+        # Only dofs with copies can couple within their group.
         groups = np.asarray(groups)
-        same = groups[rows] == groups[cols]
-        merge = sp.csr_matrix((np.ones(int(same.sum()), dtype=np.int8),
-                               (rows[same], cols[same])), shape=(n, n))
+        copied = (np.bincount(groups) > 1)[groups]
+        pair = np.flatnonzero(copied[rows] & copied[cols])
+        pair = pair[groups[rows[pair]] == groups[cols[pair]]]
+        merge = sp.csr_matrix((np.ones(len(pair), dtype=np.int8), (rows[pair], cols[pair])),
+                              shape=(n, n))
         _, node = connected_components(merge, directed=False)
         node = node.astype(np.int32)
-        keep = ~same
-        rows, cols = node[rows[keep]], node[cols[keep]]
+        # A merged pair becomes a loop, which the loops added below absorb.
+        rows = node[rows]
+        cols = node[cols]
     m = int(node.max()) + 1
-    isolated = np.bincount(rows, minlength=m) == 0
-    loops = np.arange(m, dtype=np.int32)
-    S = sp.csr_matrix((np.ones(len(rows) + m, dtype=np.int8),
-                       (np.r_[rows, loops], np.r_[cols, loops])), shape=(m, m))
+    S = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
     del rows, cols
+    S = S + sp.identity(m, dtype=bool, format="csr")
+    isolated = np.diff(S.indptr) == 1           # its loop is all a node has
 
     def neighbour_max(v, r=None):  # max over each node's neighbours and itself (nodes r)
         rows = S if r is None else S[r]
@@ -256,9 +265,15 @@ class Multigrid:
             return scipy.linalg.cho_solve(level.factor, b)
         x = level.smoother @ b
         if level.P is not None:
-            x += level.P @ self._cycle(k + 1, level.R @ (b - level.A @ x))
-        x += level.smoother @ (b - level.A @ x)
+            x += level.P @ self._cycle(k + 1, level.R @ self._residual(level, b, x))
+        x += level.smoother @ self._residual(level, b, x)
         return x
+
+    @staticmethod
+    def _residual(level: _Level, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """b - A x, formed in the array of A x."""
+        r = level.A @ x
+        return np.subtract(b, r, out=r)
 
 
 def multigrid(A, groups=None) -> Multigrid:
@@ -283,12 +298,16 @@ def multigrid(A, groups=None) -> Multigrid:
         T = sp.csr_matrix((np.ones(int(have.sum())), agg[have].astype(np.int32),
                            np.r_[0, np.cumsum(have)].astype(np.int32)),
                           shape=(A.shape[0], n_coarse))
+        del agg, have
         P = T - S @ (A @ T)
         del T
-        # Through the CSC view: R @ (A @ P) sums in another order, which moves
-        # the solutions by roundoff.
-        A_coarse = (P.T @ (A @ P)).tocsr()
-        levels.append(_Level(A, S, P, P.T.tocsr()))
+        R = P.T.tocsr()
+        # Each entry of R (A P) is summed over the fine dofs in ascending
+        # order, as in P.T @ (A P); with its indices sorted it is the same
+        # matrix, without a CSC copy of A P.
+        A_coarse = R @ (A @ P)
+        A_coarse.sort_indices()
+        levels.append(_Level(A, S, P, R))
         A = (0.5 * (A_coarse + A_coarse.T)).tocsr()
         groups = None
     try:
@@ -348,10 +367,10 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     if max_iter is None:
         max_iter = 10 * n
 
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
+    inv_diag = A.diagonal()
+    if np.any(inv_diag <= 0.0):
         raise SolverError("matrix has a non-positive diagonal entry; not SPD")
-    inv_diag = 1.0 / diag
+    np.divide(1.0, inv_diag, out=inv_diag)
     levels: tuple[int, ...] = ()
     if hierarchy is not None:
         levels = hierarchy.sizes
@@ -374,9 +393,8 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     else:
         x = np.array(x0, dtype=float)
         r = b - A @ x
-    z = precondition(r)
-    rz = float(r @ z)
-    p = z.copy()
+    p = precondition(r)
+    rz = float(r @ p)
     history = [float(np.sqrt(max(rz, 0.0)))]
     trigger = tol * (history[0] if x0 is None
                      else float(np.sqrt(max(b @ precondition(b), 0.0))))
@@ -402,6 +420,7 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
+        del Ap
         z = precondition(r)
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
@@ -411,6 +430,7 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
         rz = rz_new
         p *= beta
         p += z
+        del z                  # freed before the next V-cycle
         it += 1
 
     true_norm = pnorm(b - A @ x)
@@ -481,16 +501,20 @@ def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,
     hierarchy = multigrid(system.matrix, system.copy_groups)
     x, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter,
                       hierarchy=hierarchy)
+    fixed = np.fromiter(system.dirichlet_dofs, dtype=np.intp, count=len(system.dirichlet_dofs))
+    g = np.fromiter(system.dirichlet_dofs.values(), dtype=float, count=len(fixed))
     refinement: list[int] = []
     for _ in range(refine):
-        r = system.residual_raw(x) + (system.rhs_raw - system.rhs_body)
-        for d, g in system.dirichlet_dofs.items():
-            r[d] = g - x[d]
+        r = system.residual_raw(x)
+        r += system.rhs_raw - system.rhs_body
+        r[fixed] = g - x[fixed]
         if not np.any(r):
             break
         # The correction only needs a few digits; its error is scaled by ||r||.
         delta, round_report = solve(system.matrix, r, tol=1e-4, max_iter=max_iter,
                                     hierarchy=hierarchy)
+        del r
         refinement.append(round_report.iterations)
-        x = x + delta
+        x += delta
+        del delta
     return x, replace(report, refinement_iterations=tuple(refinement))

@@ -1,15 +1,19 @@
 """System assembly: coefficient mapping, interface terms, boundary data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fracflow import (BoundaryConditionSet, ConfigurationError,
                       ConstantAperture, FractureNetwork, FractureSpec,
-                      InterfaceCoefficients, Point, assemble, build_interval,
-                      default_eps_floor, fracture_coefficient_map,
-                      fracture_to_coeffs, sample_profile, solve_system,
-                      split_mesh)
+                      InterfaceCoefficients, LinearSystem, Point, assemble,
+                      build_interval, build_structured_quad, default_eps_floor,
+                      fracture_coefficient_map, fracture_to_coeffs,
+                      sample_profile, solve_system, split_mesh)
+from fracflow.elements import facet_load, q1_stiffness_batch
+from fracflow.scenarios import SCENARIOS
 from conftest import THROUGHFLOW, coeffs_for, unit_square, vertical_network
 
 
@@ -295,3 +299,149 @@ def test_onedim_point_interface_assembles_and_solves():
     # exact piecewise-linear solution: p(0) = 2, jump -1 at the interface
     left_end = np.nonzero(split.base.vertices[:, 0] == 0.0)[0]
     assert x[left_end] == pytest.approx(2.0, abs=1e-10)
+
+
+# --- boundary data as array passes --------------------------------------------
+
+def test_neumann_loads_match_facet_by_facet_loop():
+    """A callable gets one Point per facet vertex, and the loads are added in
+    facet order, so rhs_raw is bit-equal to the facet-by-facet loop."""
+    mesh = build_structured_quad(12, 6, Point(0.0, 0.0), Point(2.0, 1.0))
+    split = split_mesh(mesh, vertical_network(1e-2, 1.0, x=1.0))
+    seen = []
+
+    def inflow(p):
+        seen.append(p)
+        return 1.0 + p.y * p.y
+
+    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": inflow, "top": 0.25})
+    system = assemble(split, np.ones(split.n_subdomains), coeffs_for(split.network), bcs)
+    mesh = split.base
+    want = np.zeros(system.n_dofs)
+    for vs, tag in mesh.boundary_facets:
+        if tag in ("left", "top"):
+            X = mesh.vertices[list(vs)]
+            h = [1.0 + x[1] * x[1] if tag == "left" else 0.25 for x in X]
+            np.add.at(want, list(vs), facet_load(X, h))
+    assert np.array_equal(system.rhs_raw, system.rhs_body + want)
+    left = [vs for vs, tag in mesh.boundary_facets if tag == "left"]
+    assert len(seen) == 2 * len(left)
+    assert all(isinstance(p, Point) and p.dim == 2 for p in seen)
+    assert [p.coords for p in seen] == [tuple(mesh.vertices[v]) for vs in left for v in vs]
+
+
+def _dirichlet_by_loop(split, bcs):
+    """Dirichlet values dof by dof: every facet vertex in facet order, then
+    every copy of each constrained vertex; the later value wins, a clash
+    raises."""
+    dirichlet = {}
+
+    def constrain(dof, value):
+        if dof in dirichlet and abs(dirichlet[dof] - value) > 1e-12 * max(1.0, abs(value)):
+            raise ConfigurationError(
+                f"conflicting Dirichlet values at dof {dof}: {dirichlet[dof]} vs {value}")
+        dirichlet[dof] = value
+
+    verts = split.base.vertices
+    for vs, tag in split.base.boundary_facets:
+        if tag in bcs.dirichlet:
+            g = bcs.dirichlet[tag]
+            for v in vs:
+                constrain(v, float(g(Point(*verts[v].tolist())) if callable(g) else g))
+    for dof, value in list(dirichlet.items()):
+        twins = split.copies_of(split.vertex_origin[dof])
+        for twin in twins.tolist() if len(twins) > 1 else ():
+            constrain(twin, value)
+    return dict(sorted(dirichlet.items()))
+
+
+@pytest.mark.parametrize("dirichlet", [
+    {"bottom": 1.0, "top": 0.0},
+    {"bottom": lambda p: 1.0 + 1e-13 * p.x, "left": 1.0, "top": lambda p: 1.0 - p.x},
+    {"top": lambda p: float(p.x > 0.5), "right": 0.0},       # clashes at a corner
+])
+def test_dirichlet_values_match_dof_by_dof_loop(dirichlet):
+    split = split_mesh(unit_square(8), FractureNetwork(
+        (FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 1.0)),
+                      aperture=ConstantAperture(1e-2), mobility=1.0),
+         FractureSpec(path=(Point(0.0, 0.5), Point(1.0, 0.5)),
+                      aperture=ConstantAperture(1e-2), mobility=1.0))))
+    bcs = BoundaryConditionSet(dirichlet=dirichlet, neumann={})
+    try:
+        want = _dirichlet_by_loop(split, bcs)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError, match=f"^{exc}$"):
+            assemble(split, np.ones(4), coeffs_for(split.network), bcs)
+        return
+    system = assemble(split, np.ones(4), coeffs_for(split.network), bcs)
+    assert system.dirichlet_dofs == want
+
+
+def test_conflicting_dirichlet_values_name_the_first_dof():
+    split = split_mesh(unit_square(4), FractureNetwork(()))
+    # facets run bottom, top, left, right: vertex 0 gets 0.0, then 1.0
+    bcs = BoundaryConditionSet(dirichlet={"left": 1.0, "bottom": 0.0}, neumann={})
+    with pytest.raises(ConfigurationError,
+                       match=r"^conflicting Dirichlet values at dof 0: 0\.0 vs 1\.0$"):
+        assemble(split, np.ones(1), [], bcs)
+
+
+def test_dirichlet_values_within_tolerance_keep_the_last():
+    split = split_mesh(unit_square(4), FractureNetwork(()))
+    bcs = BoundaryConditionSet(dirichlet={"left": 1.0 + 1e-13, "bottom": 1.0}, neumann={})
+    system = assemble(split, np.ones(1), [], bcs)
+    assert system.dirichlet_dofs[0] == 1.0 + 1e-13       # the left facet comes later
+    assert list(system.dirichlet_dofs) == sorted(system.dirichlet_dofs)
+
+
+# --- the stored system -----------------------------------------------------------
+
+def _pair_operator_sum(system) -> sp.csr_matrix:
+    """matrix_domain + M^T interface_mean M + J^T interface_jump J, written out."""
+    pairs, n = system.interface_pairs, system.n_dofs
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    return system.matrix_domain + (M.T @ system.interface_mean @ M
+                                   + J.T @ system.interface_jump @ J)
+
+
+def test_matrix_raw_is_not_stored():
+    assert "matrix_raw" not in {f.name for f in dataclasses.fields(LinearSystem)}
+
+
+@pytest.mark.parametrize("name,n,variant", [("regular2d", 32, "conductive"),
+                                            ("onedim", 64, None)])
+def test_matrix_raw_is_the_pair_operator_sum_bit_for_bit(name, n, variant):
+    case = SCENARIOS[name].build(n, variant)
+    system = assemble(case.split, case.k_per_subdomain, case.coeffs, case.bcs)
+    assert len(system.interface_pairs)
+    raw, want = system.matrix_raw, _pair_operator_sum(system)
+    assert np.array_equal(raw.indptr, want.indptr)
+    assert np.array_equal(raw.indices, want.indices)
+    assert np.array_equal(raw.data.view(np.int64), want.data.view(np.int64))
+    assert raw is not system.matrix_raw                  # formed on each access
+
+
+def test_fracture_free_elimination_leaves_matrix_domain_intact():
+    """Without interface pairs the summed matrix is matrix_domain itself, so
+    the in-place Dirichlet elimination must run on a copy of it."""
+    split = split_mesh(unit_square(8), FractureNetwork(()))
+    k = np.random.default_rng(0).uniform(0.5, 2.0, split.base.n_cells)
+    system = assemble(split, None, [], THROUGHFLOW, k_per_cell=k)
+    # a fresh domain-only assembly, from the full cell matrices
+    cells = split.base.cells
+    K = q1_stiffness_batch(split.base.vertices[cells], k)
+    fresh = sp.coo_matrix((K.ravel(), (np.repeat(cells, 4, axis=1).ravel(),
+                                       np.tile(cells, (1, 4)).ravel())),
+                          shape=(system.n_dofs, system.n_dofs)).tocsr()
+    domain = system.matrix_domain
+    scale = np.max(np.abs(fresh.data))
+    assert np.array_equal(domain.indptr, fresh.indptr)
+    assert np.array_equal(domain.indices, fresh.indices)
+    assert np.max(np.abs(domain.data - fresh.data)) <= 1e-14 * scale
+    assert np.max(np.abs(domain @ np.ones(system.n_dofs))) <= 1e-12 * scale
+    assert not np.shares_memory(system.matrix.data, domain.data)
+    assert (system.matrix_raw != domain).nnz == 0

@@ -285,6 +285,49 @@ def test_boundary_flux_dirichlet_only_case():
     assert abs(fluxes["left"]) <= 1e-10 and abs(fluxes["right"]) <= 1e-10
 
 
+def _fluxes_by_dof_loop(split, system, x):
+    """Tag ownership dof by dof over sets of tags, then each tag's residual
+    summed in ascending dof order."""
+    residual = system.residual_raw(x)
+    tag_dofs = {}
+    for vids, tag in split.base.boundary_facets:
+        tag_dofs.setdefault(tag, set()).update(vids)
+
+    def rank(t):
+        return (0 if t in system.dirichlet_tags else 1 if t in system.neumann_tags else 2, t)
+
+    fluxes = {t: 0.0 for t in tag_dofs}
+    for d in sorted(set().union(*tag_dofs.values())):
+        fluxes[min((t for t, ds in tag_dofs.items() if d in ds), key=rank)] += float(residual[d])
+    return fluxes
+
+
+@pytest.mark.parametrize("dirichlet,neumann", [
+    ({"right": 0.0}, {"left": 1.0}),                            # corners to right, left
+    ({"top": 0.5, "right": 0.5}, {"left": 1.0, "bottom": 0.5}),  # ties go alphabetical
+    ({"bottom": 1.0}, {}),                                      # untagged sides claim last
+])
+def test_boundary_flux_matches_dof_by_dof_ownership(dirichlet, neumann):
+    split = split_mesh(unit_square(12), vertical_network(1e-2, 1e2))
+    system = assemble(split, np.ones(2), coeffs_for(split.network),
+                      BoundaryConditionSet(dirichlet=dirichlet, neumann=neumann))
+    x, _ = solve_system(system)
+    fluxes = boundary_flux(split, system, x)
+    want = _fluxes_by_dof_loop(split, system, x)
+    assert list(fluxes) == list(want)
+    assert [np.float64(v).view(np.int64) for v in fluxes.values()] == \
+        [np.float64(v).view(np.int64) for v in want.values()]
+
+
+def test_boundary_flux_1d_matches_dof_by_dof_ownership():
+    network = FractureNetwork((FractureSpec(path=(Point(0.5),), aperture=ConstantAperture(1e-2),
+                                            mobility=1e-2),))
+    split = split_mesh(build_interval(16, 1.0), network)
+    system = assemble(split, np.ones(2), coeffs_for(network), THROUGHFLOW)
+    x, _ = solve_system(system)
+    assert boundary_flux(split, system, x) == _fluxes_by_dof_loop(split, system, x)
+
+
 def test_mass_balance_defect_is_abs_sum():
     assert mass_balance_defect({"a": 1.0, "b": -0.25}) == pytest.approx(0.75)
     assert mass_balance_defect({}) == 0.0
