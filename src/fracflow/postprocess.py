@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .assembly import LinearSystem
 from .errors import ConfigurationError, GeometryError
@@ -81,33 +80,60 @@ def _invert_bilinear(X: np.ndarray, p: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _cell_locator(mesh: Mesh) -> tuple[cKDTree, float]:
-    """KD-tree over the cell centres and the largest centre-to-corner
-    distance. The mesh arrays are read-only, so it is built on first use
-    and kept on the mesh."""
-    locator = vars(mesh).get("_cell_locator")
-    if locator is None:
-        centers = np.empty((mesh.n_cells, mesh.dim))
-        radius2 = 0.0
-        for start in range(0, mesh.n_cells, CELL_BLOCK):
-            block = slice(start, start + CELL_BLOCK)
-            corners = mesh.vertices[mesh.cells[block]]
-            centers[block] = corners.mean(axis=1)
-            offsets = corners - centers[block, None, :]
-            radius2 = max(radius2, float(np.einsum("cad,cad->ca", offsets, offsets).max()))
-        # Cheaper to build than the default; queries find the same cells.
-        tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
-        locator = vars(mesh)["_cell_locator"] = (tree, float(np.sqrt(radius2)))
-    return locator
+def _candidate_pairs(mesh: Mesh, pts: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """(point, cell) pairs whose sample point lies in the cell's bounding box
+    widened by pad, ordered by point and then by ascending cell.
+
+    The samples are evenly spaced along a segment, so each of their
+    coordinates is monotone in the sample index: the samples inside a slab
+    lo <= x_d <= hi are one run of indices, found by binary search, and
+    those inside a box are the overlap of its two slabs' runs.
+    """
+    n = len(pts)
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    points, cells = [], []
+    for start in range(0, mesh.n_cells, CELL_BLOCK):
+        block = mesh.cells[start:start + CELL_BLOCK]
+        boxes = []
+        for d in range(2):
+            x = [mesh.vertices[block[:, a], d] for a in range(4)]
+            boxes.append((np.minimum(np.minimum(x[0], x[1]), np.minimum(x[2], x[3])) - pad,
+                          np.maximum(np.maximum(x[0], x[1]), np.maximum(x[2], x[3])) + pad))
+        (lo_x, hi_x), (lo_y, hi_y) = boxes
+        cell = np.flatnonzero((lo_x <= high[0]) & (hi_x >= low[0])
+                              & (lo_y <= high[1]) & (hi_y >= low[1]))
+        first = np.zeros(len(cell), dtype=np.intp)
+        stop = np.full(len(cell), n, dtype=np.intp)
+        for d, (lo, hi) in enumerate(boxes):
+            coord, lo, hi = pts[:, d], lo[cell], hi[cell]
+            if coord[-1] < coord[0]:           # falling: search the mirrored axis
+                coord, lo, hi = -coord, -hi, -lo
+            np.maximum(first, np.searchsorted(coord, lo, "left"), out=first)
+            np.minimum(stop, np.searchsorted(coord, hi, "right"), out=stop)
+        count = np.maximum(stop - first, 0)
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        points.append(np.repeat(first, count) + offset)
+        cells.append(np.repeat(start + cell, count))
+    point, cell = np.concatenate(points), np.concatenate(cells)
+    order = np.argsort(point, kind="stable")
+    return point[order], cell[order]
 
 
 def _sample_2d(split: SplitMesh, values: np.ndarray, pts: np.ndarray,
                tol: float) -> np.ndarray:
+    """Values at the points pts (m, 2), evenly spaced along a segment.
+
+    A point's candidate cells are those whose bounding box, widened by tol,
+    contains it. Each (point, candidate) pair is inverted by Newton steps;
+    the cells whose clipped image lies within tol of the point contain it,
+    and the point takes the mean of their values, summed in ascending cell
+    order.
+    """
     mesh = split.base
-    tree, radius = _cell_locator(mesh)
-    near = tree.query_ball_point(pts, r=radius * (1.0 + 1e-12) + tol)
-    point = np.repeat(np.arange(len(pts)), [len(cs) for cs in near])
-    cell = np.fromiter((c for cs in near for c in cs), dtype=np.int64, count=len(point))
+    # A contained point lies within tol of a point the corners interpolate,
+    # and rounding may put that one a few ulps outside the corners' box.
+    pad = tol + 64 * np.finfo(float).eps * (1.0 + float(np.abs(pts).max()))
+    point, cell = _candidate_pairs(mesh, pts, pad)
     X = mesh.vertices[mesh.cells[cell]]
     p = pts[point]
     N = _q1_shape(np.clip(_invert_bilinear(X, p), -1.0, 1.0).T)

@@ -50,21 +50,23 @@ class PiecewiseLinear1D:
             raise ValueError(f"side must be left/right/mean, got {side!r}")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         bp, vals = self.breakpoints, self.values
+        outside = (xs < bp[0]) | (xs > bp[-1])
+        if outside.any():
+            raise GeometryError(
+                f"evaluation point {xs[np.argmax(outside)]} outside [{bp[0]}, {bp[-1]}]")
+        # A point equal to a repeated breakpoint sits exactly on the jump.
+        first = np.searchsorted(bp, xs, side="left")
+        after = np.searchsorted(bp, xs, side="right")
+        on_jump = after - first > 1
         out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            if xi < bp[0] or xi > bp[-1]:
-                raise GeometryError(f"evaluation point {xi} outside [{bp[0]}, {bp[-1]}]")
-            hits = np.nonzero(bp == xi)[0]
-            if len(hits) > 1:          # sitting exactly on the jump
-                left, right = vals[hits[0]], vals[hits[-1]]
-                out[i] = {"left": left, "right": right, "mean": 0.5 * (left + right)}[side]
-                continue
-            j = int(np.searchsorted(bp, xi, side="right")) - 1
-            j = min(max(j, 0), len(bp) - 2)
-            if bp[j + 1] == bp[j]:     # interval degenerate: step over the jump
-                j += 1 if j + 2 < len(bp) else -1
-            t = (xi - bp[j]) / (bp[j + 1] - bp[j])
-            out[i] = (1.0 - t) * vals[j] + t * vals[j + 1]
+        left, right = vals[first[on_jump]], vals[after[on_jump] - 1]
+        out[on_jump] = {"left": left, "right": right, "mean": 0.5 * (left + right)}[side]
+        smooth = ~on_jump
+        j = np.clip(after[smooth] - 1, 0, len(bp) - 2)
+        degenerate = bp[j + 1] == bp[j]     # interval degenerate: step over the jump
+        j[degenerate] += np.where(j[degenerate] + 2 < len(bp), 1, -1)
+        t = (xs[smooth] - bp[j]) / (bp[j + 1] - bp[j])
+        out[smooth] = (1.0 - t) * vals[j] + t * vals[j + 1]
         return out if np.ndim(x) else float(out[0])
 
     def jump_at(self, x: float) -> float:

@@ -20,6 +20,7 @@ the exact oracle the tests compare against.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -234,6 +235,7 @@ class _Level:
     P: sp.csr_matrix | None = None          # prolongation from the next level
     R: sp.csr_matrix | None = None          # restriction P^T, stored as CSR
     factor: tuple | None = None             # dense Cholesky of the coarsest A
+    potrs: Callable | None = None           # LAPACK solve with that factor
 
 
 class Multigrid:
@@ -262,7 +264,12 @@ class Multigrid:
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         level = self.levels[k]
         if level.factor is not None:
-            return scipy.linalg.cho_solve(level.factor, b)
+            # cho_solve without its finiteness checks of the factor and b
+            c, lower = level.factor
+            x, info = level.potrs(c, b, lower=lower)
+            if info != 0:
+                raise SolverError(f"coarsest-level solve failed: LAPACK potrs info {info}")
+            return x
         x = level.smoother @ b
         if level.P is not None:
             x += level.P @ self._cycle(k + 1, level.R @ self._residual(level, b, x))
@@ -314,7 +321,8 @@ def multigrid(A, groups=None) -> Multigrid:
         factor = scipy.linalg.cho_factor(A.toarray())
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise SolverError(f"coarsest multigrid level is not SPD: {exc}") from exc
-    levels.append(_Level(A, factor=factor))
+    levels.append(_Level(A, factor=factor,
+                         potrs=scipy.linalg.get_lapack_funcs("potrs", (factor[0],))))
     return Multigrid(levels)
 
 

@@ -2,11 +2,12 @@
 
 Each stage's tracemalloc peak at blocking ``regular2d`` n=128 (17,098
 dofs) stays under a multiple of the bytes of the eliminated matrix. Each
-bound sits at least 25% below the peak the stage reaches when it holds a
-full-size temporary: an (n_cells, 4, 2) corner array in the mesh check and
-the cell locator, a 16-triplet-per-cell coordinate matrix and a stored
+bound sits below the peak the stage reaches when it holds a full-size
+temporary, by at least 25% unless noted: an (n_cells, 4, 2) corner array
+in the mesh check, a 16-triplet-per-cell coordinate matrix and a stored
 copy of the penalty-summed matrix in ``assemble``, whole-graph float64
-strength and int64 group gathers or a CSC copy of A P in ``multigrid``.
+strength and int64 group gathers or a CSC copy of A P in ``multigrid``,
+and bounding boxes of every cell at once in ``sample_profile`` (15%).
 """
 
 import tracemalloc
@@ -14,8 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracflow import Mesh, assemble
-from fracflow.postprocess import _cell_locator
+from fracflow import Mesh, Point, assemble, sample_profile
 from fracflow.scenarios import SCENARIOS
 from fracflow.solver import multigrid
 
@@ -61,10 +61,11 @@ def test_mesh_construction_peak(blocking_128):
     assert peak <= 0.65 * matrix_bytes
 
 
-def test_cell_locator_peak(blocking_128):
+def test_sample_profile_peak(blocking_128):
     split, _system, _peak_assemble, matrix_bytes = blocking_128
-    base = split.base
-    mesh = Mesh(base.vertices, base.cells, base.boundary_facets)
-    (tree, radius), peak = _peak(lambda: _cell_locator(mesh))
-    assert tree.n == mesh.n_cells and radius == pytest.approx(np.sqrt(2.0) / 256)
+    values = np.arange(split.n_dofs, dtype=float)
+    # every sample sits on a vertex, most of them shared by four cells
+    profile, peak = _peak(lambda: sample_profile(split, values, Point(0.0, 0.0),
+                                                 Point(1.0, 1.0), 129))
+    assert len(profile) == 129
     assert peak <= 0.95 * matrix_bytes

@@ -1,6 +1,9 @@
 """Profiles, fracture extraction, boundary fluxes, CSV output."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +106,8 @@ def sample_per_point(split, values, pts, tol):
     ((0.5, 0.0), (0.5, 1.0), 129),       # on fracture 1, across the crossing
     ((0.0, 0.5), (1.0, 0.5), 65),        # on fracture 0, T-junctions at x=0.625, 0.75
     ((0.05, 0.1), (0.95, 0.9), 101),     # oblique, through cell interiors
+    ((0.05, 0.45), (0.25, 0.25), 17),    # ends on a vertex shared by four cells
+    ((0.9, 0.95), (0.25, 0.25), 33),     # both coordinates falling, across fractures
 ])
 def test_batched_sampling_matches_per_point_loop(conductive_32, start, end, m):
     split, pressure = conductive_32
@@ -112,23 +117,32 @@ def test_batched_sampling_matches_per_point_loop(conductive_32, start, end, m):
     assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.abs(want).max())
 
 
-def test_sampling_locator_is_built_once_per_mesh(monkeypatch):
-    built = []
+@pytest.mark.parametrize("seed", [4, 7])
+def test_batched_sampling_matches_per_point_loop_on_distorted_mesh(seed):
+    split = split_mesh(distorted_square(8, seed=seed), FractureNetwork(()))
+    V = split.base.vertices
+    values = np.sin(3.0 * V[:, 0]) + V[:, 0] * V[:, 1] ** 2
+    vertex = tuple(V[4 * 9 + 4])                  # interior: four cells share it
+    for start, end, m in (((0.13, 0.21), (0.87, 0.79), 41),
+                          ((0.8, 0.15), vertex, 13),
+                          (vertex, (0.2, 0.85), 13)):
+        got = sample_profile(split, values, Point(*start), Point(*end), m)
+        want = sample_per_point(split, values, got.points, 1e-12)
+        assert np.max(np.abs(got.values - want)) <= 1e-15 * max(1.0, np.abs(want).max())
 
-    class CountingTree(postprocess.cKDTree):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(postprocess, "cKDTree", CountingTree)
-    split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
-    values = split.base.vertices[:, 0].copy()
-    for end in (Point(1.0, 1.0), Point(0.5, 1.0), Point(0.0, 1.0)):
-        sample_profile(split, values, Point(0.5, 0.0), end, 9)
-    assert len(built) == 1
-    other = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
-    sample_profile(other, values, Point(0.0, 0.0), Point(1.0, 1.0), 9)
-    assert len(built) == 2
+def test_import_leaves_scipy_spatial_unloaded():
+    """Sampling needs no KD-tree, so ``import fracflow`` does not pay for
+    loading scipy.spatial."""
+    import fracflow
+    package_root = os.path.dirname(os.path.dirname(fracflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fracflow; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- fracture extraction --------------------------------------------------------

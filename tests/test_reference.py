@@ -39,6 +39,67 @@ def test_piecewise_validation():
         f.eval(1.5)
 
 
+def eval_per_point(f, x, side="mean"):
+    """The point-by-point evaluation, kept as the reference for the
+    array pass of ``PiecewiseLinear1D.eval``."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    bp, vals = f.breakpoints, f.values
+    out = np.empty_like(xs)
+    for i, xi in enumerate(xs):
+        if xi < bp[0] or xi > bp[-1]:
+            raise GeometryError(f"evaluation point {xi} outside [{bp[0]}, {bp[-1]}]")
+        hits = np.nonzero(bp == xi)[0]
+        if len(hits) > 1:          # sitting exactly on the jump
+            left, right = vals[hits[0]], vals[hits[-1]]
+            out[i] = {"left": left, "right": right, "mean": 0.5 * (left + right)}[side]
+            continue
+        j = int(np.searchsorted(bp, xi, side="right")) - 1
+        j = min(max(j, 0), len(bp) - 2)
+        if bp[j + 1] == bp[j]:     # interval degenerate: step over the jump
+            j += 1 if j + 2 < len(bp) else -1
+        t = (xi - bp[j]) / (bp[j + 1] - bp[j])
+        out[i] = (1.0 - t) * vals[j] + t * vals[j + 1]
+    return out if np.ndim(x) else float(out[0])
+
+
+PIECEWISE = [
+    PiecewiseLinear1D(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0])),
+    PiecewiseLinear1D(np.array([0.0, 0.3, 0.3, 1.0]), np.array([1.7, 0.9, 0.2, -0.4])),
+    # jumps at both ends and a run of three equal breakpoints
+    PiecewiseLinear1D(np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0]),
+                      np.array([3.0, 1.0, 0.7, 0.1, -0.2, 0.4, 9.0])),
+    solve_1d_interface_analytic(1.0, 0.5, 1e-3, 1.0, 2.0, 1e-2, 1.0),
+]
+
+
+@pytest.mark.parametrize("k", range(len(PIECEWISE)))
+@pytest.mark.parametrize("side", ["left", "right", "mean"])
+def test_piecewise_eval_matches_per_point_loop(k, side):
+    f = PIECEWISE[k]
+    bp = f.breakpoints
+    xs = np.concatenate([bp, np.linspace(bp[0], bp[-1], 257),
+                         np.random.default_rng(k).uniform(bp[0], bp[-1], 100),
+                         np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)])
+    # NaN passes the range check and takes the last interval's step rule
+    xs = np.append(xs[(bp[0] <= xs) & (xs <= bp[-1])], np.nan)
+    got, want = f.eval(xs, side), eval_per_point(f, xs, side)
+    assert got.tobytes() == want.tobytes()
+    assert f.eval(xs[:0], side).shape == (0,)
+    for x in bp:
+        got = f.eval(float(x), side)
+        assert type(got) is float and got == eval_per_point(f, float(x), side)
+
+
+def test_piecewise_eval_names_first_point_outside():
+    f = PIECEWISE[1]
+    xs = np.array([0.5, 0.25, 1.5, -2.0, 3.0])
+    with pytest.raises(GeometryError) as got:
+        f.eval(xs)
+    with pytest.raises(GeometryError) as want:
+        eval_per_point(f, xs)
+    assert str(got.value) == str(want.value) == "evaluation point 1.5 outside [0.0, 1.0]"
+
+
 # --- resolved-inclusion profile -----------------------------------------------
 
 def test_heterogeneous_analytic_frozen_value():

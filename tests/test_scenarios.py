@@ -5,7 +5,9 @@ import pytest
 
 from fracflow import (ConfigurationError, ConstantAperture, FractureNetwork,
                       FractureSpec, Point, SCENARIOS, compare_scenario,
-                      run_scenario, scenario_names)
+                      nodal_error_vs_analytic, run_scenario, scenario_names,
+                      solve_1d_interface_analytic)
+from fracflow.scenarios import _side_of_vertices
 
 
 EXPECTED_NAMES = ("onedim", "regular2d", "single_vertical", "patch_eps_sweep",
@@ -111,6 +113,24 @@ def test_compare_onedim_passes():
     # the modeling gap against the resolved inclusion is O(eps), not zero
     gap = rep["metrics"]["model_vs_resolved_inlet_gap"]
     assert 1e-6 < gap <= 2e-4
+
+
+@pytest.mark.parametrize("name, offset_key", [("single_vertical", "p_right"),
+                                              ("onedim", None)])
+def test_nodal_error_matches_node_by_node_loop(name, offset_key):
+    """The node-by-node evaluation of the analytic profile, kept as the
+    reference for the one call per side."""
+    res = run_scenario(name, n=16)
+    p = res.params
+    offset = p[offset_key] if offset_key else 0.0
+    exact = solve_1d_interface_analytic(1.0, 0.5, p["eps"], 1.0, 1.0, p["kf"], 1.0)
+    left = _side_of_vertices(res.split, 0.5)
+    xs = res.split.base.vertices[:, 0]
+    vals = np.array([exact.eval(float(x), "left" if is_left else "right") + offset
+                     for x, is_left in zip(xs, left)])
+    want = float(np.max(np.abs(res.pressure - vals)))
+    got = nodal_error_vs_analytic(res.split, res.pressure, p["eps"], p["kf"], offset=offset)
+    assert got == want
 
 
 def test_compare_single_vertical_analytic_passes():

@@ -442,6 +442,13 @@ def test_small_system_is_one_dense_level():
     assert np.allclose(x, 1.0, atol=1e-9)
 
 
+def test_coarse_level_solve_matches_cho_solve():
+    A = random_spd(40, seed=14)
+    mg = multigrid(A)
+    for b in np.random.default_rng(14).standard_normal((3, 40)):
+        assert np.array_equal(mg(b), scipy.linalg.cho_solve(mg.levels[-1].factor, b))
+
+
 def test_refinement_reuses_one_hierarchy(monkeypatch, conductive_32_system):
     builds = []
 
