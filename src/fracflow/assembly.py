@@ -392,8 +392,8 @@ def _domain_matrix(mesh: Mesh, k_cell: np.ndarray, n: int) -> sp.csr_matrix:
         upper = q1_stiffness_upper(mesh.vertices, cells, k_cell)
     else:
         x = mesh.vertices[:, 0]
-        s = k_cell / (x[cells[:, 1]] - x[cells[:, 0]])
-        upper = np.stack([s, -s, s], axis=1)
+        K = p1_segment_stiffness(x[cells[:, 1]] - x[cells[:, 0]], k_cell[:, None])
+        upper = K[:, [0, 0, 1], [0, 1, 1]]
     a, b = np.triu_indices(cells.shape[1])
     on = a == b
     diag = np.bincount(cells.ravel(), upper[:, on].ravel(), minlength=n)

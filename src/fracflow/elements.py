@@ -15,6 +15,8 @@ from .errors import GeometryError
 __all__ = [
     "GAUSS_1D",
     "GAUSS_2X2",
+    "q1_shape",
+    "q1_dshape",
     "q1_stiffness_batch",
     "q1_stiffness_upper",
     "p1_segment_stiffness",
@@ -29,13 +31,23 @@ GAUSS_1D = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 GAUSS_2X2 = np.array([[a, b] for b in GAUSS_1D for a in GAUSS_1D])
 
 
-def _q1_dshape(xi: float, eta: float) -> np.ndarray:
-    """Derivatives of the four bilinear shape functions, rows = (d/dxi, d/deta)."""
+def q1_shape(xi) -> np.ndarray:
+    """The four bilinear shape functions at reference coordinates
+    xi = (xi, eta), (2,) or (2, m), along the first axis: (4,) or (4, m)."""
+    x, y = xi[0], xi[1]
+    return 0.25 * np.array([(1 - x) * (1 - y), (1 + x) * (1 - y),
+                            (1 + x) * (1 + y), (1 - x) * (1 + y)])
+
+
+def q1_dshape(xi) -> np.ndarray:
+    """Derivatives of the four bilinear shape functions at xi = (xi, eta),
+    (2,) or (2, m): (4, 2) or (4, 2, m), axis 1 = (d/dxi, d/deta)."""
+    x, y = xi[0], xi[1]
     return 0.25 * np.array([
-        [-(1 - eta), -(1 - xi)],
-        [(1 - eta), -(1 + xi)],
-        [(1 + eta), (1 + xi)],
-        [-(1 + eta), (1 - xi)],
+        [-(1 - y), -(1 - x)],
+        [(1 - y), -(1 + x)],
+        [(1 + y), (1 + x)],
+        [-(1 + y), (1 - x)],
     ])
 
 
@@ -94,8 +106,8 @@ def _q1_upper(X: np.ndarray, k: np.ndarray, first: int) -> np.ndarray:
     the batch index of X[0], for the error message."""
     coords = [[np.ascontiguousarray(X[:, a, d]) for a in range(4)] for d in range(2)]
     upper = [0.0] * 10
-    for xi, eta in GAUSS_2X2:
-        dN = _q1_dshape(xi, eta).tolist()
+    for xi in GAUSS_2X2:
+        dN = q1_dshape(xi).tolist()
 
         def along(i, c):           # sum_a dN_a/dxi_i c_a, in vertex order
             s = dN[0][i] * c[0]

@@ -215,15 +215,20 @@ class Mesh:
             raise GeometryError(f"cell array must be (n, {want}) for dim {verts.shape[1]}")
         if cells.size and (cells.min() < 0 or cells.max() >= len(verts)):
             raise GeometryError("cell references a vertex out of range")
-        # Quads must be counter-clockwise with positive area.
-        for start in range(0, len(cells), CELL_BLOCK) if verts.shape[1] == 2 else ():
+        # Segments must run left to right and quads counter-clockwise, with
+        # positive length or area.
+        for start in range(0, len(cells), CELL_BLOCK):
             block = cells[start:start + CELL_BLOCK]
             x = verts[block, 0]
-            y = verts[block, 1]
-            area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
-            if np.any(area <= 0.0):
-                bad = start + int(np.argmax(area <= 0.0))
-                raise GeometryError(f"cell {bad} is degenerate or not counter-clockwise")
+            if verts.shape[1] == 1:
+                size = x[:, 1] - x[:, 0]
+            else:
+                y = verts[block, 1]
+                size = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+            if np.any(size <= 0.0):
+                bad = start + int(np.argmax(size <= 0.0))
+                order = "left to right" if verts.shape[1] == 1 else "counter-clockwise"
+                raise GeometryError(f"cell {bad} is degenerate or not {order}")
         for vs, _tag in self.boundary_facets:
             nfv = 1 if verts.shape[1] == 1 else 2
             if len(vs) != nfv:

@@ -6,13 +6,15 @@ averages the containing cells on both sides and returns the side mean there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import LinearSystem
+from .elements import q1_dshape, q1_shape
 from .errors import ConfigurationError, GeometryError
-from .geometry import CELL_BLOCK, Mesh, Point, SplitMesh
+from .geometry import CELL_BLOCK, Mesh, Point, SplitMesh, _default_tol
 
 __all__ = [
     "Profile",
@@ -50,13 +52,6 @@ class Profile:
         return len(self.s)
 
 
-def _q1_shape(xi: np.ndarray) -> np.ndarray:
-    """The four bilinear shape functions at reference coordinates (xi, eta),
-    along the first axis; xi is (2,) or (2, m)."""
-    return 0.25 * np.array([(1 - xi[0]) * (1 - xi[1]), (1 + xi[0]) * (1 - xi[1]),
-                            (1 + xi[0]) * (1 + xi[1]), (1 - xi[0]) * (1 + xi[1])])
-
-
 def _invert_bilinear(X: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Reference coordinates (m, 2) of the points p (m, 2) in the bilinear
     cells X (m, 4, 2), by Newton steps from the cell centre; each pair stops
@@ -65,17 +60,12 @@ def _invert_bilinear(X: np.ndarray, p: np.ndarray) -> np.ndarray:
     stop = 1e-14 + 1e-14 * np.abs(X).max(axis=(1, 2))
     active = np.arange(len(p))
     for _ in range(30):
-        x, y = xi[active].T
-        r = np.einsum("am,mad->md", _q1_shape(xi[active].T), X[active]) - p[active]
+        r = np.einsum("am,mad->md", q1_shape(xi[active].T), X[active]) - p[active]
         moving = ~(np.abs(r).max(axis=1) < stop[active])
-        active, r, x, y = active[moving], r[moving], x[moving], y[moving]
+        active, r = active[moving], r[moving]
         if not len(active):
             break
-        dN = 0.25 * np.array([
-            [-(1 - y), (1 - y), (1 + y), -(1 + y)],
-            [-(1 - x), -(1 + x), (1 + x), (1 - x)],
-        ])
-        J = np.einsum("iam,mad->mdi", dN, X[active])       # transposed Jacobian
+        J = np.einsum("aim,mad->mdi", q1_dshape(xi[active].T), X[active])   # transposed Jacobian
         xi[active] -= np.linalg.solve(J, r[:, :, None])[:, :, 0]
     return xi
 
@@ -87,25 +77,32 @@ def _candidate_pairs(mesh: Mesh, pts: np.ndarray, pad: float) -> tuple[np.ndarra
     The samples are evenly spaced along a segment, so each of their
     coordinates is monotone in the sample index: the samples inside a slab
     lo <= x_d <= hi are one run of indices, found by binary search, and
-    those inside a box are the overlap of its two slabs' runs.
+    those inside a box are the overlap of its slabs' runs. Cells whose slab
+    misses the segment's extent are dropped axis by axis, the segment's
+    narrowest axis first, so later axes only read the cells that are left.
     """
     n = len(pts)
     low, high = pts.min(axis=0), pts.max(axis=0)
+    axes = np.argsort(high - low, kind="stable").tolist()
     points, cells = [], []
     for start in range(0, mesh.n_cells, CELL_BLOCK):
-        block = mesh.cells[start:start + CELL_BLOCK]
-        boxes = []
-        for d in range(2):
-            x = [mesh.vertices[block[:, a], d] for a in range(4)]
-            boxes.append((np.minimum(np.minimum(x[0], x[1]), np.minimum(x[2], x[3])) - pad,
-                          np.maximum(np.maximum(x[0], x[1]), np.maximum(x[2], x[3])) + pad))
-        (lo_x, hi_x), (lo_y, hi_y) = boxes
-        cell = np.flatnonzero((lo_x <= high[0]) & (hi_x >= low[0])
-                              & (lo_y <= high[1]) & (hi_y >= low[1]))
+        rows = mesh.cells[start:start + CELL_BLOCK]
+        cell = np.arange(start, start + len(rows))
+        slabs = []
+        for d in axes:
+            # Gathers from one column are some 2x faster than vertices[i, d].
+            column = mesh.vertices[:, d]
+            x = [column[rows[:, a]] for a in range(rows.shape[1])]
+            lo = functools.reduce(np.minimum, x) - pad
+            hi = functools.reduce(np.maximum, x) + pad
+            keep = np.flatnonzero((lo <= high[d]) & (hi >= low[d]))
+            rows, cell = rows[keep], cell[keep]
+            slabs = [(e, lo_e[keep], hi_e[keep]) for e, lo_e, hi_e in slabs]
+            slabs.append((d, lo[keep], hi[keep]))
         first = np.zeros(len(cell), dtype=np.intp)
         stop = np.full(len(cell), n, dtype=np.intp)
-        for d, (lo, hi) in enumerate(boxes):
-            coord, lo, hi = pts[:, d], lo[cell], hi[cell]
+        for d, lo, hi in slabs:
+            coord = pts[:, d]
             if coord[-1] < coord[0]:           # falling: search the mirrored axis
                 coord, lo, hi = -coord, -hi, -lo
             np.maximum(first, np.searchsorted(coord, lo, "left"), out=first)
@@ -113,21 +110,20 @@ def _candidate_pairs(mesh: Mesh, pts: np.ndarray, pad: float) -> tuple[np.ndarra
         count = np.maximum(stop - first, 0)
         offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         points.append(np.repeat(first, count) + offset)
-        cells.append(np.repeat(start + cell, count))
+        cells.append(np.repeat(cell, count))
     point, cell = np.concatenate(points), np.concatenate(cells)
     order = np.argsort(point, kind="stable")
     return point[order], cell[order]
 
 
-def _sample_2d(split: SplitMesh, values: np.ndarray, pts: np.ndarray,
-               tol: float) -> np.ndarray:
-    """Values at the points pts (m, 2), evenly spaced along a segment.
+def _sample(split: SplitMesh, values: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Values at the points pts (m, dim), evenly spaced along a segment.
 
     A point's candidate cells are those whose bounding box, widened by tol,
-    contains it. Each (point, candidate) pair is inverted by Newton steps;
-    the cells whose clipped image lies within tol of the point contain it,
-    and the point takes the mean of their values, summed in ascending cell
-    order.
+    contains it. Each (point, candidate) pair gets its local coordinate:
+    closed-form on a segment, by Newton steps on a quad. The cells whose
+    clipped image lies within tol of the point contain it, and the point
+    takes the mean of their values, summed in ascending cell order.
     """
     mesh = split.base
     # A contained point lies within tol of a point the corners interpolate,
@@ -136,35 +132,18 @@ def _sample_2d(split: SplitMesh, values: np.ndarray, pts: np.ndarray,
     point, cell = _candidate_pairs(mesh, pts, pad)
     X = mesh.vertices[mesh.cells[cell]]
     p = pts[point]
-    N = _q1_shape(np.clip(_invert_bilinear(X, p), -1.0, 1.0).T)
+    if mesh.dim == 1:
+        a, b = X[:, 0, 0], X[:, 1, 0]
+        t = np.clip((p[:, 0] - a) / (b - a), 0.0, 1.0)
+        N = np.array([1.0 - t, t])
+    else:
+        N = q1_shape(np.clip(_invert_bilinear(X, p), -1.0, 1.0).T)
     hit = np.linalg.norm(np.einsum("am,mad->md", N, X) - p, axis=1) <= tol
     count = np.bincount(point[hit], minlength=len(pts))
     if not np.all(count):
         raise GeometryError(f"sample point {tuple(pts[np.argmin(count)])} lies outside the mesh")
     value = np.einsum("am,ma->m", N[:, hit], values[mesh.cells[cell[hit]]])
     return np.bincount(point[hit], weights=value, minlength=len(pts)) / count
-
-
-def _sample_1d(split: SplitMesh, values: np.ndarray, xs: np.ndarray,
-               tol: float) -> np.ndarray:
-    mesh = split.base
-    x_nodes = mesh.vertices[:, 0]
-    a = x_nodes[mesh.cells[:, 0]]
-    b = x_nodes[mesh.cells[:, 1]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        mask = (x >= lo - tol) & (x <= hi + tol)
-        if not mask.any():
-            raise GeometryError(f"sample point {x} lies outside the mesh")
-        vals = []
-        for ci in np.nonzero(mask)[0]:
-            length = b[ci] - a[ci]
-            t = 0.5 if length == 0 else np.clip((x - a[ci]) / length, 0.0, 1.0)
-            va, vb = values[mesh.cells[ci]]
-            vals.append((1.0 - t) * va + t * vb)
-        out[i] = float(np.mean(vals))
-    return out
 
 
 def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Point,
@@ -189,12 +168,7 @@ def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Poin
         raise GeometryError("profile endpoints coincide")
     s = np.linspace(0.0, length, n_samples)
     pts = a[None, :] + (s / length)[:, None] * (b - a)[None, :]
-    tol = 1e-12 * max(split.base.diameter(), 1.0)
-    if split.base.dim == 2:
-        vals = _sample_2d(split, values, pts, tol)
-    else:
-        vals = _sample_1d(split, values, pts[:, 0], tol)
-    return Profile(s=s, points=pts, values=vals)
+    return Profile(s=s, points=pts, values=_sample(split, values, pts, _default_tol(split.base)))
 
 
 def _arc_positions(path: tuple[Point, ...], pts: np.ndarray, tol: float) -> np.ndarray:

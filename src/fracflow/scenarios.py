@@ -169,18 +169,20 @@ def _build_patch_eps_sweep(n: int, variant: str | None,
                         _SWEEP_BCS, profiles, params)
 
 
+_TANGENTIAL_BCS = BoundaryConditionSet(dirichlet={"bottom": 1.0, "top": 0.0}, neumann={})
+
+
 def _build_wentzell_tangential(n: int, variant: str | None) -> ScenarioCase:
     eps, kf = 1e-2, 1e2
     network = _vertical_fracture(ConstantAperture(eps), kf)
     split = split_mesh(_unit_square(n), network)
-    bcs = BoundaryConditionSet(dirichlet={"bottom": 1.0, "top": 0.0}, neumann={})
     profiles = {
         "x0p5": (Point(0.5, 0.0), Point(0.5, 1.0), n + 1),
         "x0p25": (Point(0.25, 0.0), Point(0.25, 1.0), n + 1),
     }
     params = {"eps": eps, "kf": kf, "k": 1.0, "p_bottom": 1.0, "p_top": 0.0}
     return ScenarioCase(split, np.ones(split.n_subdomains), _coeffs_for(network),
-                        bcs, profiles, params)
+                        _TANGENTIAL_BCS, profiles, params)
 
 
 _ELLIPSE_FULL = {"minor": 1e-4, "kf": 1e-4, "major": 1.0 + 1e-4}
@@ -208,48 +210,12 @@ class ScenarioSpec:
     default_n: int
     build: Callable[[int, str | None], ScenarioCase]
     variants: tuple[str, ...] = ()
-    oracles: tuple[str, ...] = ()
+    # Reference comparisons by name, the default first; each takes (n, tol).
+    oracles: dict[str, Callable[[int, float], dict]] = field(default_factory=dict)
 
     @property
     def default_oracle(self) -> str | None:
-        return self.oracles[0] if self.oracles else None
-
-
-SCENARIOS: dict[str, ScenarioSpec] = {s.name: s for s in (
-    ScenarioSpec(
-        name="onedim",
-        description="1D bar with a point interface at x=0.5 (eps=kf=1e-4), "
-                    "unit inflow left, p=0 right",
-        default_n=64, build=_build_onedim, oracles=("analytic",)),
-    ScenarioSpec(
-        name="regular2d",
-        description="six orthogonal fractures cutting the unit square into ten "
-                    "subdomains (eps=1e-4), horizontal through-flow",
-        default_n=32, build=_build_regular2d,
-        variants=("conductive", "blocking")),
-    ScenarioSpec(
-        name="single_vertical",
-        description="unit square, blocking vertical fracture "
-                    "(eps=kf=1e-2), horizontal through-flow",
-        default_n=64, build=_build_single_vertical,
-        oracles=("equidim", "analytic")),
-    ScenarioSpec(
-        name="patch_eps_sweep",
-        description="vertical fracture with k=kf=1 between p=1 and p=0; the "
-                    "deviation from the unfractured solution 1-x must shrink "
-                    "linearly with aperture (run at 1e-2, 1e-3, 1e-4)",
-        default_n=32, build=_build_patch_eps_sweep, oracles=("ratios",)),
-    ScenarioSpec(
-        name="wentzell_tangential",
-        description="flow parallel to a conductive fracture (eps=1e-2, kf=1e2); "
-                    "the exact pressure 1-y must be undisturbed",
-        default_n=64, build=_build_wentzell_tangential, oracles=("equidim",)),
-    ScenarioSpec(
-        name="ellipse2d",
-        description="blocking fracture with elliptically varying aperture "
-                    "(max 1e-4 at mid-height, vanishing near the ends)",
-        default_n=128, build=_build_ellipse2d, oracles=("equidim",)),
-)}
+        return next(iter(self.oracles), None)
 
 
 def scenario_names() -> tuple[str, ...]:
@@ -387,19 +353,7 @@ def compare_scenario(name: str, n: int | None = None, variant: str | None = None
     if n is None:
         n = spec.default_n
 
-    if name == "onedim":
-        return _compare_onedim(n, tol)
-    if name == "single_vertical" and oracle == "analytic":
-        return _compare_single_vertical_analytic(n, tol)
-    if name == "single_vertical":
-        return _compare_single_vertical(n, tol)
-    if name == "wentzell_tangential":
-        return _compare_wentzell_tangential(n, tol)
-    if name == "ellipse2d":
-        return _compare_ellipse2d(n, tol)
-    if name == "patch_eps_sweep":
-        return _compare_patch_eps_sweep(n, tol)
-    raise ConfigurationError(f"no comparison implemented for {name!r}")
+    return spec.oracles[oracle](n, tol)
 
 
 def _result_dict(name, variant, n, oracle, metrics, thresholds, passed,
@@ -466,11 +420,10 @@ def _compare_single_vertical(n: int, tol: float) -> dict:
 def _compare_wentzell_tangential(n: int, tol: float) -> dict:
     res = run_scenario("wentzell_tangential", n=n, tol=tol)
     p = res.params
-    bcs = BoundaryConditionSet(dirichlet={"bottom": 1.0, "top": 0.0}, neumann={})
     oracle = solve_equidim_2d(
         nx_outside=n, band_cells_across=2,
         domain=(Point(0.0, 0.0), Point(1.0, 1.0)), fracture_line_x=0.5,
-        eps=p["eps"], k_background=p["k"], kf=p["kf"], bcs=bcs, ny=n)
+        eps=p["eps"], k_background=p["k"], kf=p["kf"], bcs=_TANGENTIAL_BCS, ny=n)
     # Model side: pressure along the fracture itself (side mean at the
     # duplicated nodes). Oracle side: the band centerline.
     prof_model = res.fracture_means[0]
@@ -522,3 +475,47 @@ def _compare_patch_eps_sweep(n: int, tol: float) -> dict:
     thr = {"ratio_rel_deviation": 0.2}
     return _result_dict("patch_eps_sweep", None, n, "ratios", metrics, thr,
                         max(rel_dev) <= thr["ratio_rel_deviation"])
+
+
+# --- the scenario table ---------------------------------------------------
+
+SCENARIOS: dict[str, ScenarioSpec] = {s.name: s for s in (
+    ScenarioSpec(
+        name="onedim",
+        description="1D bar with a point interface at x=0.5 (eps=kf=1e-4), "
+                    "unit inflow left, p=0 right",
+        default_n=64, build=_build_onedim,
+        oracles={"analytic": _compare_onedim}),
+    ScenarioSpec(
+        name="regular2d",
+        description="six orthogonal fractures cutting the unit square into ten "
+                    "subdomains (eps=1e-4), horizontal through-flow",
+        default_n=32, build=_build_regular2d,
+        variants=("conductive", "blocking")),
+    ScenarioSpec(
+        name="single_vertical",
+        description="unit square, blocking vertical fracture "
+                    "(eps=kf=1e-2), horizontal through-flow",
+        default_n=64, build=_build_single_vertical,
+        oracles={"equidim": _compare_single_vertical,
+                 "analytic": _compare_single_vertical_analytic}),
+    ScenarioSpec(
+        name="patch_eps_sweep",
+        description="vertical fracture with k=kf=1 between p=1 and p=0; the "
+                    "deviation from the unfractured solution 1-x must shrink "
+                    "linearly with aperture (run at 1e-2, 1e-3, 1e-4)",
+        default_n=32, build=_build_patch_eps_sweep,
+        oracles={"ratios": _compare_patch_eps_sweep}),
+    ScenarioSpec(
+        name="wentzell_tangential",
+        description="flow parallel to a conductive fracture (eps=1e-2, kf=1e2); "
+                    "the exact pressure 1-y must be undisturbed",
+        default_n=64, build=_build_wentzell_tangential,
+        oracles={"equidim": _compare_wentzell_tangential}),
+    ScenarioSpec(
+        name="ellipse2d",
+        description="blocking fracture with elliptically varying aperture "
+                    "(max 1e-4 at mid-height, vanishing near the ends)",
+        default_n=128, build=_build_ellipse2d,
+        oracles={"equidim": _compare_ellipse2d}),
+)}

@@ -74,10 +74,23 @@ def _as_csr(A) -> sp.csr_matrix:
     return A
 
 
-def _group_blocks(A: sp.csr_matrix, groups) -> sp.csr_matrix:
+def _check_groups(groups, n: int) -> np.ndarray | None:
+    """``groups`` as an array of n non-negative integer copy-group labels,
+    or None; raises SolverError on anything else."""
+    if groups is None:
+        return None
+    groups = np.asarray(groups)
+    if groups.shape != (n,) or not np.issubdtype(groups.dtype, np.integer) \
+            or (n and groups.min() < 0):
+        raise SolverError(f"groups must be {n} non-negative integer labels, "
+                          f"got shape {groups.shape} of {groups.dtype}")
+    return groups
+
+
+def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
     """Block-Jacobi inverse: the inverse of A's diagonal blocks over the
-    copy groups, as an n x n CSR matrix. Dofs of groups of one (all dofs
-    when ``groups`` is None) get the inverse diagonal."""
+    copy groups (checked labels), as an n x n CSR matrix. Dofs of groups of
+    one (all dofs when ``groups`` is None) get the inverse diagonal."""
     n = A.shape[0]
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -85,11 +98,6 @@ def _group_blocks(A: sp.csr_matrix, groups) -> sp.csr_matrix:
     inv_diag = 1.0 / diag
     dofs = np.zeros(0, dtype=np.intp)
     if groups is not None:
-        groups = np.asarray(groups)
-        if groups.shape != (n,) or not np.issubdtype(groups.dtype, np.integer) \
-                or (n and groups.min() < 0):
-            raise SolverError(f"groups must be {n} non-negative integer labels, "
-                              f"got shape {groups.shape} of {groups.dtype}")
         dofs = np.flatnonzero((np.bincount(groups) > 1)[groups])
     single = np.ones(n, dtype=bool)
     single[dofs] = False
@@ -175,7 +183,6 @@ def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
     node = np.arange(n, dtype=np.int32)
     if groups is not None:
         # Only dofs with copies can couple within their group.
-        groups = np.asarray(groups)
         copied = (np.bincount(groups) > 1)[groups]
         pair = np.flatnonzero(copied[rows] & copied[cols])
         pair = pair[groups[rows[pair]] == groups[cols[pair]]]
@@ -294,6 +301,7 @@ def multigrid(A, groups=None) -> Multigrid:
     SolverError on a matrix that is not SPD.
     """
     A = _as_csr(A)
+    groups = _check_groups(groups, A.shape[0])
     levels: list[_Level] = []
     while A.shape[0] > COARSE_DOFS:
         S = _smoother(A, groups)
@@ -386,7 +394,7 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
             raise SolverError(f"hierarchy built for {levels[0]} dofs, matrix has {n}")
         precondition = hierarchy
     else:
-        precondition = _group_blocks(A, groups).dot
+        precondition = _group_blocks(A, _check_groups(groups, n)).dot
 
     def pnorm(v: np.ndarray) -> float:
         return float(np.sqrt(np.abs(v @ (inv_diag * v))))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fracflow.elements import (GAUSS_1D, GAUSS_2X2, _q1_dshape, facet_load,
-                               p1_segment_load, p1_segment_mass,
-                               p1_segment_stiffness, q1_stiffness_batch)
+from fracflow.elements import (GAUSS_1D, GAUSS_2X2, facet_load, p1_segment_load,
+                               p1_segment_mass, p1_segment_stiffness, q1_dshape,
+                               q1_shape, q1_stiffness_batch)
 from fracflow.errors import GeometryError
 
 
@@ -25,6 +25,19 @@ def test_gauss_rules_exact_for_cubics():
         assert num == pytest.approx(exact, abs=1e-14)
     num = sum((x ** 2) * (y ** 3 + 1) for x, y in GAUSS_2X2)
     assert num == pytest.approx(2.0 / 3.0 * 2.0, abs=1e-14)
+
+
+def test_q1_shape_functions_on_point_arrays_stack_the_scalar_calls():
+    xi = np.random.default_rng(5).uniform(-1.5, 1.5, (2, 37))
+    N, dN = q1_shape(xi), q1_dshape(xi)
+    assert N.shape == (4, 37) and dN.shape == (4, 2, 37)
+    for j in range(xi.shape[1]):
+        assert np.array_equal(N[:, j], q1_shape(xi[:, j]))
+        assert np.array_equal(dN[:, :, j], q1_dshape(xi[:, j]))
+    # a partition of unity, and one at its own corner
+    assert np.allclose(N.sum(axis=0), 1.0, atol=1e-15)
+    assert np.allclose(dN.sum(axis=0), 0.0, atol=1e-15)
+    assert np.array_equal(q1_shape(np.array([1.0, 1.0])), [0.0, 0.0, 1.0, 0.0])
 
 
 def test_q1_stiffness_unit_square_values():
@@ -88,8 +101,8 @@ def einsum_stiffness(cell_vertices, k):
     """The per-Gauss-point einsum kernel, kept as the reference."""
     X = np.asarray(cell_vertices, dtype=float)
     K = np.zeros((len(X), 4, 4))
-    for xi, eta in GAUSS_2X2:
-        dN = _q1_dshape(xi, eta)
+    for xi in GAUSS_2X2:
+        dN = q1_dshape(xi)
         J = np.einsum("ai,nad->nid", dN, X)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         Jinv = np.stack([np.stack([J[:, 1, 1], -J[:, 0, 1]], axis=1),

@@ -5,7 +5,7 @@ import pytest
 
 from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
                       FractureNetwork, FractureSpec, GeometryError,
-                      InterfaceEntities, Point, build_interval,
+                      InterfaceEntities, Mesh, Point, build_interval,
                       build_structured_quad, check_conformity, run_scenario,
                       split_mesh)
 from conftest import unit_square, vertical_network
@@ -93,6 +93,16 @@ def test_interval_counts_and_tags():
     assert mesh.n_cells == 8
     assert set(mesh.boundary_tags()) == {"left", "right"}
     assert mesh.diameter() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("x, cells", [
+    ((0.0, 0.25, 0.5, 0.75, 1.0), ((0, 1), (2, 1), (2, 3), (3, 4))),   # cell 1 reversed
+    ((0.0, 0.5, 0.5, 1.0), ((0, 1), (1, 2), (2, 3))),                  # cell 1 of zero length
+])
+def test_interval_cells_must_run_left_to_right(x, cells):
+    facets = (((0,), "left"), ((len(x) - 1,), "right"))
+    with pytest.raises(GeometryError, match="cell 1 "):
+        Mesh(np.array(x)[:, None], np.array(cells), facets)
 
 
 def test_structured_quad_rejects_bad_sizes():

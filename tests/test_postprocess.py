@@ -17,6 +17,7 @@ from fracflow import (BoundaryConditionSet, ConfigurationError,
                       run_scenario, solve_system, split_mesh,
                       write_fracture_csv, write_profile_csv, write_solution_csv)
 from fracflow import postprocess
+from fracflow.elements import q1_shape
 from conftest import THROUGHFLOW, coeffs_for, unit_square, vertical_network
 
 
@@ -65,6 +66,53 @@ def test_sample_profile_1d():
     assert np.allclose(prof.values, 1.0 - prof.s, atol=1e-13)
 
 
+def sample_1d_per_point(split, values, xs, tol):
+    """The per-sample 1D loop, kept as the reference: every cell whose
+    interval, widened by tol, holds the point; their linear interpolants
+    averaged in ascending cell order."""
+    mesh = split.base
+    x_nodes = mesh.vertices[:, 0]
+    a = x_nodes[mesh.cells[:, 0]]
+    b = x_nodes[mesh.cells[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    out = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        mask = (x >= lo - tol) & (x <= hi + tol)
+        vals = []
+        for ci in np.nonzero(mask)[0]:
+            t = np.clip((x - a[ci]) / (b[ci] - a[ci]), 0.0, 1.0)
+            va, vb = values[mesh.cells[ci]]
+            vals.append((1.0 - t) * va + t * vb)
+        out[i] = float(np.mean(vals))
+    return out
+
+
+def nonuniform_interval(n, seed):
+    x = np.sort(np.r_[0.0, np.random.default_rng(seed).uniform(0.0, 1.0, n - 1), 1.0])
+    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return Mesh(x[:, None], cells, (((0,), "left"), ((n,), "right")))
+
+
+@pytest.mark.parametrize("mesh, network", [
+    (build_interval(64, 1.0), FractureNetwork((FractureSpec(
+        path=(Point(0.5),), aperture=ConstantAperture(1e-4), mobility=1e-4),))),
+    (nonuniform_interval(37, seed=2), FractureNetwork(())),
+])
+@pytest.mark.parametrize("start, end, m", [
+    (0.0, 1.0, 65),                      # every node, the split one included
+    (1.0, 0.0, 193),                     # backwards, between the nodes
+    (0.013, 0.977, 101),                 # ends off the nodes
+    (0.9, 0.1, 31),
+])
+def test_1d_sampling_matches_per_point_loop_bitwise(mesh, network, start, end, m):
+    split = split_mesh(mesh, network)
+    values = np.cos(7.0 * split.base.vertices[:, 0]) + np.arange(split.n_dofs) % 3
+    got = sample_profile(split, values, Point(start), Point(end), m)
+    want = sample_1d_per_point(split, values, got.points[:, 0],
+                               1e-12 * max(split.base.diameter(), 1.0))
+    assert got.values.tobytes() == want.tobytes()
+
+
 @pytest.fixture(scope="module")
 def conductive_32():
     res = run_scenario("regular2d", n=32, variant="conductive")
@@ -87,7 +135,7 @@ def sample_per_point(split, values, pts, tol):
             X = corners[ci]
             xi = np.zeros(2)
             for _ in range(30):
-                r = postprocess._q1_shape(xi) @ X - p
+                r = q1_shape(xi) @ X - p
                 if np.abs(r).max() < 1e-14 + 1e-14 * np.abs(X).max():
                     break
                 dN = 0.25 * np.array([
@@ -95,7 +143,7 @@ def sample_per_point(split, values, pts, tol):
                     [-(1 - xi[0]), -(1 + xi[0]), (1 + xi[0]), (1 - xi[0])],
                 ])
                 xi = xi - np.linalg.solve((dN @ X).T, r)
-            N = postprocess._q1_shape(np.clip(xi, -1.0, 1.0))
+            N = q1_shape(np.clip(xi, -1.0, 1.0))
             if np.linalg.norm(N @ X - p) <= tol:
                 hits.append(float(N @ values[mesh.cells[ci]]))
         out[i] = float(np.mean(hits))

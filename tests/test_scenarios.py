@@ -102,7 +102,7 @@ def test_compare_oracle_selection_rules():
         compare_scenario("regular2d")               # no reference available
     with pytest.raises(ConfigurationError):
         compare_scenario("onedim", oracle="equidim")
-    assert SCENARIOS["single_vertical"].oracles == ("equidim", "analytic")
+    assert tuple(SCENARIOS["single_vertical"].oracles) == ("equidim", "analytic")
 
 
 def test_compare_onedim_passes():

@@ -218,10 +218,15 @@ def test_singleton_groups_are_plain_jacobi():
 
 
 def test_groups_must_label_every_dof():
-    A = np.eye(4)
-    for bad in (np.zeros(3, dtype=int), np.array([0, 1, 2, -1]), np.zeros(4)):
-        with pytest.raises(SolverError):
-            cg_solve(A, np.ones(4), groups=bad)
+    # n=4 builds no smoother level (n <= COARSE_DOFS); n=1000 builds one.
+    for n in (4, 1000):
+        A = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        labels = np.arange(n)
+        for bad in (labels[:-1], np.r_[labels[:-1], -1], labels.astype(float)):
+            with pytest.raises(SolverError):
+                cg_solve(A, np.ones(n), groups=bad)
+            with pytest.raises(SolverError):
+                solve(A, np.ones(n), groups=bad)
 
 
 def test_indefinite_group_block_is_rejected():
