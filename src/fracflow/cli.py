@@ -140,15 +140,11 @@ def _merge_args(args) -> dict:
     """Config-file values overridden by explicit command-line flags."""
     target = args.target
     config: dict = {}
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
     if target is not None:
         if target.endswith(".json") or Path(target).is_file():
-            file_cfg = _load_config(target)
-            file_cfg.update(config)
-            config = file_cfg
+            config = _load_config(target)
         else:
-            config.setdefault("scenario", target)
+            config["scenario"] = target
     merged = {
         "scenario": config.get("scenario"),
         "n": args.n if args.n is not None else config.get("n"),
@@ -274,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, with_oracle):
         p.add_argument("target", nargs="?", default=None,
                        help="scenario name or JSON config path")
-        p.add_argument("--config", help="JSON config file")
         p.add_argument("--n", type=int, default=None, help="cells per side")
         p.add_argument("--variant", default=None, help="scenario variant")
         p.add_argument("--tol", type=float, default=None,

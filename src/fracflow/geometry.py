@@ -633,7 +633,7 @@ def _labels_first_encounter(n: int, rows, cols) -> np.ndarray:
     """Connected-component labels, renumbered by first occurrence in id order."""
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
     _count, raw = connected_components(graph, directed=False)
     _uniq, first = np.unique(raw, return_index=True)
     # Rank the components by the smallest member id.
@@ -693,9 +693,7 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
     is_fr_vertex = np.zeros(nv, dtype=bool)
     is_fr_vertex[chain_a] = True
     is_fr_vertex[chain_b] = True
-    corner_at = np.flatnonzero(is_fr_vertex[old_flat])
-    corner_of = np.full(len(old_flat), -1, dtype=np.int64)
-    corner_of[corner_at] = np.arange(len(corner_at))
+    corner_at = np.flatnonzero(is_fr_vertex[old_flat])   # sorted: corner number = position
     # Corner k of the first cell meets corner (k or k + 1) of the second
     # cell that holds the same vertex. Only edges at a fracture vertex link.
     ends1 = _slot_ends(slot1)
@@ -706,9 +704,9 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
         np.stack([ends1[0], np.where(aligned, ends2[0], ends2[1])]),
         np.stack([ends1[1], np.where(aligned, ends2[1], ends2[0])]),
     ], axis=1)
-    links = corner_of[links[:, is_fr_vertex[old_flat[links[0]]]]]
+    links = np.searchsorted(corner_at, links[:, is_fr_vertex[old_flat[links[0]]]])
     n_groups, group = connected_components(
-        coo_matrix((np.ones(links.shape[1]), (links[0], links[1])),
+        coo_matrix((np.ones(links.shape[1], dtype=np.int8), (links[0], links[1])),
                    shape=(len(corner_at), len(corner_at))), directed=False)
     # Each group's vertex and lowest cell (corners are in cell order).
     _uniq, first = np.unique(group, return_index=True)

@@ -1,17 +1,17 @@
 """Sparse SPD solvers: multigrid-preconditioned CG and a dense Cholesky oracle.
 
-Every solve runs preconditioned CG. ``solve`` preconditions it with one
-smoothed-aggregation V-cycle (``multigrid``; Vanek, Mandel & Brezina,
-Computing 56, 1996), which keeps the iteration count nearly independent of
-the mesh size. Its finest-level smoother is copy-group block Jacobi: it
+Every solve runs one CG path: ``cg_solve`` from a zero start, each
+iteration preconditioned by one smoothed-aggregation V-cycle (``multigrid``;
+Vanek, Mandel & Brezina, Computing 56, 1996), which keeps the iteration
+count nearly independent of the mesh size. ``solve`` builds the hierarchy
+and runs it. The finest-level smoother is copy-group block Jacobi: it
 inverts the diagonal blocks of the matrix over copy groups, the dofs that
 share one pre-split vertex (``SplitMesh.vertex_origin``), 2 on a fracture
 line and 3 or 4 at T-junctions and crossings. The ``kf/eps`` jump penalty
 couples exactly those copies, which plain Jacobi cannot see, and the
 aggregation keeps strongly coupled copies in one aggregate, so the penalty
 never reaches a coarse level. A dof without copies is a group of one, so
-with no groups the smoother is plain Jacobi. ``cg_solve`` without a
-hierarchy is CG preconditioned by the block Jacobi alone.
+with no groups the smoother is plain Jacobi.
 
 Matrices are scipy CSR; the CG loop is written out so the iteration count
 and residual history are available for reporting. ``cholesky_solve`` is
@@ -72,6 +72,16 @@ def _as_csr(A) -> sp.csr_matrix:
     if not np.all(np.isfinite(A.data)):
         raise SolverError("non-finite values in the linear system")
     return A
+
+
+def _check_rhs(b, n: int) -> np.ndarray:
+    """``b`` as a finite float vector of n entries; raises SolverError."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise SolverError(f"rhs shape {b.shape} does not match matrix size {n}")
+    if not np.all(np.isfinite(b)):
+        raise SolverError("non-finite values in the linear system")
+    return b
 
 
 def _check_groups(groups, n: int) -> np.ndarray | None:
@@ -293,8 +303,9 @@ class Multigrid:
 def multigrid(A, groups=None) -> Multigrid:
     """Build the smoothed-aggregation hierarchy of the SPD matrix ``A``.
 
-    ``groups`` labels copy groups as in ``cg_solve``; they shape the finest
-    smoother and aggregates. Each coarser level is P^T A P with the smoothed
+    ``groups`` labels each dof with its copy group (for a split mesh, the
+    pre-split vertex it came from); they shape the finest smoother and
+    aggregates. Each coarser level is P^T A P with the smoothed
     prolongator P = (I - S A) T, T the aggregates' indicator and S the
     damped smoother. Coarsening stops at ``COARSE_DOFS`` or when a level
     would keep more than ``MIN_SHRINK`` of its parent's dofs. Raises
@@ -334,18 +345,10 @@ def multigrid(A, groups=None) -> Multigrid:
     return Multigrid(levels)
 
 
-def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
-             x0: np.ndarray | None = None, groups=None,
-             hierarchy: Multigrid | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients preconditioned by a multigrid V-cycle or by
-    copy-group block Jacobi.
-
-    With ``hierarchy`` (built by ``multigrid`` for this matrix) each
-    iteration applies one V-cycle. Without it, ``groups`` labels each dof
-    with its copy group (for a split mesh, the pre-split vertex it came
-    from); dofs with equal labels form one block of a block-Jacobi
-    preconditioner. Without groups every dof is its own block, which is
-    plain Jacobi.
+def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
+             max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Conjugate gradients from a zero start, each iteration preconditioned
+    by one V-cycle of ``hierarchy`` (built by ``multigrid`` for this matrix).
 
     Convergence is measured in the Jacobi norm |r|_D = sqrt(r' D^-1 r) with
     D the matrix diagonal: converged means |b - A x|_D <= tol * |b|_D for the
@@ -361,25 +364,20 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     a restart would throw away the Krylov space and trip the stall test. Two
     failed checks in a row without a 10% gain mean the float64 floor.
 
-    From a zero start the initial residual is b itself, so a call applies the
-    preconditioner once per iteration plus once, and no product with A
-    precedes the loop; a given ``x0`` adds one product with A and one more
-    preconditioner apply (for sqrt(b' P b)).
+    The initial residual is b itself, so a call applies the V-cycle once per
+    iteration plus once, and no product with A precedes the loop.
 
     Raises NonConvergenceError (carrying the report) when the budget of
     ``max_iter`` (default 10 n) iterations is exhausted or the residual
-    stalls, SolverError on non-finite values or a matrix that is not SPD, and
-    ConfigurationError unless ``tol`` is finite and positive.
+    stalls, SolverError on non-finite values, a matrix that is not SPD or a
+    hierarchy of another size, and ConfigurationError unless ``tol`` is
+    finite and positive.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"solver tolerance must be finite and positive, got {tol!r}")
     A = _as_csr(A)
-    b = np.asarray(b, dtype=float)
     n = A.shape[0]
-    if b.shape != (n,):
-        raise SolverError(f"rhs shape {b.shape} does not match matrix size {n}")
-    if not np.all(np.isfinite(b)):
-        raise SolverError("non-finite values in the linear system")
+    b = _check_rhs(b, n)
     if max_iter is None:
         max_iter = 10 * n
 
@@ -387,14 +385,9 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     if np.any(inv_diag <= 0.0):
         raise SolverError("matrix has a non-positive diagonal entry; not SPD")
     np.divide(1.0, inv_diag, out=inv_diag)
-    levels: tuple[int, ...] = ()
-    if hierarchy is not None:
-        levels = hierarchy.sizes
-        if levels[0] != n:
-            raise SolverError(f"hierarchy built for {levels[0]} dofs, matrix has {n}")
-        precondition = hierarchy
-    else:
-        precondition = _group_blocks(A, _check_groups(groups, n)).dot
+    levels = hierarchy.sizes
+    if levels[0] != n:
+        raise SolverError(f"hierarchy built for {levels[0]} dofs, matrix has {n}")
 
     def pnorm(v: np.ndarray) -> float:
         return float(np.sqrt(np.abs(v @ (inv_diag * v))))
@@ -403,17 +396,12 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True, "cg", (0.0,), multigrid_levels=levels)
 
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - A @ x
-    p = precondition(r)
+    x = np.zeros(n)
+    r = b.copy()
+    p = hierarchy(r)
     rz = float(r @ p)
     history = [float(np.sqrt(max(rz, 0.0)))]
-    trigger = tol * (history[0] if x0 is None
-                     else float(np.sqrt(max(b @ precondition(b), 0.0))))
+    trigger = tol * history[0]
     it = 0
     last_true = np.inf
     stalled = False
@@ -437,7 +425,7 @@ def cg_solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
         x += alpha * p
         r -= alpha * Ap
         del Ap
-        z = precondition(r)
+        z = hierarchy(r)
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             raise SolverError("non-finite values during CG iteration")
@@ -468,11 +456,7 @@ def cholesky_solve(A, b) -> tuple[np.ndarray, SolveReport]:
     n = A.shape[0]
     if n > DENSE_LIMIT:
         raise SolverError(f"dense Cholesky limited to {DENSE_LIMIT} dofs, got {n}")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise SolverError(f"rhs shape {b.shape} does not match matrix size {n}")
-    if not np.all(np.isfinite(b)):
-        raise SolverError("non-finite values in the linear system")
+    b = _check_rhs(b, n)
     dense = A.toarray()
     try:
         c, low = scipy.linalg.cho_factor(dense)
@@ -495,7 +479,7 @@ def solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
     the hierarchy over ``groups`` unless a prebuilt one is passed."""
     if hierarchy is None:
         hierarchy = multigrid(A, groups)
-    return cg_solve(A, b, tol=tol, max_iter=max_iter, hierarchy=hierarchy)
+    return cg_solve(A, b, hierarchy, tol=tol, max_iter=max_iter)
 
 
 def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from fracflow import (BoundaryConditionSet, SCENARIOS, assemble,
-                      boundary_flux, cg_solve, compare_scenario,
+                      boundary_flux, compare_scenario,
                       fracture_jump, mass_balance_defect,
-                      nodal_error_vs_analytic, run_scenario,
+                      nodal_error_vs_analytic, run_scenario, solve,
                       solve_1d_interface_analytic, solve_system, split_mesh)
 from conftest import coeffs_for, unit_square, vertical_network
 
@@ -179,7 +179,8 @@ def test_criterion_09_algebraic_invariants_all_builtins():
         null = float(np.max(np.abs(A @ np.ones(A.shape[0])))) / scale
         diff = (A - A.T).tocsr()
         sym = float(np.max(np.abs(diff.data))) / scale if diff.nnz else 0.0
-        x, report = cg_solve(res.system.matrix, res.system.rhs, tol=1e-10)
+        x, report = solve(res.system.matrix, res.system.rhs, tol=1e-10,
+                          groups=res.system.copy_groups)
         worst_null = max(worst_null, null)
         worst_sym = max(worst_sym, sym)
         worst_cg = max(worst_cg, report.relative_residual)
