@@ -168,12 +168,18 @@ class LinearSystem:
     ``matrix``/``rhs`` are the symmetric eliminated system handed to the
     solver; ``rhs_raw`` holds all loads and ``rhs_body`` only the
     non-boundary loads (interface h terms), which is what consistent
-    boundary-flux recovery subtracts. ``matrix_domain`` is the subdomain
-    diffusion alone; ``interface_pairs`` (p, 2) holds the (side 1, side 2)
-    dofs of each interface node pair, and ``interface_mean`` /
-    ``interface_jump`` are the p x p operators on the pairs' side means and
-    jumps (see the module docstring). The matrix with all couplings before
-    elimination is not stored: ``matrix_raw`` forms it on each access.
+    boundary-flux recovery subtracts. ``interface_pairs`` (p, 2) holds the
+    (side 1, side 2) dofs of each interface node pair, and
+    ``interface_mean`` / ``interface_jump`` are the p x p operators on the
+    pairs' side means and jumps (see the module docstring).
+
+    The subdomain diffusion alone, ``matrix_domain``, agrees with ``matrix``
+    bit for bit, in indices and values, in every row but those of interface
+    pair dofs, of Dirichlet dofs and of dofs coupled to a Dirichlet dof. Only
+    those rows are stored: ``domain_rows`` (ascending) and
+    ``domain_at_rows``, the domain matrix's rows there as a
+    len(domain_rows) x n CSR. ``matrix_domain`` and ``matrix_raw``, the
+    matrix with all couplings before elimination, are formed on each access.
     ``copy_groups`` labels each dof with the pre-split vertex it was copied
     from; the solver preconditions over these groups.
     """
@@ -184,13 +190,34 @@ class LinearSystem:
     rhs_body: np.ndarray
     n_dofs: int
     dirichlet_dofs: dict[int, float]
-    matrix_domain: sp.csr_matrix
+    domain_rows: np.ndarray
+    domain_at_rows: sp.csr_matrix
     interface_pairs: np.ndarray
     interface_mean: sp.csr_matrix
     interface_jump: sp.csr_matrix
     copy_groups: np.ndarray
     dirichlet_tags: tuple[str, ...] = ()
     neumann_tags: tuple[str, ...] = ()
+
+    @property
+    def matrix_domain(self) -> sp.csr_matrix:
+        """The subdomain diffusion as a new n x n CSR matrix on each access:
+        ``domain_at_rows`` in ``domain_rows`` and the rows of ``matrix`` in
+        all others."""
+        A, D = self.matrix, self.domain_at_rows
+        from_A = np.ones(self.n_dofs, dtype=bool)
+        from_A[self.domain_rows] = False
+        count = np.diff(A.indptr)
+        take = np.repeat(from_A, count)
+        count[self.domain_rows] = np.diff(D.indptr)
+        put = np.repeat(from_A, count)
+        indptr = np.zeros(self.n_dofs + 1, dtype=D.indptr.dtype)
+        np.cumsum(count, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=D.indices.dtype)
+        data = np.empty(indptr[-1])
+        indices[put], data[put] = A.indices[take], A.data[take]
+        indices[~put], data[~put] = D.indices, D.data
+        return sp.csr_matrix((data, indices, indptr), shape=A.shape)
 
     @property
     def matrix_raw(self) -> sp.csr_matrix:
@@ -203,21 +230,25 @@ class LinearSystem:
     def residual_raw(self, solution: np.ndarray) -> np.ndarray:
         """rhs_body - matrix_raw @ solution, with the interface part in jump/mean form.
 
-        The domain matrix is applied as it is. The interface part first takes
-        each pair's jump and side mean, scales them by ``interface_jump`` and
-        ``interface_mean``, then scatters the results back to the two sides.
-        The kf/eps penalty so multiplies a small jump instead of two O(1)
-        pressures whose penalty-scaled products would have to cancel, and each
-        jump term enters its two sides with opposite signs. Boundary fluxes
-        recovered from this residual therefore conserve mass to the roundoff
-        of O(1) terms.
+        The domain matrix is applied row by row as it is: ``matrix @ x``,
+        with the ``domain_rows`` overwritten by ``domain_at_rows @ x``. Every
+        row so sums the same products in the same order as ``matrix_domain @
+        x`` would. The interface part first takes each pair's jump and side
+        mean, scales them by ``interface_jump`` and ``interface_mean``, then
+        scatters the results back to the two sides. The kf/eps penalty so
+        multiplies a small jump instead of two O(1) pressures whose
+        penalty-scaled products would have to cancel, and each jump term
+        enters its two sides with opposite signs. Boundary fluxes recovered
+        from this residual therefore conserve mass to the roundoff of O(1)
+        terms.
         """
         x = np.asarray(solution, dtype=float)
         lo, hi = self.interface_pairs.T
         interface = _pair_scatter(self.interface_pairs,
                                   self.interface_mean @ (0.5 * (x[lo] + x[hi])),
                                   self.interface_jump @ (x[hi] - x[lo]), self.n_dofs)
-        r = self.matrix_domain @ x
+        r = self.matrix @ x
+        r[self.domain_rows] = self.domain_at_rows @ x
         np.subtract(self.rhs_body, r, out=r)
         r -= interface
         return r
@@ -287,10 +318,12 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
     bcs : BoundaryConditionSet over the mesh's facet tags. A callable value
         gets one Point per facet vertex.
 
-    The domain matrix and the pair operators are stored; their sum is formed
-    once and the Dirichlet rows and columns are eliminated in place on it,
-    which gives ``matrix``. The sum itself is not kept:
-    ``LinearSystem.matrix_raw`` forms it again on access.
+    The domain matrix and the pair operators are summed once, and the
+    Dirichlet rows and columns are eliminated in place on the sum, which
+    gives ``matrix``. Neither the sum nor the full domain matrix is kept: the
+    system stores the pair operators and only the domain rows that differ
+    from ``matrix`` (see ``LinearSystem``), from which ``matrix_domain`` and
+    ``matrix_raw`` are formed again on access.
     """
     mesh = split.base
     n = split.n_dofs
@@ -357,6 +390,17 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
     A.data[fixed_row[A.indices[fixed_row] == np.repeat(d_idx, size)]] = 1.0
     A.eliminate_zeros()
 
+    # The rows where A may differ from the domain matrix: those whose entry
+    # count changed, and the interface pair rows, whose values may change in
+    # place. The count of every Dirichlet row and of each of its neighbours
+    # changed: the row kept only its diagonal out of its cells' couplings,
+    # the neighbours lost its column. So did that of a row where an exact
+    # zero of the domain matrix was dropped.
+    changed = np.diff(A.indptr) != np.diff(A_domain.indptr)
+    changed[pairs.ravel()] = True
+    domain_rows = np.flatnonzero(changed)
+    domain_at_rows = A_domain[domain_rows]
+
     return LinearSystem(
         matrix=A,
         rhs=rhs,
@@ -366,7 +410,8 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
         dirichlet_dofs=dict(zip(d_idx.tolist(), g.tolist())),
         dirichlet_tags=tuple(sorted(bcs.dirichlet)),
         neumann_tags=tuple(sorted(bcs.neumann)),
-        matrix_domain=A_domain,
+        domain_rows=domain_rows,
+        domain_at_rows=domain_at_rows,
         interface_pairs=pairs,
         interface_mean=K_mean,
         interface_jump=K_jump,

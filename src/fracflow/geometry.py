@@ -10,6 +10,7 @@ the assembly stage needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -249,8 +250,12 @@ class Mesh:
         return len(self.cells)
 
     def diameter(self) -> float:
-        # Column by column: a reduction over axis 0 of an (n, 2) array is
-        # some 20x slower.
+        return self._diameter
+
+    @cached_property
+    def _diameter(self) -> float:
+        # Once per mesh, column by column: a reduction over axis 0 of an
+        # (n, 2) array is some 20x slower.
         span = [float(c.max() - c.min()) for c in self.vertices.T]
         return float(np.linalg.norm(span))
 

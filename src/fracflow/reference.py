@@ -135,6 +135,12 @@ class EquidimResult:
     k_per_cell: np.ndarray
 
 
+def _band_widths(eps: Callable[[float], float], y: np.ndarray) -> np.ndarray:
+    """float(eps(y)) at each entry of y, with one call per distinct y."""
+    distinct, at = np.unique(y, return_inverse=True)
+    return np.array([float(eps(v)) for v in distinct.tolist()])[at.reshape(y.shape)]
+
+
 def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Point, Point],
                      fracture_line_x: float, eps: Union[float, Callable[[float], float]],
                      k_background: float, kf: float, bcs: BoundaryConditionSet,
@@ -166,8 +172,7 @@ def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Poin
 
     ys = np.linspace(lower.y, upper.y, ny + 1)
     if callable(eps):
-        w_at = np.vectorize(lambda y: float(eps(y)))
-        wmax = float(np.max(w_at(np.linspace(lower.y, upper.y, 4 * ny + 1))))
+        wmax = float(np.max(_band_widths(eps, np.linspace(lower.y, upper.y, 4 * ny + 1))))
     else:
         wmax = float(eps)
     if not (np.isfinite(wmax) and wmax > 0.0):
@@ -190,7 +195,7 @@ def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Poin
     split = split_mesh(mesh, FractureNetwork(()))
     centers = mesh.vertices[mesh.cells].mean(axis=1)
     if callable(eps):
-        half_w = 0.5 * w_at(centers[:, 1])
+        half_w = 0.5 * _band_widths(eps, centers[:, 1])     # the cells of a row share one y
     else:
         half_w = 0.5 * float(eps)
     in_band = np.abs(centers[:, 0] - fracture_line_x) < half_w

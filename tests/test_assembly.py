@@ -12,6 +12,7 @@ from fracflow import (BoundaryConditionSet, ConfigurationError,
                       build_interval, build_structured_quad, default_eps_floor,
                       fracture_coefficient_map, fracture_to_coeffs,
                       sample_profile, solve_system, split_mesh)
+from fracflow.assembly import _domain_matrix
 from fracflow.elements import facet_load, q1_stiffness_batch
 from fracflow.scenarios import SCENARIOS
 from conftest import THROUGHFLOW, coeffs_for, unit_square, vertical_network
@@ -445,3 +446,69 @@ def test_fracture_free_elimination_leaves_matrix_domain_intact():
     assert np.max(np.abs(domain @ np.ones(system.n_dofs))) <= 1e-12 * scale
     assert not np.shares_memory(system.matrix.data, domain.data)
     assert (system.matrix_raw != domain).nnz == 0
+
+
+# --- the stored domain rows --------------------------------------------------
+
+_DOMAIN_CASES = [(name, variant) for name, spec in SCENARIOS.items()
+                 for variant in spec.variants or (None,)] + [("fracture-free", None)]
+
+
+@pytest.fixture(scope="module", params=_DOMAIN_CASES, ids=lambda c: "-".join(filter(None, c)))
+def system_and_domain(request):
+    """A system and the full domain matrix it was assembled from: every
+    built-in at its default n (regular2d's fractures meet its Dirichlet
+    sides), and a fracture-free system with per-cell mobilities."""
+    name, variant = request.param
+    if name == "fracture-free":
+        split = split_mesh(unit_square(8), FractureNetwork(()))
+        k_cell = np.random.default_rng(0).uniform(0.5, 2.0, split.base.n_cells)
+        system = assemble(split, None, [], THROUGHFLOW, k_per_cell=k_cell)
+    else:
+        spec = SCENARIOS[name]
+        case = spec.build(spec.default_n, variant)
+        split = case.split
+        system = assemble(split, case.k_per_subdomain, case.coeffs, case.bcs)
+        k_cell = np.asarray(case.k_per_subdomain, dtype=float)[split.subdomain_of_cell]
+    return system, _domain_matrix(split.base, k_cell, system.n_dofs)
+
+
+def test_residual_raw_is_the_full_domain_formula_bit_for_bit(system_and_domain):
+    system, domain = system_and_domain
+    x = np.random.default_rng(1).standard_normal(system.n_dofs)
+    # rhs_body - domain @ x - (M^T mean + J^T jump), as residual_raw was
+    # written over the full domain matrix
+    pairs, n = system.interface_pairs, system.n_dofs
+    lo, hi = pairs.T
+    half = 0.5 * (system.interface_mean @ (0.5 * (x[lo] + x[hi])))
+    jump = system.interface_jump @ (x[hi] - x[lo])
+    interface = np.bincount(lo, half - jump, minlength=n)
+    interface += np.bincount(hi, half + jump, minlength=n)
+    want = domain @ x
+    np.subtract(system.rhs_body, want, out=want)
+    want -= interface
+    assert np.array_equal(system.residual_raw(x).view(np.int64), want.view(np.int64))
+
+
+def test_rows_outside_the_stored_set_are_domain_rows(system_and_domain):
+    system, domain = system_and_domain
+    A = system.matrix
+    outside = np.ones(system.n_dofs, dtype=bool)
+    outside[system.domain_rows] = False
+    assert np.all(np.diff(system.domain_rows) > 0)
+    assert np.count_nonzero(~outside) < 0.5 * system.n_dofs
+    assert np.array_equal(np.diff(A.indptr)[outside], np.diff(domain.indptr)[outside])
+    in_A = np.repeat(outside, np.diff(A.indptr))
+    in_domain = np.repeat(outside, np.diff(domain.indptr))
+    assert np.array_equal(A.indices[in_A], domain.indices[in_domain])
+    assert np.array_equal(A.data[in_A].view(np.int64), domain.data[in_domain].view(np.int64))
+
+
+def test_matrix_domain_is_the_domain_matrix_bit_for_bit(system_and_domain):
+    system, domain = system_and_domain
+    formed = system.matrix_domain
+    for name in ("indptr", "indices"):
+        assert getattr(formed, name).dtype == getattr(domain, name).dtype
+        assert np.array_equal(getattr(formed, name), getattr(domain, name))
+    assert np.array_equal(formed.data.view(np.int64), domain.data.view(np.int64))
+    assert formed is not system.matrix_domain                # formed on each access

@@ -86,6 +86,12 @@ def test_structured_quad_counts_and_tags():
     assert area == pytest.approx(2.0)
 
 
+def test_diameter_is_computed_once_per_mesh():
+    mesh = build_structured_quad(4, 3, Point(0.0, 0.0), Point(2.0, 1.0))
+    first = mesh.diameter()
+    assert mesh.diameter() is first
+
+
 def test_interval_counts_and_tags():
     mesh = build_interval(8, 2.0)
     assert mesh.dim == 1

@@ -199,6 +199,25 @@ def test_equidim_variable_width_band():
     assert np.all(centers[modified][:, 1] < 0.5)
 
 
+def test_equidim_band_width_is_called_once_per_distinct_y():
+    seen = []
+
+    def width(y):
+        seen.append(y)
+        return 1e-2 * (1.0 + y)
+    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
+    res = solve_equidim_2d(nx_outside=10, band_cells_across=2,
+                           domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
+                           fracture_line_x=0.5, eps=width, k_background=1.0,
+                           kf=1e-4, bcs=bcs, ny=8)
+    assert len(seen) == (4 * 8 + 1) + 8       # the band's extent, then once per cell row
+    assert res.split.base.n_cells > 8 * 8
+    # the widths the cells got are eps at their centre y, call by call
+    centers = res.split.base.vertices[res.split.base.cells].mean(axis=1)
+    in_band = np.abs(centers[:, 0] - 0.5) < 0.5 * np.array([width(y) for y in centers[:, 1]])
+    assert np.array_equal(res.k_per_cell != 1.0, in_band)
+
+
 def test_equidim_validation():
     bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
     dom = (Point(0.0, 0.0), Point(1.0, 1.0))
