@@ -105,11 +105,12 @@ def fracture_to_coeffs(k_f: float, eps_at_nodes, eps_floor: float) -> InterfaceC
     return InterfaceCoefficients(kappa_j=k_f * eps, r_a=k_f / eps)
 
 
-def fracture_coefficient_map(mobility: float, max_aperture: float,
-                             eps_floor: float | None = None) -> Callable[[np.ndarray], InterfaceCoefficients]:
+def fracture_coefficient_map(mobility: float,
+                             max_aperture: float) -> Callable[[np.ndarray], InterfaceCoefficients]:
     """Coefficient callable for one fracture: nodal apertures (m_j, k) to
-    the fracture's InterfaceCoefficients (see ``fracture_to_coeffs``)."""
-    floor = default_eps_floor(max_aperture) if eps_floor is None else eps_floor
+    the fracture's InterfaceCoefficients (see ``fracture_to_coeffs``), the
+    apertures floored at ``default_eps_floor(max_aperture)``."""
+    floor = default_eps_floor(max_aperture)
     return lambda apertures: fracture_to_coeffs(mobility, apertures, floor)
 
 
@@ -161,7 +162,7 @@ def _with_interface(matrix_domain: sp.csr_matrix, pairs: np.ndarray, K_mean: sp.
     return matrix_domain + (M.T @ K_mean @ M + J.T @ K_jump @ J)
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearSystem:
     """Assembled system before and after Dirichlet elimination.
 

@@ -187,12 +187,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming mesh: segments in 1D, quadrilaterals (CCW) in 2D.
 
     ``boundary_facets`` pairs vertex-index tuples with a tag string; each
-    facet must be owned by exactly one cell.
+    facet must be owned by exactly one cell. Meshes, like the other records
+    of the package that hold arrays, compare and hash by identity.
     """
 
     vertices: np.ndarray
@@ -266,7 +267,7 @@ class Mesh:
         return tuple(seen)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterfaceEntities:
     """Interface entities of a split mesh as read-only arrays, one row each.
 
@@ -298,7 +299,7 @@ class InterfaceEntities:
         return InterfaceEntities(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitMesh:
     """A mesh whose fracture vertices have been duplicated per side.
 
@@ -462,7 +463,7 @@ def _default_tol(mesh: Mesh) -> float:
     return 1e-12 * max(mesh.diameter(), 1.0)
 
 
-def check_conformity(mesh: Mesh, network: FractureNetwork, tol: float | None = None):
+def check_conformity(mesh: Mesh, network: FractureNetwork):
     """Match each fracture path to a chain of mesh entities.
 
     Returns one entry per fracture: in 2D an ordered list of vertex-index
@@ -470,14 +471,12 @@ def check_conformity(mesh: Mesh, network: FractureNetwork, tol: float | None = N
     one-element list with the matched vertex id. Raises ConformityError if
     any portion of a path fails to coincide with mesh edges/vertices.
     """
-    return _match_paths(mesh, network, tol, _EdgeTable(mesh) if mesh.dim == 2 else None)
+    return _match_paths(mesh, network, _EdgeTable(mesh) if mesh.dim == 2 else None)
 
 
-def _match_paths(mesh: Mesh, network: FractureNetwork, tol: float | None,
-                 table: _EdgeTable | None):
+def _match_paths(mesh: Mesh, network: FractureNetwork, table: _EdgeTable | None):
     """``check_conformity`` on the edge table of a 2D mesh (None in 1D)."""
-    if tol is None:
-        tol = _default_tol(mesh)
+    tol = _default_tol(mesh)
     for f in network:
         if f.dim != mesh.dim:
             raise GeometryError(f"fracture dimension {f.dim} does not match mesh dimension {mesh.dim}")
@@ -543,7 +542,7 @@ def _match_paths(mesh: Mesh, network: FractureNetwork, tol: float | None,
     return chains
 
 
-def split_mesh(mesh: Mesh, network: FractureNetwork, tol: float | None = None) -> SplitMesh:
+def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     """Duplicate fracture vertices per side and label subdomains.
 
     Every vertex on a fracture path is duplicated once per incident corner
@@ -559,9 +558,9 @@ def split_mesh(mesh: Mesh, network: FractureNetwork, tol: float | None = None) -
     overlapping fractures.
     """
     if mesh.dim == 1:
-        return _split_mesh_1d(mesh, network, _match_paths(mesh, network, tol, None))
+        return _split_mesh_1d(mesh, network, _match_paths(mesh, network, None))
     table = _EdgeTable(mesh)
-    return _split_mesh_2d(mesh, network, _match_paths(mesh, network, tol, table), table)
+    return _split_mesh_2d(mesh, network, _match_paths(mesh, network, table), table)
 
 
 def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, chains) -> SplitMesh:

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinear1D:
     """Piecewise linear profile; one breakpoint may repeat to carry a jump."""
 
@@ -124,7 +124,7 @@ def solve_1d_interface_analytic(L: float, S: float, eps: float, k1: float,
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class EquidimResult:
     """Equi-dimensional solve: fracture-free split mesh plus nodal pressure."""
 
@@ -144,8 +144,7 @@ def _band_widths(eps: Callable[[float], float], y: np.ndarray) -> np.ndarray:
 def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Point, Point],
                      fracture_line_x: float, eps: Union[float, Callable[[float], float]],
                      k_background: float, kf: float, bcs: BoundaryConditionSet,
-                     ny: int | None = None, tol: float = 1e-12,
-                     max_iter: int | None = None) -> EquidimResult:
+                     ny: int | None = None) -> EquidimResult:
     """Solve the flow problem with the inclusion meshed as a thin band.
 
     A tensor-product grid is built from ``nx_outside`` uniform columns; grid
@@ -155,7 +154,8 @@ def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Poin
 
     ``eps`` may be a callable of y (varying aperture); the band width is then
     row-dependent and approximated by whole cell columns, a documented
-    discretization error of this oracle.
+    discretization error of this oracle. The system is solved to a relative
+    residual of 1e-12.
     """
     lower, upper = domain
     if lower.dim != 2 or upper.dim != 2:
@@ -205,7 +205,6 @@ def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Poin
     k_cell = np.where(in_band, float(kf), float(k_background))
 
     system = assemble(split, None, [], bcs, k_per_cell=k_cell)
-    pressure, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter,
-                           groups=system.copy_groups)
+    pressure, report = solve(system.matrix, system.rhs, tol=1e-12, groups=system.copy_groups)
     return EquidimResult(split=split, pressure=pressure, system=system,
                          report=report, k_per_cell=k_cell)

@@ -50,6 +50,8 @@ MIN_SHRINK = 0.8
 POWER_STEPS = 15
 # Fixed seed of the aggregation priorities and the power iteration start.
 SEED = 0
+# Refinement rounds of ``solve_system`` after the first solve.
+REFINE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -473,18 +475,17 @@ def cholesky_solve(A, b) -> tuple[np.ndarray, SolveReport]:
     return x, SolveReport(1, rel, True, "cholesky")
 
 
-def solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
-          groups=None, hierarchy: Multigrid | None = None) -> tuple[np.ndarray, SolveReport]:
+def solve(A, b, tol: float = 1e-10, groups=None,
+          hierarchy: Multigrid | None = None) -> tuple[np.ndarray, SolveReport]:
     """Multigrid-preconditioned CG at any size (see ``cg_solve``). Builds
     the hierarchy over ``groups`` unless a prebuilt one is passed."""
     if hierarchy is None:
         hierarchy = multigrid(A, groups)
-    return cg_solve(A, b, hierarchy, tol=tol, max_iter=max_iter)
+    return cg_solve(A, b, hierarchy, tol=tol)
 
 
-def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,
-                 refine: int = 2) -> tuple[np.ndarray, SolveReport]:
-    """Solve an assembled system, then iteratively refine the solution.
+def solve_system(system, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
+    """Solve an assembled system, then refine it in up to ``REFINE_ROUNDS`` rounds.
 
     The assembled matrix rounds O(1/eps) interface entries against O(1)
     stiffness entries, which biases the solution by about 1e-8 on strongly
@@ -499,20 +500,18 @@ def solve_system(system, tol: float = 1e-10, max_iter: int | None = None,
     refinement solve attached.
     """
     hierarchy = multigrid(system.matrix, system.copy_groups)
-    x, report = solve(system.matrix, system.rhs, tol=tol, max_iter=max_iter,
-                      hierarchy=hierarchy)
+    x, report = solve(system.matrix, system.rhs, tol=tol, hierarchy=hierarchy)
     fixed = np.fromiter(system.dirichlet_dofs, dtype=np.intp, count=len(system.dirichlet_dofs))
     g = np.fromiter(system.dirichlet_dofs.values(), dtype=float, count=len(fixed))
     refinement: list[int] = []
-    for _ in range(refine):
+    for _ in range(REFINE_ROUNDS):
         r = system.residual_raw(x)
         r += system.rhs_raw - system.rhs_body
         r[fixed] = g - x[fixed]
         if not np.any(r):
             break
         # The correction only needs a few digits; its error is scaled by ||r||.
-        delta, round_report = solve(system.matrix, r, tol=1e-4, max_iter=max_iter,
-                                    hierarchy=hierarchy)
+        delta, round_report = solve(system.matrix, r, tol=1e-4, hierarchy=hierarchy)
         del r
         refinement.append(round_report.iterations)
         x += delta

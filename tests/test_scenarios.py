@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from fracflow import (ConfigurationError, ConstantAperture, FractureNetwork,
-                      FractureSpec, Point, SCENARIOS, compare_scenario,
+from fracflow import (BoundaryConditionSet, ConfigurationError, ConstantAperture,
+                      FractureNetwork, FractureSpec, Point, SCENARIOS,
+                      build_structured_quad, compare_scenario,
                       nodal_error_vs_analytic, run_scenario, scenario_names,
-                      solve_1d_interface_analytic)
-from fracflow.scenarios import _side_of_vertices
+                      solve_1d_interface_analytic, solve_equidim_2d)
+from fracflow.geometry import _tensor_quad_mesh
+from fracflow.scenarios import _ELLIPSE_FULL, _ELLIPSE_REDUCED, _side_of_vertices
 
 
 EXPECTED_NAMES = ("onedim", "regular2d", "single_vertical", "patch_eps_sweep",
@@ -145,3 +147,98 @@ def test_compare_report_shape():
                 "passed", "profiles"):
         assert key in rep
     assert rep["n"] == 32
+
+
+_BAND_METRICS = ("l2", "max", "oracle_range", "l2_over_range")
+# (scenario, oracle) -> compared profile, metric keys, gated metric, notes.
+_REPORT_SHAPES = {
+    ("onedim", "analytic"): (
+        None, ("nodal_max_error", "model_vs_resolved_inlet_gap"), "nodal_max_error",
+        "inlet gap vs the resolved-inclusion profile is the modeling error, expected ~eps"),
+    ("single_vertical", "equidim"): ("y0p7", _BAND_METRICS, "l2_over_range", None),
+    ("single_vertical", "analytic"): (None, ("nodal_max_error",), "nodal_max_error", None),
+    ("patch_eps_sweep", "ratios"): (
+        None, ("apertures", "sup_deviation", "ratios", "ratio_rel_deviation"),
+        "ratio_rel_deviation", None),
+    ("wentzell_tangential", "equidim"): (
+        "fracture_centerline", _BAND_METRICS, "l2_over_range", None),
+    ("ellipse2d", "equidim"): (
+        "y0p7", _BAND_METRICS + ("scale",), "l2_over_range",
+        "run at reduced scale minor=kf=1e-2 so the band is meshable; the scenario "
+        "default is 1e-4"),
+}
+
+
+def test_report_shapes_cover_every_oracle():
+    assert set(_REPORT_SHAPES) == {(name, oracle) for name, spec in SCENARIOS.items()
+                                   for oracle in spec.oracles}
+
+
+@pytest.mark.parametrize("name, oracle", list(_REPORT_SHAPES))
+def test_compare_report_shape_of_every_oracle(name, oracle):
+    profile, metric_keys, gated, notes = _REPORT_SHAPES[name, oracle]
+    rep = compare_scenario(name, n=8, oracle=oracle)
+    expected = {"scenario", "variant", "n", "oracle", "metrics", "thresholds",
+                "passed", "profiles"} | ({"notes"} if notes else set())
+    assert set(rep) == expected
+    assert (rep["scenario"], rep["variant"], rep["n"], rep["oracle"]) == (name, None, 8, oracle)
+    assert tuple(rep["metrics"]) == metric_keys
+    assert list(rep["thresholds"]) == [gated]
+    assert rep.get("notes") == notes
+    m = rep["metrics"]
+    assert rep["profiles"] == ({profile: {"l2": m["l2"], "max": m["max"]}} if profile else {})
+    if "scale" in metric_keys:
+        assert m["scale"] == {"minor": 1e-2, "kf": 1e-2, "major": 1.0 + 1e-2}
+
+
+@pytest.mark.parametrize("scale", [_ELLIPSE_FULL, _ELLIPSE_REDUCED])
+def test_ellipse_band_width_is_the_closed_form_bit_for_bit(scale):
+    """The band width the ellipse comparison reads from the scenario's
+    aperture, at x = 0.5, equals the closed form it replaced: at the grid y
+    and the cell-centre y of band meshes from n = 8 to 512, and at random y."""
+    aperture = SCENARIOS["ellipse2d"].build(4, None, scale=scale).split.network.fractures[0].aperture
+    a = 0.5 * scale["major"]
+
+    def closed_form(y):
+        t = (y - 0.5) / a
+        return scale["minor"] * float(np.sqrt(max(0.0, 1.0 - t * t)))
+
+    ys = [np.random.default_rng(0).uniform(0.0, 1.0, 10_000)]
+    for n in (8, 16, 32, 64, 128, 256, 512):
+        mesh = _tensor_quad_mesh(np.array([0.0, 1.0]), np.linspace(0.0, 1.0, n + 1))
+        ys += [np.linspace(0.0, 1.0, 4 * n + 1),
+               mesh.vertices[mesh.cells].mean(axis=1)[:, 1]]
+    for y in np.concatenate(ys).tolist():
+        assert aperture(Point(0.5, y)) == closed_form(y), y
+
+
+def _equidim(n):
+    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
+    return solve_equidim_2d(nx_outside=n, band_cells_across=2,
+                            domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
+                            fracture_line_x=0.5, eps=1e-2, k_background=1.0,
+                            kf=1e-2, bcs=bcs)
+
+
+_RECORDS = {
+    "Mesh": lambda: build_structured_quad(4, 4, Point(0.0, 0.0), Point(1.0, 1.0)),
+    "SplitMesh": lambda: run_scenario("single_vertical", n=4).split,
+    "InterfaceEntities": lambda: run_scenario("single_vertical", n=4).split.interface_edges,
+    "LinearSystem": lambda: run_scenario("single_vertical", n=4).system,
+    "Profile": lambda: run_scenario("single_vertical", n=4).profiles["y0p7"],
+    "PiecewiseLinear1D": lambda: solve_1d_interface_analytic(1.0, 0.5, 1e-2, 1.0, 1.0, 1e-2, 1.0),
+    "EquidimResult": lambda: _equidim(4),
+    "ScenarioCase": lambda: SCENARIOS["single_vertical"].build(4, None),
+    "ScenarioResult": lambda: run_scenario("single_vertical", n=4),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RECORDS))
+def test_array_records_compare_and_hash_by_identity(kind):
+    """Records that hold arrays compare by identity: the field-wise == of a
+    generated __eq__ would compare arrays and raise, and their hash would
+    hash arrays."""
+    a, b = _RECORDS[kind](), _RECORDS[kind]()
+    assert type(a).__name__ == kind
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
