@@ -4,14 +4,17 @@ Every solve runs one CG path: ``cg_solve`` from a zero start, each
 iteration preconditioned by one smoothed-aggregation V-cycle (``multigrid``;
 Vanek, Mandel & Brezina, Computing 56, 1996), which keeps the iteration
 count nearly independent of the mesh size. ``solve`` builds the hierarchy
-and runs it. The finest-level smoother is copy-group block Jacobi: it
-inverts the diagonal blocks of the matrix over copy groups, the dofs that
-share one pre-split vertex (``SplitMesh.vertex_origin``), 2 on a fracture
-line and 3 or 4 at T-junctions and crossings. The ``kf/eps`` jump penalty
-couples exactly those copies, which plain Jacobi cannot see, and the
-aggregation keeps strongly coupled copies in one aggregate, so the penalty
-never reaches a coarse level. A dof without copies is a group of one, so
-with no groups the smoother is plain Jacobi.
+and runs it. The finest-level smoother is group block Jacobi: it inverts
+the diagonal blocks of the matrix over groups of dofs. On a split mesh a
+group is the copies of one pre-split vertex (``SplitMesh.vertex_origin``),
+2 on a fracture line and 3 or 4 at T-junctions and crossings; the
+``kf/eps`` jump penalty couples exactly those copies, which plain Jacobi
+cannot see. In the resolved-band reference a group is one row of nodes
+across the band, which the block inverse relaxes as a line, as thin cells
+call for. The aggregation keeps the strongly coupled dofs of a group in
+one aggregate, so the penalty never reaches a coarse level. A dof alone
+in its group is a group of one, so with no groups the smoother is plain
+Jacobi.
 
 Matrices are scipy CSR; the CG loop is written out so the iteration count
 and residual history are available for reporting. ``cholesky_solve`` is
@@ -87,7 +90,7 @@ def _check_rhs(b, n: int) -> np.ndarray:
 
 
 def _check_groups(groups, n: int) -> np.ndarray | None:
-    """``groups`` as an array of n non-negative integer copy-group labels,
+    """``groups`` as an array of n non-negative integer group labels,
     or None; raises SolverError on anything else."""
     if groups is None:
         return None
@@ -101,33 +104,30 @@ def _check_groups(groups, n: int) -> np.ndarray | None:
 
 def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
     """Block-Jacobi inverse: the inverse of A's diagonal blocks over the
-    copy groups (checked labels), as an n x n CSR matrix. Dofs of groups of
-    one (all dofs when ``groups`` is None) get the inverse diagonal."""
+    groups (checked labels), as an n x n CSR matrix whose row holds its
+    group's dofs in ascending order. Dofs of groups of one (all dofs when
+    ``groups`` is None) get the inverse diagonal."""
     n = A.shape[0]
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise SolverError("matrix has a non-positive diagonal entry; not SPD")
-    inv_diag = 1.0 / diag
+    row_len = np.ones(n, dtype=np.int32)
     dofs = np.zeros(0, dtype=np.intp)
     if groups is not None:
         dofs = np.flatnonzero((np.bincount(groups) > 1)[groups])
-    single = np.ones(n, dtype=bool)
-    single[dofs] = False
-    rows = [np.flatnonzero(single)]
-    cols = [rows[0]]
-    vals = [inv_diag[single]]
     if len(dofs):
-        dofs = dofs[np.argsort(groups[dofs], kind="stable")]
+        dofs = dofs[np.argsort(groups[dofs], kind="stable")].astype(np.int32)
         g = groups[dofs]
-        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]]).astype(np.int32)
         sizes = np.diff(np.r_[starts, len(g)])
         block = np.repeat(np.arange(len(starts)), sizes)
         local = np.arange(len(g)) - starts[block]
+        row_len[dofs] = sizes[block]
 
         # Dense blocks padded to the largest group with an identity tail.
         sub = A[dofs][:, dofs].tocoo()
         same = block[sub.row] == block[sub.col]
-        k = np.arange(sizes.max())
+        k = np.arange(sizes.max(), dtype=np.int32)
         used = k < sizes[:, None]
         B = np.zeros((len(sizes), len(k), len(k)))
         np.add.at(B, (block[sub.row[same]], local[sub.row[same]], local[sub.col[same]]),
@@ -138,14 +138,24 @@ def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
         except np.linalg.LinAlgError as exc:
             raise SolverError("a copy-group block is not positive definite; "
                               "matrix not SPD") from exc
+        del sub, same, B
         P = np.einsum("mki,mkj->mij", L_inv, L_inv)        # B^-1 = L^-T L^-1
+        del L_inv
         P = 0.5 * (P + P.transpose(0, 2, 1))
-        m, i, j = np.nonzero(used[:, :, None] & used[:, None, :])
-        rows.append(dofs[starts[m] + i])
-        cols.append(dofs[starts[m] + j])
-        vals.append(P[m, i, j])
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    single = np.flatnonzero(row_len == 1)
+    indices[indptr[single]] = single
+    data[indptr[single]] = 1.0 / diag[single]
+    if len(dofs):
+        # the row of dofs[p] is row local[p] of its block, over its group's dofs
+        in_block = used[block]
+        at = (indptr[dofs][:, None] + k)[in_block]
+        indices[at] = dofs[(starts[block][:, None] + k)[in_block]]
+        data[at] = P[block, local][in_block]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _smoother(A: sp.csr_matrix, groups) -> sp.csr_matrix:
@@ -166,85 +176,145 @@ def _smoother(A: sp.csr_matrix, groups) -> sp.csr_matrix:
     return M_inv
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of ``rows`` in a CSR matrix with this
+    ``indptr``, row after row, and where each row starts among them."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    at = np.cumsum(lengths, dtype=lengths.dtype) - lengths
+    pos = np.repeat(starts - at, lengths)
+    pos += np.arange(len(pos), dtype=pos.dtype)
+    return pos, at
+
+
+def _strength_graph(A: sp.csr_matrix, groups) -> tuple[sp.csr_matrix, np.ndarray | None]:
+    """The strong couplings of A with a loop at every node, as a boolean
+    CSR graph, and each dof's node (None: every dof is its own node).
+
+    Dofs of one group joined by a strong coupling are one node. The graph
+    is built in A's rows; when some dofs merge, the rows of a node's dofs
+    are gathered into one and their columns renamed to nodes, so a merged
+    node's row may name a column more than once.
+    """
+    n = A.shape[0]
+    indptr, cols = A.indptr, A.indices
+    row_len = np.diff(indptr)
+    scale = 1.0 / np.sqrt(A.diagonal())
+    node = None
+    if groups is not None:
+        # Only dofs with copies can couple within their group.
+        copied = np.flatnonzero((np.bincount(groups) > 1)[groups]).astype(indptr.dtype)
+        pos, _ = _row_entries(indptr, copied)
+        i, j = np.repeat(copied, row_len[copied]), cols[pos]
+        # a_ij s_i s_j: the strength with its sign flipped, rounded alike.
+        pair = (scale[i] * A.data[pos] * scale[j] <= -STRENGTH_THETA) \
+            & (groups[i] == groups[j]) & (i != j)
+        if pair.any():
+            merge = sp.csr_matrix((np.ones(int(pair.sum()), dtype=np.int8), (i[pair], j[pair])),
+                                  shape=(n, n))
+            node = connected_components(merge, directed=False)[1].astype(np.int32)
+
+    # The strong couplings and the diagonal entries, in blocks of whole rows
+    # with about STRENGTH_BLOCK entries, which bounds the temporaries.
+    looped = np.empty(len(cols), dtype=bool)
+    firsts = np.unique(np.searchsorted(indptr, np.arange(0, len(cols), STRENGTH_BLOCK),
+                                       side="right") - 1)
+    for a, b in zip(firsts.tolist(), [*firsts[1:].tolist(), n]):
+        part = slice(indptr[a], indptr[b])
+        c = cols[part]
+        strength = np.repeat(scale[a:b], row_len[a:b])
+        strength *= A.data[part]
+        strength *= scale[c]
+        np.less_equal(strength, -STRENGTH_THETA, out=looped[part])
+        looped[part] |= np.repeat(np.arange(a, b, dtype=c.dtype), row_len[a:b]) == c
+    S_indptr = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(np.add.reduceat(looped, indptr[:-1], dtype=indptr.dtype), out=S_indptr[1:])
+    S = sp.csr_matrix((np.ones(int(S_indptr[-1]), dtype=bool), cols[looped], S_indptr),
+                      shape=(n, n))
+    del looped
+    if node is None:
+        return S, None
+    # A node's row is its dofs' rows one after another; a merged pair becomes a loop.
+    S = S[np.argsort(node, kind="stable")]
+    S.indices = node[S.indices]
+    m = int(node.max()) + 1
+    node_rows = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(node, minlength=m), out=node_rows[1:])
+    return sp.csr_matrix((S.data, S.indices, S.indptr[node_rows]), shape=(m, m)), node
+
+
 def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
     """Aggregate label of each dof (-1: not aggregated) and the count.
 
-    Copies of one group joined by a strong coupling become one node of the
-    strength graph, so they always share an aggregate. Roots are a
-    distance-2 maximal independent set of the nodes, picked by Luby rounds
-    with fixed-seed priorities; each aggregate is a root, its neighbours,
-    then the nodes next to those. Nodes without strong couplings (Dirichlet
-    rows among them) stay out: the smoother alone handles them.
+    Dofs of one group joined by a strong coupling are one node of the
+    strength graph (``_strength_graph``), so they always share an
+    aggregate. Roots are a distance-2 maximal independent set of the nodes,
+    picked by Luby rounds with fixed-seed priorities: a round makes roots of
+    the undecided nodes whose priority is the largest within distance 2 and
+    takes the nodes within distance 2 of those out. On a symmetric matrix
+    this is the one set a greedy pass in priority order picks, however the
+    rounds fall (Blelloch, Fineman & Shun, SPAA 2012). Each aggregate is a
+    root, its neighbours, then the nodes next to those. Nodes without strong
+    couplings (Dirichlet rows among them) stay out: the smoother alone
+    handles them. ``A`` has a positive diagonal (``_smoother`` checks).
     """
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
-    cols = A.indices
-    scale = 1.0 / np.sqrt(A.diagonal())
-    strong = np.empty(len(cols), dtype=bool)
-    for start in range(0, len(cols), STRENGTH_BLOCK):
-        part = slice(start, start + STRENGTH_BLOCK)
-        # a_ij s_i s_j: the strength with its sign flipped, rounded alike.
-        strength = scale[rows[part]]
-        strength *= A.data[part]
-        strength *= scale[cols[part]]
-        np.less_equal(strength, -STRENGTH_THETA, out=strong[part])
-    strong &= rows != cols
-    rows, cols = rows[strong], cols[strong]
-    del strong
+    S, node = _strength_graph(A, groups)
+    m = S.shape[0]
+    # Each row holds its node's loop, so a row whose smallest and largest
+    # column agree is the loop alone.
+    isolated = np.minimum.reduceat(S.indices, S.indptr[:-1]) \
+        == np.maximum.reduceat(S.indices, S.indptr[:-1])
 
-    node = np.arange(n, dtype=np.int32)
-    if groups is not None:
-        # Only dofs with copies can couple within their group.
-        copied = (np.bincount(groups) > 1)[groups]
-        pair = np.flatnonzero(copied[rows] & copied[cols])
-        pair = pair[groups[rows[pair]] == groups[cols[pair]]]
-        merge = sp.csr_matrix((np.ones(len(pair), dtype=np.int8), (rows[pair], cols[pair])),
-                              shape=(n, n))
-        _, node = connected_components(merge, directed=False)
-        node = node.astype(np.int32)
-        # A merged pair becomes a loop, which the loops added below absorb.
-        rows = node[rows]
-        cols = node[cols]
-    m = int(node.max()) + 1
-    S = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
-    del rows, cols
-    S = S + sp.identity(m, dtype=bool, format="csr")
-    isolated = np.diff(S.indptr) == 1           # its loop is all a node has
+    def rows_of(r):  # S's column indices in the nodes r's rows, and where each row starts
+        if 8 * len(r) > m:
+            sub = S[r]            # scipy's row gather: faster on many rows, slower on few
+            return sub.indices, sub.indptr[:-1]
+        pos, at = _row_entries(S.indptr, r)
+        return S.indices[pos], at
 
     def neighbour_max(v, r=None):  # max over each node's neighbours and itself (nodes r)
-        rows = S if r is None else S[r]
-        return np.maximum.reduceat(v[rows.indices], rows.indptr[:-1])
+        idx, at = (S.indices, S.indptr[:-1]) if r is None else rows_of(r)
+        return np.maximum.reduceat(v[idx], at)
 
-    # state: 0 out, 1 undecided, 2 root; a key orders (state, priority)
-    key = np.min_scalar_type(3 * m)
-    rank = np.random.default_rng(SEED).permutation(m).astype(key)
-    state = np.where(isolated, 0, 1).astype(key)
-    undecided = np.flatnonzero(state == 1)
+    # priority + 1 of each undecided node, 0 once it is a root or out
+    key = np.min_scalar_type(m)
+    own = np.random.default_rng(SEED).permutation(m).astype(key)
+    own += 1
+    own[isolated] = 0
+    root = np.zeros(m, dtype=bool)
+    undecided = np.flatnonzero(own)
     while len(undecided):
         # The largest key within distance 2 of each undecided node. Once
         # they are a minority, only the rows of their neighbours are read.
-        own = state * key.type(m) + rank
         if 2 * len(undecided) > m:
             best = neighbour_max(neighbour_max(own))[undecided]
         else:
+            idx, at = rows_of(undecided)
             near = np.zeros(m, dtype=bool)
-            near[S[undecided].indices] = True
+            near[idx] = True
             near = np.flatnonzero(near)
             inner = np.zeros_like(own)
             inner[near] = neighbour_max(own, near)
-            best = neighbour_max(inner, undecided)
-        state[undecided[best >= 2 * m]] = 0
-        state[undecided[best == own[undecided]]] = 2
-        undecided = undecided[state[undecided] == 1]
+            best = np.maximum.reduceat(inner[idx], at)
+        new = undecided[best == own[undecided]]
+        root[new] = True
+        # the new roots and every node within distance 2 of them are decided
+        near = np.zeros(m, dtype=bool)
+        near[rows_of(new)[0]] = True
+        own[rows_of(np.flatnonzero(near))[0]] = 0
+        undecided = undecided[own[undecided] != 0]
 
     # aggregate number + 1 of each node, 0 while unassigned
     agg = np.zeros(m, dtype=key)
-    roots = np.flatnonzero(state == 2)
+    roots = np.flatnonzero(root)
     agg[roots] = np.arange(1, len(roots) + 1)
-    for _ in range(2):
-        free = (agg == 0) & ~isolated
-        agg[free] = neighbour_max(agg)[free]
-    return agg[node].astype(np.intp) - 1, len(roots)
+    free = (agg == 0) & ~isolated
+    agg[free] = neighbour_max(agg)[free]
+    free = np.flatnonzero((agg == 0) & ~isolated)
+    agg[free] = neighbour_max(agg, free)
+    if node is not None:
+        agg = agg[node]
+    return agg.astype(np.intp) - 1, len(roots)
 
 
 @dataclass(frozen=True)
@@ -305,9 +375,10 @@ class Multigrid:
 def multigrid(A, groups=None) -> Multigrid:
     """Build the smoothed-aggregation hierarchy of the SPD matrix ``A``.
 
-    ``groups`` labels each dof with its copy group (for a split mesh, the
-    pre-split vertex it came from); they shape the finest smoother and
-    aggregates. Each coarser level is P^T A P with the smoothed
+    ``groups`` labels each dof with its group: for a split mesh, the
+    pre-split vertex it came from; for the resolved-band reference, its
+    row of nodes across the band. They shape the finest smoother, which
+    inverts each group's diagonal block, and the aggregates. Each coarser level is P^T A P with the smoothed
     prolongator P = (I - S A) T, T the aggregates' indicator and S the
     damped smoother. Coarsening stops at ``COARSE_DOFS`` or when a level
     would keep more than ``MIN_SHRINK`` of its parent's dofs. Raises

@@ -8,6 +8,7 @@ from fracflow import (BoundaryConditionSet, ConfigurationError, ConstantAperture
                       build_structured_quad, compare_scenario,
                       nodal_error_vs_analytic, run_scenario, scenario_names,
                       solve_1d_interface_analytic, solve_equidim_2d)
+from fracflow import scenarios
 from fracflow.geometry import _tensor_quad_mesh
 from fracflow.scenarios import _ELLIPSE_FULL, _ELLIPSE_REDUCED, _side_of_vertices
 
@@ -77,6 +78,25 @@ def test_patch_eps_sweep_extras():
     for r in sweep["ratios"]:
         assert abs(r / 10.0 - 1.0) <= 0.2
     assert "aperture_sweep" not in run_scenario("onedim").extras
+
+
+def test_patch_eps_sweep_solves_each_aperture_once(monkeypatch):
+    """The run's own solve is the sweep's first aperture; the comparison,
+    which has no run of its own, solves all three."""
+    solved = []
+    solve_case = scenarios._solve_case
+
+    def counting(case, tol):
+        solved.append(case.params["eps"])
+        return solve_case(case, tol)
+
+    monkeypatch.setattr(scenarios, "_solve_case", counting)
+    sweep = run_scenario("patch_eps_sweep", n=16).extras["aperture_sweep"]
+    assert solved == [1e-2, 1e-3, 1e-4]
+    solved.clear()
+    compared = compare_scenario("patch_eps_sweep", n=16)
+    assert solved == [1e-2, 1e-3, 1e-4]
+    assert compared["metrics"]["sup_deviation"] == sweep["sup_deviation"]
 
 
 def test_fracture_override_only_for_regular2d():
@@ -212,8 +232,31 @@ def test_ellipse_band_width_is_the_closed_form_bit_for_bit(scale):
         assert aperture(Point(0.5, y)) == closed_form(y), y
 
 
+@pytest.mark.parametrize("name, dofs, max_iterations", [
+    ("ellipse2d", 18705, 45),             # n=128, 16 band cells, reduced scale
+    ("wentzell_tangential", 4355, 25),    # n=64, 2 band cells
+])
+def test_band_reference_iterations(monkeypatch, name, dofs, max_iterations):
+    """The thin band cells make the reference's operator strongly
+    anisotropic. With each grid row across the band relaxed as one line the
+    first solve stays under the bound; relaxing the band's nodes one by one
+    takes 90 (ellipse2d) and 53 (wentzell_tangential) CG iterations."""
+    results = []
+
+    def solve_and_keep(*args, **kwargs):
+        results.append(solve_equidim_2d(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scenarios, "solve_equidim_2d", solve_and_keep)
+    assert compare_scenario(name)["passed"]
+    (result,) = results
+    assert result.split.n_dofs == dofs
+    assert result.report.converged
+    assert result.report.iterations <= max_iterations
+
+
 def _equidim(n):
-    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
+    bcs =BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
     return solve_equidim_2d(nx_outside=n, band_cells_across=2,
                             domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
                             fracture_line_x=0.5, eps=1e-2, k_background=1.0,

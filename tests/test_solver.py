@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from fracflow import (ConfigurationError, NonConvergenceError, SolverError,
-                      cg_solve, cholesky_solve, run_scenario, solve,
-                      solve_system)
+                      cg_solve, cholesky_solve, compare_scenario, run_scenario,
+                      solve, solve_system)
 from fracflow import solver
 from fracflow.solver import (COARSE_DOFS, DENSE_LIMIT, Multigrid, _group_blocks,
                              _Level, _smoother, multigrid)
@@ -322,8 +322,9 @@ def test_vcycle_is_symmetric_positive_definite(conductive_32_system):
 
 
 def aggregates_full_graph(A, groups):
-    """The aggregation with every Luby round over the whole strength graph,
-    kept as the reference."""
+    """The aggregation by Luby rounds one after the other, each over the
+    whole strength graph: a round's roots take their distance-2
+    neighbourhood out only in the next round. Kept as the reference."""
     n = A.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
     cols = A.indices
@@ -364,23 +365,64 @@ def aggregates_full_graph(A, groups):
     return agg[node] - 1, len(roots)
 
 
-@pytest.mark.parametrize("variant", ["conductive", "blocking"])
-def test_aggregates_match_full_graph_rounds(monkeypatch, variant):
-    """Rounds restricted to the neighbourhood of the undecided nodes pick the
-    same roots and aggregates, on every level of the hierarchy."""
-    system = run_scenario("regular2d", n=64, variant=variant).system
+def check_every_aggregation(monkeypatch) -> list[tuple[int, bool]]:
+    """Make every ``_aggregates`` call also run the reference; each call
+    appends (dofs, same labels and count) to the returned list."""
     levels = []
-    restricted = solver._aggregates
+    aggregates = solver._aggregates
 
     def both(A, groups):
-        agg, count = restricted(A, groups)
+        agg, count = aggregates(A, groups)
         want_agg, want_count = aggregates_full_graph(A, groups)
-        levels.append(count == want_count and np.array_equal(agg, want_agg))
+        levels.append((A.shape[0], count == want_count and np.array_equal(agg, want_agg)))
         return agg, count
 
     monkeypatch.setattr(solver, "_aggregates", both)
-    multigrid(system.matrix, system.copy_groups)
-    assert levels and all(levels)
+    return levels
+
+
+@pytest.mark.parametrize("variant", ["conductive", "blocking"])
+def test_aggregates_match_full_graph_rounds(monkeypatch, variant):
+    """Rounds that take a root's neighbourhood out at once, restricted to
+    the neighbourhood of the undecided nodes, pick the same roots and
+    aggregates, on every level of the hierarchy."""
+    levels = check_every_aggregation(monkeypatch)
+    for n, aggregations in ((32, 1), (64, 1), (128, 2)):
+        system = run_scenario("regular2d", n=n, variant=variant).system
+        levels.clear()
+        multigrid(system.matrix, system.copy_groups)
+        assert len(levels) == aggregations and all(same for _, same in levels), n
+
+
+def test_aggregates_match_full_graph_rounds_on_band_lines(monkeypatch):
+    """The resolved-band references, whose line groups merge each row across
+    the band into one node, and the interface models they are compared with."""
+    levels = check_every_aggregation(monkeypatch)
+    assert compare_scenario("wentzell_tangential")["passed"]
+    assert compare_scenario("ellipse2d")["passed"]
+    assert len(levels) == 6 and all(same for _, same in levels)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_aggregates_match_full_graph_rounds_on_random_graph(grouped):
+    """A random diagonally dominant M-matrix, 200 of whose nodes couple to
+    nothing, with or without copy groups of two dofs."""
+    n = 3000
+    rng = np.random.default_rng(21)
+    W = sp.random(n, n, density=3.0 / n, random_state=rng, format="csr")
+    W = W + W.T
+    isolated = rng.choice(n, 200, replace=False)
+    keep = np.ones(n)
+    keep[isolated] = 0.0
+    W = (sp.diags(keep) @ W @ sp.diags(keep)).tocsr()
+    # row sums plus a random margin: some couplings fall below the strength threshold
+    A = (sp.diags(np.asarray(W.sum(axis=1)).ravel() + rng.uniform(0.1, 3.0, n)) - W).tocsr()
+    groups = rng.permutation(n) // 2 if grouped else None
+    agg, count = solver._aggregates(A, groups)
+    want_agg, want_count = aggregates_full_graph(A, groups)
+    assert count == want_count and np.array_equal(agg, want_agg)
+    assert np.all(agg[isolated] == -1)
+    assert 0 < count < n // 4
 
 
 def test_multigrid_builds_are_deterministic(conductive_32_system):
