@@ -471,15 +471,14 @@ def _boundary_data(mesh: Mesh, data: Mapping[str, BCValue]) -> tuple[np.ndarray,
     """The facets (f, k) whose tag is in ``data``, in facet order, and the
     value (f, k) at each of their vertices: a constant per tag, or the
     callable's value at one ``Point`` per facet vertex."""
-    chosen = [(vs, tag) for vs, tag in mesh.boundary_facets if tag in data]
-    facets = np.array([vs for vs, _tag in chosen], dtype=np.int64).reshape(len(chosen), mesh.dim)
-    tags = np.array([tag for _vs, tag in chosen], dtype=object)
+    chosen = np.isin(mesh.facet_tags, np.array(list(data), dtype=str))
+    facets, tags = mesh.boundary_facets[chosen], mesh.facet_tags[chosen]
     values = np.empty(facets.shape)
     for tag, value in data.items():
         at = tags == tag
         if callable(value):
-            values[at] = [[float(value(Point(*mesh.vertices[v].tolist()))) for v in vs]
-                          for vs in facets[at].tolist()]
+            points = mesh.vertices[facets[at]].reshape(-1, mesh.dim).tolist()
+            values[at] = np.reshape([float(value(Point(*xy))) for xy in points], (-1, mesh.dim))
         else:
             values[at] = float(value)
     return facets, values

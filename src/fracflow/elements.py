@@ -17,7 +17,6 @@ __all__ = [
     "GAUSS_2X2",
     "q1_shape",
     "q1_dshape",
-    "q1_stiffness_batch",
     "q1_stiffness_upper",
     "p1_segment_stiffness",
     "p1_segment_mass",
@@ -51,29 +50,10 @@ def q1_dshape(xi) -> np.ndarray:
     ])
 
 
-# The stiffness's ten upper entries (a, b), a <= b, in np.triu_indices(4)
-# order, and the one each full entry is read from.
+# The stiffness's ten upper entries (a, b), a <= b, in np.triu_indices(4) order.
 _Q1_TRIU = np.triu_indices(4)
-_Q1_FULL = np.zeros((4, 4), dtype=np.intp)
-_Q1_FULL[_Q1_TRIU] = np.arange(10)
-_Q1_FULL = np.maximum(_Q1_FULL, _Q1_FULL.T).ravel()
 # Cells per block in q1_stiffness_upper, so that a block's arrays stay in cache.
 _Q1_BLOCK = 4096
-
-
-def q1_stiffness_batch(cell_vertices: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) stiffness of bilinear quads for the operator -div(k grad p).
-
-    ``cell_vertices`` is (n, 4, 2), each cell counter-clockwise; ``k`` holds
-    one mobility per cell. Raises GeometryError on a wrong shape or when an
-    isoparametric map degenerates (non-positive Jacobian at a Gauss point).
-    Each matrix is the symmetric expansion of ``q1_stiffness_upper``.
-    """
-    X = np.asarray(cell_vertices, dtype=float)
-    if X.ndim != 3 or X.shape[1:] != (4, 2):
-        raise GeometryError(f"expected (n, 4, 2) quad vertices, got shape {X.shape}")
-    upper = q1_stiffness_upper(X.reshape(-1, 2), np.arange(4 * len(X)).reshape(-1, 4), k)
-    return upper[:, _Q1_FULL].reshape(len(X), 4, 4)
 
 
 def q1_stiffness_upper(vertices: np.ndarray, cells: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -86,7 +66,8 @@ def q1_stiffness_upper(vertices: np.ndarray, cells: np.ndarray, k: np.ndarray) -
     arrays of a block of cells, with the reference derivatives as scalars;
     each block gathers its own corners, so no (n, 4, 2) array is formed.
     Only these entries are formed, so the matrix they stand for is exactly
-    symmetric. Raises GeometryError as ``q1_stiffness_batch`` does.
+    symmetric. Raises GeometryError on a wrong shape or when an
+    isoparametric map degenerates (non-positive Jacobian at a Gauss point).
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells)

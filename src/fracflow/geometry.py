@@ -191,23 +191,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Mesh:
     """Conforming mesh: segments in 1D, quadrilaterals (CCW) in 2D.
 
-    ``boundary_facets`` pairs vertex-index tuples with a tag string; each
-    facet must be owned by exactly one cell. Meshes, like the other records
-    of the package that hold arrays, compare and hash by identity.
+    ``boundary_facets`` (f, k) int64 holds the vertex ids of each boundary
+    facet, k = 1 in 1D and 2 in 2D, and ``facet_tags`` (f,) its tag string;
+    each facet must be owned by exactly one cell. Both are stored as
+    read-only arrays; an empty facet set is (0, k). Meshes, like the other
+    records of the package that hold arrays, compare and hash by identity.
     """
 
     vertices: np.ndarray
     cells: np.ndarray
-    boundary_facets: tuple[tuple[tuple[int, ...], str], ...]
+    boundary_facets: np.ndarray
+    facet_tags: np.ndarray
 
     def __post_init__(self):
         verts = _readonly(np.asarray(self.vertices, dtype=float))
         cells = _readonly(np.asarray(self.cells, dtype=np.int64))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "boundary_facets", tuple(
-            (tuple(int(v) for v in vs), str(tag)) for vs, tag in self.boundary_facets
-        ))
         if verts.ndim != 2 or verts.shape[1] not in (1, 2):
             raise GeometryError(f"vertex array must be (n, 1) or (n, 2), got {verts.shape}")
         if not np.all(np.isfinite(verts)):
@@ -231,12 +231,20 @@ class Mesh:
                 bad = start + int(np.argmax(size <= 0.0))
                 order = "left to right" if verts.shape[1] == 1 else "counter-clockwise"
                 raise GeometryError(f"cell {bad} is degenerate or not {order}")
-        for vs, _tag in self.boundary_facets:
-            nfv = 1 if verts.shape[1] == 1 else 2
-            if len(vs) != nfv:
-                raise GeometryError(f"boundary facet {vs} has wrong arity for dim {self.dim}")
-            if any(v < 0 or v >= len(verts) for v in vs):
-                raise GeometryError(f"boundary facet {vs} references a vertex out of range")
+        facets = np.asarray(self.boundary_facets, dtype=np.int64)
+        tags = np.asarray(self.facet_tags, dtype=str)
+        if facets.shape == (0,):                       # an empty list
+            facets = facets.reshape(0, verts.shape[1])
+        if facets.ndim != 2 or facets.shape[1] != verts.shape[1]:
+            raise GeometryError(f"boundary facets must be (f, {verts.shape[1]}) for dim "
+                                f"{verts.shape[1]}, got {facets.shape}")
+        if facets.size and (facets.min() < 0 or facets.max() >= len(verts)):
+            raise GeometryError("boundary facet references a vertex out of range")
+        if tags.shape != (len(facets),):
+            raise GeometryError(f"need one tag per boundary facet ({len(facets)}), "
+                                f"got {tags.shape}")
+        object.__setattr__(self, "boundary_facets", _readonly(facets))
+        object.__setattr__(self, "facet_tags", _readonly(tags))
 
     @property
     def dim(self) -> int:
@@ -261,10 +269,9 @@ class Mesh:
         return float(np.linalg.norm(span))
 
     def boundary_tags(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _vs, tag in self.boundary_facets:
-            seen.setdefault(tag, None)
-        return tuple(seen)
+        """The facet tags in order of first appearance."""
+        tags, first = np.unique(self.facet_tags, return_index=True)
+        return tuple(tags[np.argsort(first)].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,9 +313,11 @@ class SplitMesh:
     ``base`` holds the duplicated vertex set; ``vertex_origin[v]`` maps each
     vertex back to the pre-split vertex it was copied from (identity for
     untouched vertices). Degrees of freedom are the vertices of ``base``.
-    ``interface_edges`` is the one ``InterfaceEntities`` record of every
-    interface edge (2D) or point (1D), the rows of each fracture in the
-    order of its path.
+    ``base.boundary_facets`` are the facets of the unsplit mesh, in the same
+    order and with the same ``facet_tags``, each vertex replaced by its copy
+    in the cell that owns the facet. ``interface_edges`` is the one
+    ``InterfaceEntities`` record of every interface edge (2D) or point
+    (1D): the ``check_conformity`` chains concatenated in fracture order.
     """
 
     base: Mesh
@@ -326,10 +335,6 @@ class SplitMesh:
     def n_dofs(self) -> int:
         return self.base.n_vertices
 
-    def copies_of(self, origin_vertex: int) -> np.ndarray:
-        """All post-split vertex ids that stem from one pre-split vertex."""
-        return np.nonzero(self.vertex_origin == origin_vertex)[0]
-
     def edges_of_fracture(self, fracture_id: int) -> InterfaceEntities:
         """The rows of ``interface_edges`` on one fracture."""
         return self.interface_edges[self.interface_edges.fracture_id == fracture_id]
@@ -345,7 +350,8 @@ def build_structured_quad(nx: int, ny: int, lower: Point, upper: Point) -> Mesh:
     """Tensor-product quadrilateral mesh on an axis-aligned rectangle.
 
     Vertices are numbered row-major (x fastest); cells are counter-clockwise.
-    Boundary facets get the tags left/right/bottom/top.
+    Boundary facets are the bottom, top, left and right edges, in that order
+    and each run in increasing vertex order, tagged by their side.
     """
     if nx < 1 or ny < 1:
         raise GeometryError(f"need at least one cell per direction, got nx={nx}, ny={ny}")
@@ -382,16 +388,11 @@ def _tensor_quad_mesh(xs: np.ndarray, ys: np.ndarray) -> Mesh:
     v01 = vid(I, J + 1).ravel()
     cells = np.column_stack([v00, v10, v11, v01])
 
-    facets: list[tuple[tuple[int, int], str]] = []
-    for ii in range(nx):
-        facets.append(((vid(ii, 0), vid(ii + 1, 0)), "bottom"))
-    for ii in range(nx):
-        facets.append(((vid(ii, ny), vid(ii + 1, ny)), "top"))
-    for jj in range(ny):
-        facets.append(((vid(0, jj), vid(0, jj + 1)), "left"))
-    for jj in range(ny):
-        facets.append(((vid(nx, jj), vid(nx, jj + 1)), "right"))
-    return Mesh(vertices=vertices, cells=cells, boundary_facets=tuple(facets))
+    along_x = np.column_stack([vid(i, 0), vid(i + 1, 0)])     # the bottom row
+    along_y = np.column_stack([vid(0, j), vid(0, j + 1)])     # the left column
+    facets = np.concatenate([along_x, along_x + vid(0, ny), along_y, along_y + nx])
+    tags = np.repeat(["bottom", "top", "left", "right"], [nx, nx, ny, ny])
+    return Mesh(vertices, cells, facets, tags)
 
 
 def build_interval(n: int, length: float) -> Mesh:
@@ -402,8 +403,7 @@ def build_interval(n: int, length: float) -> Mesh:
         raise GeometryError(f"length must be positive, got {length!r}")
     vertices = np.linspace(0.0, length, n + 1).reshape(-1, 1)
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    facets = (((0,), "left"), ((n,), "right"))
-    return Mesh(vertices=vertices, cells=cells, boundary_facets=facets)
+    return Mesh(vertices, cells, [[0], [n]], ["left", "right"])
 
 
 class _EdgeTable:
@@ -463,39 +463,45 @@ def _default_tol(mesh: Mesh) -> float:
     return 1e-12 * max(mesh.diameter(), 1.0)
 
 
-def check_conformity(mesh: Mesh, network: FractureNetwork):
+def check_conformity(mesh: Mesh, network: FractureNetwork) -> list[np.ndarray]:
     """Match each fracture path to a chain of mesh entities.
 
-    Returns one entry per fracture: in 2D an ordered list of vertex-index
-    pairs (the mesh edges along the path, oriented along it), in 1D a
-    one-element list with the matched vertex id. Raises ConformityError if
-    any portion of a path fails to coincide with mesh edges/vertices.
+    Returns one int64 array per fracture: in 2D an (m_j, 2) array of the
+    vertex ids of the mesh edges along the path, in path order and each
+    oriented along it; in 1D a (1,) array holding the matched vertex id.
+    Raises ConformityError if any portion of a path fails to coincide with
+    mesh edges/vertices.
     """
-    return _match_paths(mesh, network, _EdgeTable(mesh) if mesh.dim == 2 else None)
+    chains, fracture_id = _match_paths(mesh, network,
+                                       _EdgeTable(mesh) if mesh.dim == 2 else None)
+    return [chains[fracture_id == j] for j in range(len(network))]
 
 
-def _match_paths(mesh: Mesh, network: FractureNetwork, table: _EdgeTable | None):
-    """``check_conformity`` on the edge table of a 2D mesh (None in 1D)."""
+def _match_paths(mesh: Mesh, network: FractureNetwork,
+                 table: _EdgeTable | None) -> tuple[np.ndarray, np.ndarray]:
+    """``check_conformity`` on the edge table of a 2D mesh (None in 1D): the
+    chains of all fractures concatenated in fracture order, (m, 2) in 2D and
+    (m,) in 1D, and the fracture id (m,) of each row."""
     tol = _default_tol(mesh)
     for f in network:
         if f.dim != mesh.dim:
             raise GeometryError(f"fracture dimension {f.dim} does not match mesh dimension {mesh.dim}")
 
     if mesh.dim == 1:
-        chains = []
         coords = mesh.vertices[:, 0]
+        vertex = np.empty(len(network), dtype=np.int64)
         for j, frac in enumerate(network):
             s = frac.path[0].x
             hits = np.nonzero(np.abs(coords - s) <= tol)[0]
             if len(hits) == 0:
                 raise ConformityError(f"fracture {j}: no mesh vertex at x={s}")
-            chains.append([int(hits[0])])
-        return chains
+            vertex[j] = hits[0]
+        return vertex, np.arange(len(network))
 
     verts = mesh.vertices
-    chains = []
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    owner = [np.empty(0, dtype=np.int64)]
     for j, frac in enumerate(network):
-        edges: list[tuple[int, int]] = []
         prev_end: int | None = None
         for k, (p, q) in enumerate(zip(frac.path[:-1], frac.path[1:])):
             pa = p.as_array()
@@ -536,10 +542,10 @@ def _match_paths(mesh: Mesh, network: FractureNetwork, table: _EdgeTable | None)
                     f"fracture {j}, segment {k}: no mesh edge between vertices "
                     f"{int(va)} and {int(vb)}; the path crosses cell interiors"
                 )
-            edges.extend(zip(order[:-1].tolist(), order[1:].tolist()))
+            edges.append(np.column_stack([order[:-1], order[1:]]))
+            owner.append(np.full(len(order) - 1, j))
             prev_end = int(order[-1])
-        chains.append(edges)
-    return chains
+    return np.concatenate(edges), np.concatenate(owner)
 
 
 def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
@@ -558,14 +564,13 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     overlapping fractures.
     """
     if mesh.dim == 1:
-        return _split_mesh_1d(mesh, network, _match_paths(mesh, network, None))
+        return _split_mesh_1d(mesh, network, _match_paths(mesh, network, None)[0])
     table = _EdgeTable(mesh)
-    return _split_mesh_2d(mesh, network, _match_paths(mesh, network, table), table)
+    return _split_mesh_2d(mesh, network, *_match_paths(mesh, network, table), table)
 
 
-def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, chains) -> SplitMesh:
+def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, fr_vertex: np.ndarray) -> SplitMesh:
     nv = mesh.n_vertices
-    fr_vertex = np.array([chain[0] for chain in chains], dtype=np.int64)
     repeated = _repeated(fr_vertex)
     if np.any(repeated):
         j = int(np.argmax(repeated))
@@ -601,8 +606,8 @@ def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, chains) -> SplitMesh:
     fracture_id = np.arange(len(fr_vertex))
     points = mesh.vertices[fr_vertex][:, None, :]
     return SplitMesh(
-        base=Mesh(vertices=np.vstack([mesh.vertices, mesh.vertices[fr_vertex]]), cells=cells,
-                  boundary_facets=mesh.boundary_facets),
+        base=Mesh(np.vstack([mesh.vertices, mesh.vertices[fr_vertex]]), cells,
+                  mesh.boundary_facets, mesh.facet_tags),
         subdomain_of_cell=subdomain,
         n_subdomains=n_sub,
         interface_edges=InterfaceEntities(
@@ -646,17 +651,15 @@ def _labels_first_encounter(n: int, rows, cols) -> np.ndarray:
     return rank[raw].astype(np.int64)
 
 
-def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
-                   table: _EdgeTable) -> SplitMesh:
+def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains: np.ndarray,
+                   chain_frac: np.ndarray, table: _EdgeTable) -> SplitMesh:
     cells = mesh.cells
     n_cells = mesh.n_cells
     nv = mesh.n_vertices
     counts = table.incidence_counts()
 
     # Fracture edges in chain order; reject overlaps and boundary-glued fractures.
-    chain_a = np.array([e[0] for chain in chains for e in chain], dtype=np.int64)
-    chain_b = np.array([e[1] for chain in chains for e in chain], dtype=np.int64)
-    chain_frac = np.repeat(np.arange(len(chains)), [len(chain) for chain in chains])
+    chain_a, chain_b = chains[:, 0], chains[:, 1]
     eids = table.edge_ids(chain_a, chain_b)
     repeated = _repeated(eids)
     bad = repeated | (counts[eids] != 2)
@@ -676,14 +679,17 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
     for ends in np.divmod(table.codes[counts == 1], nv):
         boundary_vertex[ends] = True
 
-    # Fracture tips must rest on the boundary or on another fracture edge.
-    fr_edge_degree = np.bincount(np.r_[chain_a, chain_b], minlength=nv)
-    for j, chain in enumerate(chains):
-        for tip in (chain[0][0], chain[-1][1]):
-            if fr_edge_degree[tip] <= 1 and not boundary_vertex[tip]:
-                raise UnsupportedTopologyError(
-                    f"fracture {j} terminates inside a subdomain at vertex {tip}"
-                )
+    # Fracture tips, the start and the end of each chain, must rest on the
+    # boundary or on another fracture edge.
+    fr_edge_degree = np.bincount(chains.ravel(), minlength=nv)
+    head = np.searchsorted(chain_frac, np.arange(len(network)))
+    tail = np.searchsorted(chain_frac, np.arange(len(network)), side="right") - 1
+    tips = np.column_stack([chain_a[head], chain_b[tail]]).ravel()
+    loose = (fr_edge_degree[tips] <= 1) & ~boundary_vertex[tips]
+    if np.any(loose):
+        i = int(np.argmax(loose))
+        raise UnsupportedTopologyError(
+            f"fracture {i // 2} terminates inside a subdomain at vertex {int(tips[i])}")
 
     # Subdomains: flood fill over cells joined by non-fracture edges.
     joining = np.flatnonzero((counts == 2) & ~on_fracture)
@@ -695,8 +701,7 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
     # fracture vertex, connected through the non-fracture edges at it.
     old_flat = cells.ravel()
     is_fr_vertex = np.zeros(nv, dtype=bool)
-    is_fr_vertex[chain_a] = True
-    is_fr_vertex[chain_b] = True
+    is_fr_vertex[chains] = True
     corner_at = np.flatnonzero(is_fr_vertex[old_flat])   # sorted: corner number = position
     # Corner k of the first cell meets corner (k or k + 1) of the second
     # cell that holds the same vertex. Only edges at a fracture vertex link.
@@ -739,36 +744,30 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains,
         return new_flat[np.where(old_flat[start] == v, start, end)]
 
     # Boundary facets follow their owning cell's copies.
-    facet_vs = np.array([vs for vs, _tag in mesh.boundary_facets],
-                        dtype=np.int64).reshape(-1, 2)
-    facet_ids = table.edge_ids(facet_vs[:, 0], facet_vs[:, 1])
+    facets = mesh.boundary_facets
+    facet_ids = table.edge_ids(facets[:, 0], facets[:, 1])
     unowned = (facet_ids < 0) | (counts[facet_ids] != 1)
     if np.any(unowned):
-        vs = mesh.boundary_facets[int(np.argmax(unowned))][0]
+        vs = tuple(facets[int(np.argmax(unowned))].tolist())
         raise GeometryError(f"boundary facet {vs} is not owned by exactly one cell")
-    owner = table.slot(facet_ids)
-    facets = tuple(zip(zip(copy_at(facet_vs[:, 0], owner).tolist(),
-                           copy_at(facet_vs[:, 1], owner).tolist()),
-                       (tag for _vs, tag in mesh.boundary_facets)))
 
     origin_extra = group_vertex[copied]
-    base = Mesh(vertices=np.vstack([mesh.vertices, mesh.vertices[origin_extra]]),
-                cells=new_cells, boundary_facets=facets)
+    base = Mesh(np.vstack([mesh.vertices, mesh.vertices[origin_extra]]), new_cells,
+                copy_at(facets, table.slot(facet_ids)[:, None]), mesh.facet_tags)
     vertex_origin = np.concatenate([np.arange(nv, dtype=np.int64), origin_extra])
 
     # Interface edges: side 1 is the cell with the lower (subdomain, cell id).
     s1, s2 = table.slot(eids, 0), table.slot(eids, 1)
     swap = subdomain[s2 // 4] < subdomain[s1 // 4]       # s1's cell id is the lower
     s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
-    ends = np.stack([chain_a, chain_b], axis=1)
-    points = mesh.vertices[ends]
+    points = mesh.vertices[chains]
     tangent = points[:, 1] - points[:, 0]
     length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / length[:, None]
     centroids = mesh.vertices[cells[np.stack([s1 // 4, s2 // 4])]].mean(axis=2)
     flip = np.einsum("ij,ij->i", normal, centroids[1] - centroids[0]) < 0.0
     normal[flip] = -normal[flip]
-    node_pairs = np.stack([copy_at(ends, s1[:, None]), copy_at(ends, s2[:, None])], axis=2)
+    node_pairs = np.stack([copy_at(chains, s1[:, None]), copy_at(chains, s2[:, None])], axis=2)
 
     return SplitMesh(
         base=base,

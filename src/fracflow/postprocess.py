@@ -13,7 +13,7 @@ import numpy as np
 
 from .assembly import LinearSystem
 from .elements import q1_dshape, q1_shape
-from .errors import ConfigurationError, GeometryError
+from .errors import GeometryError
 from .geometry import CELL_BLOCK, Mesh, Point, SplitMesh, _default_tol
 
 __all__ = [
@@ -232,14 +232,14 @@ def fracture_jump(split: SplitMesh, values: np.ndarray, fracture_id: int) -> Pro
     return Profile(s=s, points=pts, values=jump)
 
 
-def boundary_flux(split: SplitMesh, system: LinearSystem, solution: np.ndarray,
-                  tag: str | None = None):
+def boundary_flux(split: SplitMesh, system: LinearSystem,
+                  solution: np.ndarray) -> dict[str, float]:
     """Outward flux through each boundary tag, recovered from the residual.
 
     Each boundary dof is charged to exactly one tag; a corner dof goes to a
     Dirichlet tag when it touches one, else to a tag carrying Neumann data,
     alphabetical order breaking ties. Fluxes then sum to the (near-zero)
-    mass defect.
+    mass defect. The keys are the tags in order of first appearance.
     """
     solution = np.asarray(solution, dtype=float)
     if solution.shape != (system.n_dofs,):
@@ -247,26 +247,20 @@ def boundary_flux(split: SplitMesh, system: LinearSystem, solution: np.ndarray,
             f"solution has {solution.shape} entries, system has {system.n_dofs} dofs")
     residual = system.residual_raw(solution)
 
-    # Tags in order of first appearance, and the order in which they claim dofs.
-    facets = split.base.boundary_facets
-    tags = list(dict.fromkeys(facet_tag for _vs, facet_tag in facets))
+    # The order in which the tags claim dofs, and each facet's place in it.
+    mesh = split.base
+    tags = mesh.boundary_tags()
     claim = sorted(tags, key=lambda t: (0 if t in system.dirichlet_tags
                                         else 1 if t in system.neumann_tags else 2, t))
-    rank = {t: i for i, t in enumerate(claim)}
-    vids = np.array([vs for vs, _t in facets], dtype=np.int64).reshape(len(facets), split.base.dim)
-    facet_rank = np.array([rank[t] for _vs, t in facets], dtype=np.int64)
+    sorted_tags, facet_tag = np.unique(mesh.facet_tags, return_inverse=True)
+    rank = np.array([claim.index(t) for t in sorted_tags.tolist()], dtype=np.int64)
+    facets = mesh.boundary_facets
     owner = np.full(system.n_dofs, len(claim))
-    np.minimum.at(owner, vids.ravel(), np.repeat(facet_rank, vids.shape[1]))
+    np.minimum.at(owner, facets.ravel(), np.repeat(rank[facet_tag], facets.shape[1]))
     dofs = np.flatnonzero(owner < len(claim))
     # Each tag's dofs summed in ascending order.
     sums = np.bincount(owner[dofs], residual[dofs], minlength=len(claim))
-    fluxes = {t: float(sums[rank[t]]) for t in tags}
-    if tag is None:
-        return fluxes
-    if tag not in fluxes:
-        raise ConfigurationError(
-            f"unknown boundary tag {tag!r}; mesh has {sorted(fluxes)}")
-    return fluxes[tag]
+    return {t: float(sums[claim.index(t)]) for t in tags}
 
 
 def mass_balance_defect(fluxes: dict[str, float]) -> float:

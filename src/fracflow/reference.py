@@ -69,9 +69,6 @@ class PiecewiseLinear1D:
         out[smooth] = (1.0 - t) * vals[j] + t * vals[j + 1]
         return out if np.ndim(x) else float(out[0])
 
-    def jump_at(self, x: float) -> float:
-        return self.eval(x, "right") - self.eval(x, "left")
-
 
 def _check_1d_args(L, S, eps, k1, k2, kf, h):
     for name, v in (("L", L), ("eps", eps), ("k1", k1), ("k2", k2), ("kf", kf)):

@@ -13,9 +13,10 @@ from fracflow import (BoundaryConditionSet, ConfigurationError,
                       fracture_coefficient_map, fracture_to_coeffs,
                       sample_profile, solve_system, split_mesh)
 from fracflow.assembly import _domain_matrix
-from fracflow.elements import facet_load, q1_stiffness_batch
+from fracflow.elements import facet_load
 from fracflow.scenarios import SCENARIOS
-from conftest import THROUGHFLOW, coeffs_for, unit_square, vertical_network
+from conftest import (THROUGHFLOW, coeffs_for, copies_of, q1_stiffness_batch, unit_square,
+                      vertical_network)
 
 
 # --- coefficient mapping ----------------------------------------------------
@@ -319,13 +320,13 @@ def test_neumann_loads_match_facet_by_facet_loop():
     system = assemble(split, np.ones(split.n_subdomains), coeffs_for(split.network), bcs)
     mesh = split.base
     want = np.zeros(system.n_dofs)
-    for vs, tag in mesh.boundary_facets:
+    for vs, tag in zip(mesh.boundary_facets.tolist(), mesh.facet_tags.tolist()):
         if tag in ("left", "top"):
-            X = mesh.vertices[list(vs)]
+            X = mesh.vertices[vs]
             h = [1.0 + x[1] * x[1] if tag == "left" else 0.25 for x in X]
-            np.add.at(want, list(vs), facet_load(X, h))
+            np.add.at(want, vs, facet_load(X, h))
     assert np.array_equal(system.rhs_raw, system.rhs_body + want)
-    left = [vs for vs, tag in mesh.boundary_facets if tag == "left"]
+    left = mesh.boundary_facets[mesh.facet_tags == "left"].tolist()
     assert len(seen) == 2 * len(left)
     assert all(isinstance(p, Point) and p.dim == 2 for p in seen)
     assert [p.coords for p in seen] == [tuple(mesh.vertices[v]) for vs in left for v in vs]
@@ -344,13 +345,13 @@ def _dirichlet_by_loop(split, bcs):
         dirichlet[dof] = value
 
     verts = split.base.vertices
-    for vs, tag in split.base.boundary_facets:
+    for vs, tag in zip(split.base.boundary_facets.tolist(), split.base.facet_tags.tolist()):
         if tag in bcs.dirichlet:
             g = bcs.dirichlet[tag]
             for v in vs:
                 constrain(v, float(g(Point(*verts[v].tolist())) if callable(g) else g))
     for dof, value in list(dirichlet.items()):
-        twins = split.copies_of(split.vertex_origin[dof])
+        twins = copies_of(split, split.vertex_origin[dof])
         for twin in twins.tolist() if len(twins) > 1 else ():
             constrain(twin, value)
     return dict(sorted(dirichlet.items()))

@@ -5,8 +5,10 @@ import pytest
 
 from fracflow.elements import (GAUSS_1D, GAUSS_2X2, facet_load, p1_segment_load,
                                p1_segment_mass, p1_segment_stiffness, q1_dshape,
-                               q1_shape, q1_stiffness_batch)
+                               q1_shape, q1_stiffness_upper)
 from fracflow.errors import GeometryError
+
+from conftest import q1_stiffness_batch
 
 
 UNIT_QUAD = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -85,9 +87,9 @@ def test_q1_stiffness_rejects_degenerate_cells():
     with pytest.raises(GeometryError):
         one_cell(pinched, 1.0)
     with pytest.raises(GeometryError):
-        one_cell(UNIT_QUAD[:3], 1.0)
+        q1_stiffness_upper(UNIT_QUAD[:3], [[0, 1, 2]], 1.0)       # a triangle
     with pytest.raises(GeometryError):
-        q1_stiffness_batch(UNIT_QUAD, [1.0])       # one cell, not a batch
+        q1_stiffness_upper(np.zeros((4, 3)), [[0, 1, 2, 3]], 1.0)  # 3D vertices
 
 
 def test_q1_stiffness_reports_degenerate_index_across_blocks():

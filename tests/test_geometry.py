@@ -8,7 +8,7 @@ from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
                       InterfaceEntities, Mesh, Point, build_interval,
                       build_structured_quad, check_conformity, run_scenario,
                       split_mesh)
-from conftest import unit_square, vertical_network
+from conftest import copies_of, unit_square, vertical_network
 
 
 # --- points and apertures ---------------------------------------------------
@@ -106,9 +106,8 @@ def test_interval_counts_and_tags():
     ((0.0, 0.5, 0.5, 1.0), ((0, 1), (1, 2), (2, 3))),                  # cell 1 of zero length
 ])
 def test_interval_cells_must_run_left_to_right(x, cells):
-    facets = (((0,), "left"), ((len(x) - 1,), "right"))
     with pytest.raises(GeometryError, match="cell 1 "):
-        Mesh(np.array(x)[:, None], np.array(cells), facets)
+        Mesh(np.array(x)[:, None], np.array(cells), [[0], [len(x) - 1]], ["left", "right"])
 
 
 def test_structured_quad_rejects_bad_sizes():
@@ -116,6 +115,51 @@ def test_structured_quad_rejects_bad_sizes():
         build_structured_quad(0, 4, Point(0.0, 0.0), Point(1.0, 1.0))
     with pytest.raises(GeometryError):
         build_structured_quad(4, 4, Point(1.0, 0.0), Point(0.0, 1.0))
+
+
+def test_structured_quad_facets_run_bottom_top_left_right():
+    nx, ny = 4, 3
+    mesh = build_structured_quad(nx, ny, Point(0.0, 0.0), Point(2.0, 1.0))
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    want = ([[vid(i, 0), vid(i + 1, 0)] for i in range(nx)]
+            + [[vid(i, ny), vid(i + 1, ny)] for i in range(nx)]
+            + [[vid(0, j), vid(0, j + 1)] for j in range(ny)]
+            + [[vid(nx, j), vid(nx, j + 1)] for j in range(ny)])
+    assert mesh.boundary_facets.tolist() == want
+    assert mesh.facet_tags.tolist() == ["bottom"] * nx + ["top"] * nx + ["left"] * ny + ["right"] * ny
+    assert mesh.boundary_tags() == ("bottom", "top", "left", "right")
+    assert mesh.boundary_facets.dtype == np.int64
+    assert not mesh.boundary_facets.flags.writeable and not mesh.facet_tags.flags.writeable
+
+
+SQUARE_2 = unit_square(2)        # 9 vertices
+
+
+@pytest.mark.parametrize("facets, tags, match", [
+    (np.zeros((1, 3), dtype=np.int64), ["left"], r"\(f, 2\)"),   # three vertices in 2D
+    ([0, 3], ["left", "left"], r"\(f, 2\)"),                    # one vertex per facet
+    ([[0, -1]], ["bottom"], "out of range"),
+    ([[8, 9]], ["top"], "out of range"),
+    ([[0, 1]], ["bottom", "top"], "one tag per"),
+    ([[0, 1], [1, 2]], ["bottom"], "one tag per"),
+    ([[0, 1]], "bottom", "one tag per"),
+])
+def test_mesh_rejects_bad_boundary_facets(facets, tags, match):
+    with pytest.raises(GeometryError, match=match):
+        Mesh(SQUARE_2.vertices, SQUARE_2.cells, facets, tags)
+
+
+def test_mesh_accepts_an_empty_facet_set():
+    for facets in (np.empty((0, 2), dtype=np.int64), []):
+        mesh = Mesh(SQUARE_2.vertices, SQUARE_2.cells, facets, [])
+        assert mesh.boundary_facets.shape == (0, 2)
+        assert mesh.facet_tags.shape == (0,)
+        assert mesh.boundary_tags() == ()
+    interval = build_interval(4, 1.0)
+    assert Mesh(interval.vertices, interval.cells, [], []).boundary_facets.shape == (0, 1)
 
 
 # --- conformity -------------------------------------------------------------
@@ -144,6 +188,27 @@ def test_conformity_rejects_diagonal_path():
         check_conformity(unit_square(8), FractureNetwork((spec,)))
 
 
+def test_conformity_returns_one_int64_chain_per_fracture():
+    network = FractureNetwork((
+        FractureSpec(path=(Point(0.5, 1.0), Point(0.5, 0.0)),
+                     aperture=ConstantAperture(1e-2), mobility=1.0),
+        FractureSpec(path=(Point(0.0, 0.25), Point(0.25, 0.25), Point(0.25, 0.5)),
+                     aperture=ConstantAperture(1e-2), mobility=1.0)))
+    top_down, bent = check_conformity(unit_square(4), network)
+    assert top_down.dtype == bent.dtype == np.int64
+    # vertex ids j * 5 + i, each edge oriented along its path
+    assert top_down.tolist() == [[22, 17], [17, 12], [12, 7], [7, 2]]
+    assert bent.tolist() == [[5, 6], [6, 11]]
+
+    points = FractureNetwork(tuple(
+        FractureSpec(path=(Point(x),), aperture=ConstantAperture(1e-3), mobility=1.0)
+        for x in (0.7, 0.3)))
+    chains = check_conformity(build_interval(10, 1.0), points)
+    assert [c.shape for c in chains] == [(1,), (1,)]
+    assert [c.tolist() for c in chains] == [[7], [3]]
+    assert check_conformity(unit_square(4), FractureNetwork(())) == []
+
+
 # --- splitting: single vertical fracture ------------------------------------
 
 def test_split_single_vertical_counts():
@@ -167,7 +232,7 @@ def test_split_preserves_coordinates_and_origin():
     assert len(dup) == 9
     assert np.allclose(base.vertices[dup][:, 0], 0.5)
     for v in dup:
-        copies = split.copies_of(v)
+        copies = copies_of(split, v)
         assert len(copies) == 2
         subs = {split.subdomain_of_vertex()[c] for c in copies}
         assert len(subs) == 2  # the two copies live on different sides
@@ -222,6 +287,32 @@ def test_split_rejects_interior_tip():
         split_mesh(unit_square(8), FractureNetwork((spec,)))
 
 
+@pytest.mark.parametrize("paths, message", [
+    ([((0.5, 0.0), (0.5, 0.5))], "fracture 0 terminates inside a subdomain at vertex 40"),
+    ([((0.5, 0.5), (0.5, 0.0))], "fracture 0 terminates inside a subdomain at vertex 40"),
+    ([((0.5, 0.0), (0.5, 1.0)), ((0.25, 0.5), (0.5, 0.5))],
+     "fracture 1 terminates inside a subdomain at vertex 38"),
+    ([((0.5, 0.0), (0.5, 1.0)), ((0.5, 0.5), (0.25, 0.5))],
+     "fracture 1 terminates inside a subdomain at vertex 38"),
+])
+def test_split_names_the_first_interior_tip(paths, message):
+    # vertex ids j * 9 + i on unit_square(8)
+    from fracflow import UnsupportedTopologyError
+    network = FractureNetwork(tuple(
+        FractureSpec(path=(Point(*a), Point(*b)), aperture=ConstantAperture(1e-2), mobility=1.0)
+        for a, b in paths))
+    with pytest.raises(UnsupportedTopologyError, match=f"^{message}$"):
+        split_mesh(unit_square(8), network)
+
+
+def test_split_rejects_a_facet_no_single_cell_owns():
+    mesh = unit_square(2)
+    facets = np.vstack([mesh.boundary_facets, [[1, 4]]])        # an interior edge
+    tagged = Mesh(mesh.vertices, mesh.cells, facets, [*mesh.facet_tags.tolist(), "left"])
+    with pytest.raises(GeometryError, match=r"boundary facet \(1, 4\) is not owned"):
+        split_mesh(tagged, FractureNetwork(()))
+
+
 def test_split_accepts_tip_on_other_fracture():
     # a T junction: the vertical fracture ends on the horizontal one
     horizontal = FractureSpec(path=(Point(0.0, 0.5), Point(1.0, 0.5)),
@@ -258,14 +349,14 @@ def corner_group_cells(mesh, chains):
     incident cells are joined through the non-fracture edges at the vertex;
     the group with the lowest cell keeps the id, and the others take new ids
     in the order of their lowest cells."""
-    fracture_edges = {frozenset(e) for chain in chains for e in chain}
+    fracture_edges = {frozenset(e) for chain in chains for e in chain.tolist()}
     edge_cells = {}
     for c, cell in enumerate(mesh.cells.tolist()):
         for a, b in zip(cell, cell[1:] + cell[:1]):
             edge_cells.setdefault(frozenset((a, b)), []).append(c)
     cells = mesh.cells.copy()
     next_id = mesh.n_vertices
-    for v in sorted({v for chain in chains for e in chain for v in e}):
+    for v in sorted({v for chain in chains for e in chain.tolist() for v in e}):
         label = {c: c for c in np.nonzero((mesh.cells == v).any(axis=1))[0].tolist()}
 
         def find(c):
@@ -335,9 +426,7 @@ def test_boundary_facets_cover_duplicated_endpoints():
     # fracture endpoints on the boundary are duplicated; both copies must
     # appear in boundary facets so boundary conditions reach both sides
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
-    facet_vertices = set()
-    for vids, _tag in split.base.boundary_facets:
-        facet_vertices.update(vids)
+    facet_vertices = set(split.base.boundary_facets.ravel().tolist())
     for v in range(split.base.n_vertices):
         x, y = split.base.vertices[v]
         if min(x, 1 - x, y, 1 - y) < 1e-12:

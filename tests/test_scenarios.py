@@ -255,6 +255,15 @@ def test_band_reference_iterations(monkeypatch, name, dofs, max_iterations):
     assert result.report.iterations <= max_iterations
 
 
+def test_wentzell_reproduces_its_exact_field():
+    """The exact pressure 1 - y lies in the discrete spaces of the model and
+    of its resolved-band reference, so the two profiles agree to roundoff,
+    far inside criterion 6's relative gate of 0.02."""
+    m = compare_scenario("wentzell_tangential")["metrics"]
+    assert m["l2"] <= 1e-10 * m["oracle_range"]
+    assert m["max"] <= 1e-10 * m["oracle_range"]
+
+
 def _equidim(n):
     bcs =BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
     return solve_equidim_2d(nx_outside=n, band_cells_across=2,
