@@ -87,7 +87,7 @@ def _parse_fractures(raw) -> FractureNetwork:
         where = f"fractures[{i}]"
         if not isinstance(entry, dict):
             raise ConfigurationError(f"{where} must be an object")
-        unknown = sorted(set(entry) - {"path", "aperture", "mobility", "source"})
+        unknown = sorted(set(entry) - {"path", "aperture", "mobility"})
         if unknown:
             raise ConfigurationError(f"{where} has unknown keys {unknown}")
         path = entry.get("path")
@@ -183,7 +183,7 @@ def _summary_payload(res: ScenarioResult, files: dict) -> dict:
         "interface_entities": len(res.split.interface_edges),
         "method": res.report.method,
         "cg_iterations": res.report.iterations,
-        "refinement_iterations": list(res.report.refinement_iterations),
+        "refinement_iterations": res.report.refinement_iterations,
         "multigrid_levels": list(res.report.multigrid_levels),
         "relative_residual": res.report.relative_residual,
         "converged": res.report.converged,

@@ -193,9 +193,11 @@ class Mesh:
 
     ``boundary_facets`` (f, k) int64 holds the vertex ids of each boundary
     facet, k = 1 in 1D and 2 in 2D, and ``facet_tags`` (f,) its tag string;
-    each facet must be owned by exactly one cell. Both are stored as
-    read-only arrays; an empty facet set is (0, k). Meshes, like the other
-    records of the package that hold arrays, compare and hash by identity.
+    each facet must be owned by exactly one cell. All four are stored as
+    read-only arrays, the caller's own where no dtype or layout conversion
+    is needed (it becomes read-only too); an empty facet set is (0, k).
+    Meshes, like the other records of the package that hold arrays, compare
+    and hash by identity.
     """
 
     vertices: np.ndarray
@@ -285,7 +287,8 @@ class InterfaceEntities:
     ``[..., 1]``. ``points`` (m, k, d) and ``apertures`` (m, k) are taken at
     the nodes, ``normal`` (m, d) is the unit normal from side 1 into side 2
     (+1 in 1D) and ``length`` (m,) the edge length (1 for a point). Indexing
-    with a slice, mask or index array gives those rows as a new record.
+    with a slice, mask or index array gives those rows as a new record. A
+    caller's array that needs no layout conversion is kept and made read-only.
     """
 
     fracture_id: np.ndarray
@@ -318,6 +321,8 @@ class SplitMesh:
     in the cell that owns the facet. ``interface_edges`` is the one
     ``InterfaceEntities`` record of every interface edge (2D) or point
     (1D): the ``check_conformity`` chains concatenated in fracture order.
+    ``subdomain_of_cell`` and ``vertex_origin`` are read-only int64 arrays,
+    the caller's own (made read-only) where no conversion is needed.
     """
 
     base: Mesh

@@ -17,8 +17,8 @@ in its group is a group of one, so with no groups the smoother is plain
 Jacobi.
 
 Matrices are scipy CSR; the CG loop is written out so the iteration count
-and residual history are available for reporting. ``cholesky_solve`` is
-the exact oracle the tests compare against.
+and residual history are available for reporting. ``solve_system`` adds
+one refinement round; ``cholesky_solve`` is the tests' exact oracle.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ MIN_SHRINK = 0.8
 POWER_STEPS = 15
 # Fixed seed of the aggregation priorities and the power iteration start.
 SEED = 0
-# Refinement rounds of ``solve_system`` after the first solve.
-REFINE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class SolveReport:
     converged: bool
     method: str = "cg"
     residual_norms: tuple[float, ...] = field(default=(), repr=False)
-    refinement_iterations: tuple[int, ...] = ()
+    refinement_iterations: int = 0
     multigrid_levels: tuple[int, ...] = ()
 
 
@@ -556,35 +554,29 @@ def solve(A, b, tol: float = 1e-10, groups=None,
 
 
 def solve_system(system, tol: float = 1e-10) -> tuple[np.ndarray, SolveReport]:
-    """Solve an assembled system, then refine it in up to ``REFINE_ROUNDS`` rounds.
+    """Solve an assembled system, then refine it in one round.
 
     The assembled matrix rounds O(1/eps) interface entries against O(1)
     stiffness entries, which biases the solution by about 1e-8 on strongly
-    conductive interfaces. Each refinement round takes the residual of
+    conductive interfaces. The refinement round takes the residual of
     ``LinearSystem.residual_raw`` (domain matrix as is, interface terms on
-    pair jumps and means) plus the boundary loads, puts each Dirichlet row's
-    value mismatch in its place, and solves for the correction, restoring
-    conservation to machine precision.
-    One multigrid hierarchy over the system's copy groups is built and
-    preconditions the first solve and every refinement solve; the returned
-    report is the first solve's, with the iteration count of each
-    refinement solve attached.
+    pair jumps and means) plus the boundary loads and solves for the
+    correction, restoring conservation to machine precision. The Dirichlet
+    dofs are first set to their data, which the first solve meets only to
+    its tolerance, and their residual rows zeroed; the correction is then
+    exactly zero there. One multigrid hierarchy over the system's copy
+    groups preconditions both solves; the returned report is the first
+    solve's, with the refinement solve's iteration count attached.
     """
     hierarchy = multigrid(system.matrix, system.copy_groups)
     x, report = solve(system.matrix, system.rhs, tol=tol, hierarchy=hierarchy)
     fixed = np.fromiter(system.dirichlet_dofs, dtype=np.intp, count=len(system.dirichlet_dofs))
-    g = np.fromiter(system.dirichlet_dofs.values(), dtype=float, count=len(fixed))
-    refinement: list[int] = []
-    for _ in range(REFINE_ROUNDS):
-        r = system.residual_raw(x)
-        r += system.rhs_raw - system.rhs_body
-        r[fixed] = g - x[fixed]
-        if not np.any(r):
-            break
-        # The correction only needs a few digits; its error is scaled by ||r||.
-        delta, round_report = solve(system.matrix, r, tol=1e-4, hierarchy=hierarchy)
-        del r
-        refinement.append(round_report.iterations)
-        x += delta
-        del delta
-    return x, replace(report, refinement_iterations=tuple(refinement))
+    x[fixed] = np.fromiter(system.dirichlet_dofs.values(), dtype=float, count=len(fixed))
+    r = system.residual_raw(x)
+    r += system.rhs_raw - system.rhs_body
+    r[fixed] = 0.0
+    # The correction only needs a few digits; its error is scaled by ||r||.
+    delta, round_report = solve(system.matrix, r, tol=1e-4, hierarchy=hierarchy)
+    del r
+    x += delta
+    return x, replace(report, refinement_iterations=round_report.iterations)

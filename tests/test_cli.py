@@ -59,11 +59,11 @@ def test_run_regular2d_benchmark_counts(tmp_path):
     assert summary["subdomains"] == 10
     assert summary["params"]["fracture_source"] == "external-benchmark"
     assert len(summary["fractures"]) == 6
-    # the first solve and each refinement solve are reported separately
+    # the first solve and the refinement solve are reported separately
     assert summary["method"] == "cg"
     assert summary["cg_iterations"] > 0
-    assert len(summary["refinement_iterations"]) == 2
-    assert all(k > 0 for k in summary["refinement_iterations"])
+    assert isinstance(summary["refinement_iterations"], int)
+    assert summary["refinement_iterations"] > 0
     # dofs per multigrid level, finest first, down to a dense coarsest level
     levels = summary["multigrid_levels"]
     assert levels[0] == 1210 and len(levels) >= 2
@@ -149,6 +149,10 @@ def test_config_extra_profile(tmp_path):
     # a tolerance the solver cannot use
     ({"scenario": "onedim", "tol": float("nan")}, "tolerance"),
     ({"scenario": "onedim", "tol": -1.0}, "tolerance"),
+    # a key nothing reads is rejected like any other unknown key
+    ({"scenario": "regular2d",
+      "fractures": [{"path": [[0.5, 0.0], [0.5, 1.0]], "aperture": 1e-3,
+                     "mobility": 1.0, "source": "field-map"}]}, "source"),
 ])
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, config, needle):
     cfg = tmp_path / "bad.json"
