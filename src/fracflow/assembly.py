@@ -3,7 +3,8 @@
 Interface terms live on node pairs: each fracture node is duplicated into a
 side-1 copy ``lo`` and a side-2 copy ``hi``, and ``assemble`` collects the
 unique pairs ``(lo, hi)`` once (adjacent interface edges share their
-endpoint pairs). Over p pairs the mean and jump maps are
+endpoint pairs). Over p pairs the mean and jump maps, which
+``_pair_maps`` builds for every use, are
 
     M = 0.5 at (k, lo_k) and (k, hi_k)        mean = (side1 + side2) / 2
     J = -1 at (k, lo_k), +1 at (k, hi_k)      jump = side2 - side1
@@ -137,14 +138,12 @@ class BoundaryConditionSet:
             raise ConfigurationError("at least one Dirichlet tag is required")
 
 
-def _pair_scatter(pairs: np.ndarray, mean_part: np.ndarray, jump_part: np.ndarray,
-                  n: int) -> np.ndarray:
-    """M^T mean_part + J^T jump_part: half of each pair's mean term to both
-    sides, its jump term with sign -/+ to side 1/2."""
-    half = 0.5 * mean_part
-    out = np.bincount(pairs[:, 0], half - jump_part, minlength=n)
-    out += np.bincount(pairs[:, 1], half + jump_part, minlength=n)
-    return out
+def _pair_maps(pairs: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The p x n mean map M and jump map J of the (side 1, side 2) dof pairs
+    (see the module docstring)."""
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    return tuple(sp.csr_matrix((np.tile(w, len(pairs)), (rows, pairs.ravel())),
+                               shape=(len(pairs), n)) for w in ([0.5, 0.5], [-1.0, 1.0]))
 
 
 def _with_interface(matrix_domain: sp.csr_matrix, pairs: np.ndarray, K_mean: sp.csr_matrix,
@@ -153,12 +152,7 @@ def _with_interface(matrix_domain: sp.csr_matrix, pairs: np.ndarray, K_mean: sp.
     matrix_domain when there are no pairs."""
     if not len(pairs):
         return matrix_domain.copy()
-    n = matrix_domain.shape[0]
-    rows = np.repeat(np.arange(len(pairs)), 2)
-    M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
-                      shape=(len(pairs), n))
-    J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
-                      shape=(len(pairs), n))
+    M, J = _pair_maps(pairs, matrix_domain.shape[0])
     return matrix_domain + (M.T @ K_mean @ M + J.T @ K_jump @ J)
 
 
@@ -234,9 +228,10 @@ class LinearSystem:
         The domain matrix is applied row by row as it is: ``matrix @ x``,
         with the ``domain_rows`` overwritten by ``domain_at_rows @ x``. Every
         row so sums the same products in the same order as ``matrix_domain @
-        x`` would. The interface part first takes each pair's jump and side
-        mean, scales them by ``interface_jump`` and ``interface_mean``, then
-        scatters the results back to the two sides. The kf/eps penalty so
+        x`` would. The interface part first takes each pair's jump J x and
+        side mean M x, scales them by ``interface_jump`` and
+        ``interface_mean``, then scatters the results back to the two sides
+        with J^T and M^T. The kf/eps penalty so
         multiplies a small jump instead of two O(1) pressures whose
         penalty-scaled products would have to cancel, and each jump term
         enters its two sides with opposite signs. Boundary fluxes recovered
@@ -244,10 +239,8 @@ class LinearSystem:
         terms.
         """
         x = np.asarray(solution, dtype=float)
-        lo, hi = self.interface_pairs.T
-        interface = _pair_scatter(self.interface_pairs,
-                                  self.interface_mean @ (0.5 * (x[lo] + x[hi])),
-                                  self.interface_jump @ (x[hi] - x[lo]), self.n_dofs)
+        M, J = _pair_maps(self.interface_pairs, self.n_dofs)
+        interface = M.T @ (self.interface_mean @ (M @ x)) + J.T @ (self.interface_jump @ (J @ x))
         r = self.matrix @ x
         r[self.domain_rows] = self.domain_at_rows @ x
         np.subtract(self.rhs_body, r, out=r)
@@ -359,7 +352,8 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
 
     # Interface terms, over the node pairs.
     pairs, K_mean, f_mean, K_jump, f_jump = _interface_operators(split, coeffs)
-    rhs_body = _pair_scatter(pairs, f_mean, f_jump, n)
+    M, J = _pair_maps(pairs, n)
+    rhs_body = M.T @ f_mean + J.T @ f_jump
 
     # Neumann loads, added in facet order.
     rhs_neumann = np.zeros(n)

@@ -187,6 +187,7 @@ def _summary_payload(res: ScenarioResult, files: dict) -> dict:
         "multigrid_levels": list(res.report.multigrid_levels),
         "relative_residual": res.report.relative_residual,
         "converged": res.report.converged,
+        "at_float64_floor": res.report.float64_floor,
         "boundary_fluxes": res.fluxes,
         "mass_balance_defect": res.defect,
         "inflow": inflow,

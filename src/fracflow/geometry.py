@@ -285,17 +285,16 @@ class InterfaceEntities:
     ``node_pairs`` (m, k, 2) holds each node's side-1 copy (lower subdomain
     id, ties broken by lower cell id) in ``[..., 0]`` and its side-2 copy in
     ``[..., 1]``. ``points`` (m, k, d) and ``apertures`` (m, k) are taken at
-    the nodes, ``normal`` (m, d) is the unit normal from side 1 into side 2
-    (+1 in 1D) and ``length`` (m,) the edge length (1 for a point). Indexing
-    with a slice, mask or index array gives those rows as a new record. A
-    caller's array that needs no layout conversion is kept and made read-only.
+    the nodes, and ``length`` (m,) is the edge length (1 for a point).
+    Indexing with a slice, mask or index array gives those rows as a new
+    record. A caller's array that needs no layout conversion is kept and made
+    read-only.
     """
 
     fracture_id: np.ndarray
     node_pairs: np.ndarray
     points: np.ndarray
     apertures: np.ndarray
-    normal: np.ndarray
     length: np.ndarray
 
     def __post_init__(self):
@@ -617,8 +616,7 @@ def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, fr_vertex: np.ndarray) 
         n_subdomains=n_sub,
         interface_edges=InterfaceEntities(
             fracture_id, np.stack([fr_vertex, copy_id], axis=1)[:, None, :], points,
-            _apertures(network, fracture_id, points), np.ones((len(fr_vertex), 1)),
-            np.ones(len(fr_vertex))),
+            _apertures(network, fracture_id, points), np.ones(len(fr_vertex))),
         vertex_origin=np.concatenate([np.arange(nv, dtype=np.int64), fr_vertex]),
         network=network,
     )
@@ -768,10 +766,6 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains: np.ndarray,
     points = mesh.vertices[chains]
     tangent = points[:, 1] - points[:, 0]
     length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
-    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / length[:, None]
-    centroids = mesh.vertices[cells[np.stack([s1 // 4, s2 // 4])]].mean(axis=2)
-    flip = np.einsum("ij,ij->i", normal, centroids[1] - centroids[0]) < 0.0
-    normal[flip] = -normal[flip]
     node_pairs = np.stack([copy_at(chains, s1[:, None]), copy_at(chains, s2[:, None])], axis=2)
 
     return SplitMesh(
@@ -779,8 +773,7 @@ def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains: np.ndarray,
         subdomain_of_cell=subdomain,
         n_subdomains=n_sub,
         interface_edges=InterfaceEntities(chain_frac, node_pairs, points,
-                                          _apertures(network, chain_frac, points),
-                                          normal, length),
+                                          _apertures(network, chain_frac, points), length),
         vertex_origin=vertex_origin,
         network=network,
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LinearSystem
+from .assembly import LinearSystem, _pair_maps
 from .elements import q1_dshape, q1_shape
 from .errors import GeometryError
 from .geometry import CELL_BLOCK, Mesh, Point, SplitMesh, _default_tol
@@ -199,8 +199,8 @@ def _fracture_nodal(split: SplitMesh, values: np.ndarray, fracture_id: int):
     # Every node of every entity, in entity order.
     pairs = entities.node_pairs.reshape(-1, 2)
     pts = entities.points.reshape(len(pairs), -1)
-    mean = 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])
-    jump = values[pairs[:, 1]] - values[pairs[:, 0]]
+    M, J = _pair_maps(pairs, len(values))
+    mean, jump = M @ values, J @ values
     path = split.network.fractures[fracture_id].path
     if len(path) == 1:                     # a 1D point: one node at s = 0
         return np.zeros(1), pts, mean, jump

@@ -53,6 +53,7 @@ MIN_SHRINK = 0.8
 POWER_STEPS = 15
 # Fixed seed of the aggregation priorities and the power iteration start.
 SEED = 0
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,7 @@ class SolveReport:
     residual_norms: tuple[float, ...] = field(default=(), repr=False)
     refinement_iterations: int = 0
     multigrid_levels: tuple[int, ...] = ()
+    float64_floor: float | None = None      # set when converged at that floor
 
 
 def _as_csr(A) -> sp.csr_matrix:
@@ -137,7 +139,7 @@ def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
             raise SolverError("a copy-group block is not positive definite; "
                               "matrix not SPD") from exc
         del sub, same, B
-        P = np.einsum("mki,mkj->mij", L_inv, L_inv)        # B^-1 = L^-T L^-1
+        P = L_inv.transpose(0, 2, 1) @ L_inv              # B^-1 = L^-T L^-1
         del L_inv
         P = 0.5 * (P + P.transpose(0, 2, 1))
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -319,8 +321,7 @@ def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
 class _Level:
     A: sp.csr_matrix
     smoother: sp.csr_matrix | None = None   # damped block Jacobi
-    P: sp.csr_matrix | None = None          # prolongation from the next level
-    R: sp.csr_matrix | None = None          # restriction P^T, stored as CSR
+    R: sp.csr_matrix | None = None          # restriction P^T to the next level
     factor: tuple | None = None             # dense Cholesky of the coarsest A
     potrs: Callable | None = None           # LAPACK solve with that factor
 
@@ -333,8 +334,8 @@ class Multigrid:
     symmetric positive definite operator, as CG requires. The coarsest
     level is factored by dense Cholesky when it has at most ``COARSE_DOFS``
     dofs, and is only smoothed when coarsening stalled above that. Each
-    level keeps its restriction P^T as a CSR copy: a product with the CSC
-    view ``P.T`` is 2-3x slower and sums the same terms in the same order.
+    level stores only its restriction R = P^T, as CSR, and prolongs with
+    its CSC view ``R.T``.
     """
 
     def __init__(self, levels: list[_Level]):
@@ -358,8 +359,8 @@ class Multigrid:
                 raise SolverError(f"coarsest-level solve failed: LAPACK potrs info {info}")
             return x
         x = level.smoother @ b
-        if level.P is not None:
-            x += level.P @ self._cycle(k + 1, level.R @ self._residual(level, b, x))
+        if level.R is not None:
+            x += level.R.T @ self._cycle(k + 1, level.R @ self._residual(level, b, x))
         x += level.smoother @ self._residual(level, b, x)
         return x
 
@@ -404,7 +405,7 @@ def multigrid(A, groups=None) -> Multigrid:
         # matrix, without a CSC copy of A P.
         A_coarse = R @ (A @ P)
         A_coarse.sort_indices()
-        levels.append(_Level(A, S, P, R))
+        levels.append(_Level(A, S, R))
         A = (0.5 * (A_coarse + A_coarse.T)).tocsr()
         groups = None
     try:
@@ -433,16 +434,21 @@ def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
     fails, the trigger is tightened by the ratio of the target to the
     recomputed norm, at least halved, and the iteration goes on undisturbed:
     a restart would throw away the Krylov space and trip the stall test. Two
-    failed checks in a row without a 10% gain mean the float64 floor.
+    failed checks in a row without a 10% gain mean a stall. A stall within
+    the float64 floor eps |(|A| |x| + |b|)|_D / |b|_D, the error of evaluating
+    b - A x at the iterate, has converged (a normwise backward-error test;
+    Arioli, Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992), and its report
+    gives that ``float64_floor``. No float64 residual can show a ``tol``
+    below eps, so a stall never meets one.
 
     The initial residual is b itself, so a call applies the V-cycle once per
     iteration plus once, and no product with A precedes the loop.
 
     Raises NonConvergenceError (carrying the report) when the budget of
     ``max_iter`` (default 10 n) iterations is exhausted or the residual
-    stalls, SolverError on non-finite values, a matrix that is not SPD or a
-    hierarchy of another size, and ConfigurationError unless ``tol`` is
-    finite and positive.
+    stalls above the floor, SolverError on non-finite values, a matrix that
+    is not SPD or a hierarchy of another size, and ConfigurationError unless
+    ``tol`` is finite and positive.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"solver tolerance must be finite and positive, got {tol!r}")
@@ -483,8 +489,12 @@ def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
             if true_norm <= tol * b_norm:
                 return x, SolveReport(it, true_norm / b_norm, True, "cg", tuple(history),
                                       multigrid_levels=levels)
-            if true_norm >= 0.9 * last_true:
-                stalled = True     # the recomputed residual stopped falling
+            if true_norm >= 0.9 * last_true:     # the recomputed residual stopped falling
+                floor = EPS * pnorm(abs(A) @ np.abs(x) + np.abs(b)) / b_norm
+                if tol >= EPS and true_norm <= floor * b_norm:
+                    return x, SolveReport(it, true_norm / b_norm, True, "cg", tuple(history),
+                                          multigrid_levels=levels, float64_floor=floor)
+                stalled = True
                 break
             last_true = true_norm
             trigger = history[-1] * min(0.5, tol * b_norm / true_norm)
@@ -513,7 +523,7 @@ def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
                          tuple(history), multigrid_levels=levels)
     if report.converged:
         return x, report
-    reason = "stalled at the float64 floor" if stalled else f"budget of {max_iter} iterations exhausted"
+    reason = "stalled above the float64 floor" if stalled else f"budget of {max_iter} iterations exhausted"
     exc = NonConvergenceError(
         f"CG did not reach tol={tol}: {reason} "
         f"(relative residual {report.relative_residual:.3e})", report)

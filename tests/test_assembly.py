@@ -12,7 +12,7 @@ from fracflow import (BoundaryConditionSet, ConfigurationError,
                       build_interval, build_structured_quad, default_eps_floor,
                       fracture_coefficient_map, fracture_to_coeffs,
                       sample_profile, solve_system, split_mesh)
-from fracflow.assembly import _domain_matrix
+from fracflow.assembly import _domain_matrix, _pair_maps
 from fracflow.elements import facet_load
 from fracflow.scenarios import SCENARIOS
 from conftest import (THROUGHFLOW, coeffs_for, copies_of, q1_stiffness_batch, unit_square,
@@ -477,18 +477,30 @@ def system_and_domain(request):
 def test_residual_raw_is_the_full_domain_formula_bit_for_bit(system_and_domain):
     system, domain = system_and_domain
     x = np.random.default_rng(1).standard_normal(system.n_dofs)
-    # rhs_body - domain @ x - (M^T mean + J^T jump), as residual_raw was
-    # written over the full domain matrix
+    # rhs_body - domain @ x - (M^T K_mean M x + J^T K_jump J x), as
+    # residual_raw was written over the full domain matrix
     pairs, n = system.interface_pairs, system.n_dofs
-    lo, hi = pairs.T
-    half = 0.5 * (system.interface_mean @ (0.5 * (x[lo] + x[hi])))
-    jump = system.interface_jump @ (x[hi] - x[lo])
-    interface = np.bincount(lo, half - jump, minlength=n)
-    interface += np.bincount(hi, half + jump, minlength=n)
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    interface = M.T @ (system.interface_mean @ (M @ x)) \
+        + J.T @ (system.interface_jump @ (J @ x))
     want = domain @ x
     np.subtract(system.rhs_body, want, out=want)
     want -= interface
     assert np.array_equal(system.residual_raw(x).view(np.int64), want.view(np.int64))
+
+
+def test_pair_maps_give_side_mean_and_jump_bit_for_bit(system_and_domain):
+    system, _ = system_and_domain
+    x = np.random.default_rng(2).standard_normal(system.n_dofs)
+    lo, hi = system.interface_pairs.T
+    M, J = _pair_maps(system.interface_pairs, system.n_dofs)
+    assert M.shape == J.shape == (len(lo), system.n_dofs)
+    assert np.array_equal((M @ x).view(np.int64), (0.5 * (x[lo] + x[hi])).view(np.int64))
+    assert np.array_equal((J @ x).view(np.int64), (x[hi] - x[lo]).view(np.int64))
 
 
 def test_rows_outside_the_stored_set_are_domain_rows(system_and_domain):

@@ -15,7 +15,7 @@ SUMMARY_KEYS = {"scenario", "variant", "n", "params", "dofs", "subdomains",
                 "interface_entities", "method", "cg_iterations",
                 "relative_residual", "converged", "boundary_fluxes",
                 "mass_balance_defect", "inflow", "profiles", "fractures",
-                "refinement_iterations", "multigrid_levels"}
+                "refinement_iterations", "multigrid_levels", "at_float64_floor"}
 
 
 def run_cli(*argv):
@@ -44,6 +44,7 @@ def test_run_onedim_outputs(tmp_path):
     assert summary["dofs"] == 66
     assert summary["subdomains"] == 2
     assert summary["converged"] is True
+    assert summary["at_float64_floor"] is None
     assert abs(summary["fractures"][0]["extremal_jump"] + 1.0) <= 1e-10
     assert summary["mass_balance_defect"] <= 1e-8 * summary["inflow"]
     assert set(summary["boundary_fluxes"]) == {"left", "right"}

@@ -260,7 +260,7 @@ def test_interface_record_rows_are_read_only_records():
     edges = split.interface_edges
     assert isinstance(edges, InterfaceEntities)
     assert len(edges) == len(edges.fracture_id) == 28
-    for name in ("fracture_id", "node_pairs", "points", "apertures", "normal", "length"):
+    for name in ("fracture_id", "node_pairs", "points", "apertures", "length"):
         assert not getattr(edges, name).flags.writeable
     # the rows of each fracture, in order, make up the record
     rows = [split.edges_of_fracture(j) for j in range(6)]
@@ -268,12 +268,10 @@ def test_interface_record_rows_are_read_only_records():
     assert np.array_equal(np.concatenate([r.node_pairs for r in rows]), edges.node_pairs)
     assert np.array_equal(edges[3:5].points, edges.points[3:5])
     assert len(split.edges_of_fracture(6)) == 0
-    # side 1 is the lower subdomain; unit normals across their edges
+    # side 1 is the lower subdomain
     side = split.subdomain_of_vertex()[edges.node_pairs]
     assert np.all(side[..., 0] < side[..., 1])
     tangent = edges.points[:, 1] - edges.points[:, 0]
-    assert np.allclose(np.linalg.norm(edges.normal, axis=1), 1.0)
-    assert np.allclose(np.einsum("md,md->m", edges.normal, tangent), 0.0)
     assert np.allclose(np.linalg.norm(tangent, axis=1), edges.length)
 
 
@@ -414,7 +412,6 @@ def test_split_1d_point_interface():
     assert split.vertex_origin[i] == split.vertex_origin[j]
     assert split.base.vertices[i, 0] == pytest.approx(0.5)
     assert point.points[0, 0, 0] == pytest.approx(0.5)
-    assert point.normal.tolist() == [[1.0]]
 
 
 def test_split_rejects_nonconforming():
