@@ -1,10 +1,11 @@
 """Meshes, fracture descriptions, conformity checking and interface splitting.
 
 Fractures are lower-dimensional objects (polylines in 2D, points in 1D) that
-must coincide with mesh edges/vertices. ``split_mesh`` duplicates the mesh
-vertices along each fracture so the two sides carry independent degrees of
-freedom, labels the resulting subdomains, and records the interface entities
-the assembly stage needs.
+must coincide with mesh facets: edges in 2D, vertices in 1D. ``split_mesh``
+duplicates the mesh vertices on each fracture facet so the two sides carry
+independent degrees of freedom, labels the resulting subdomains, and records
+the interface entities the assembly stage needs, in one code path for both
+dimensions.
 """
 
 from __future__ import annotations
@@ -280,8 +281,8 @@ class Mesh:
 class InterfaceEntities:
     """Interface entities of a split mesh as read-only arrays, one row each.
 
-    An entity is a mesh edge on a 2D fracture (k = 2 nodes) or a duplicated
-    vertex in 1D (k = 1). ``fracture_id`` (m,) names its fracture.
+    An entity is a mesh facet on a fracture: an edge in 2D (k = 2 nodes) or
+    a vertex in 1D (k = 1). ``fracture_id`` (m,) names its fracture.
     ``node_pairs`` (m, k, 2) holds each node's side-1 copy (lower subdomain
     id, ties broken by lower cell id) in ``[..., 0]`` and its side-2 copy in
     ``[..., 1]``. ``points`` (m, k, d) and ``apertures`` (m, k) are taken at
@@ -318,8 +319,9 @@ class SplitMesh:
     ``base.boundary_facets`` are the facets of the unsplit mesh, in the same
     order and with the same ``facet_tags``, each vertex replaced by its copy
     in the cell that owns the facet. ``interface_edges`` is the one
-    ``InterfaceEntities`` record of every interface edge (2D) or point
-    (1D): the ``check_conformity`` chains concatenated in fracture order.
+    ``InterfaceEntities`` record of every fracture facet, an edge in 2D and
+    a point in 1D: the (m_j, d) ``check_conformity`` chains concatenated in
+    fracture order.
     ``subdomain_of_cell`` and ``vertex_origin`` are read-only int64 arrays,
     the caller's own (made read-only) where no conversion is needed.
     """
@@ -410,20 +412,24 @@ def build_interval(n: int, length: float) -> Mesh:
     return Mesh(vertices, cells, [[0], [n]], ["left", "right"])
 
 
-class _EdgeTable:
-    """Unique undirected edges of a quad mesh with cell incidence.
+class _FacetTable:
+    """Unique facets of a mesh with cell incidence: vertices in 1D, undirected
+    edges in 2D.
 
-    Each incidence is a slot ``4 c + k``: local edge k of cell c, running
-    from its corner k to corner k + 1 (mod 4), so a slot is also the flat
-    index of that first corner in ``cells``. The slots of edge e are
+    Local facet k of a cell with r corners runs from its corner k to corner
+    k + d - 1 (mod r), d the dimension: in 1D that is corner k itself. Each
+    incidence is a slot ``r c + k``, so a slot is also the flat index of the
+    facet's first corner in ``cells``. The slots of facet e are
     ``slots[offsets[e]:offsets[e + 1]]``, in cell order.
     """
 
     def __init__(self, mesh: Mesh):
         cells = mesh.cells
         nv = mesh.n_vertices
+        self.corners = r = cells.shape[1]
+        self._step = mesh.dim - 1
         a = cells.ravel()
-        b = cells[:, [1, 2, 3, 0]].ravel()
+        b = cells[:, (np.arange(r) + self._step) % r].ravel()
         codes = np.minimum(a, b)
         codes *= nv
         codes += np.maximum(a, b, out=b)
@@ -436,31 +442,31 @@ class _EdgeTable:
         self.offsets = np.append(first, len(codes))
         self.slots = order
 
-    def edge_ids(self, a, b) -> np.ndarray:
-        """Index of each undirected edge (a[i], b[i]), or -1 if absent."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+    def facet_ids(self, facets) -> np.ndarray:
+        """Index of the facet of each row of vertex ids (f, d), or -1 if absent."""
+        facets = np.asarray(facets, dtype=np.int64)
+        a, b = facets[:, 0], facets[:, -1]
         code = np.minimum(a, b) * self._nv + np.maximum(a, b)
         idx = np.searchsorted(self.codes, code)
         found = idx < len(self.codes)
         found[found] = self.codes[idx[found]] == code[found]
         return np.where(found, idx, -1)
 
-    def slot(self, edge_ids, i: int = 0) -> np.ndarray:
-        """The i-th incidence slot of each edge."""
-        return self.slots[self.offsets[edge_ids] + i]
+    def slot(self, facet_ids, i: int = 0) -> np.ndarray:
+        """The i-th incidence slot of each facet."""
+        return self.slots[self.offsets[facet_ids] + i]
+
+    def ends(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``cells`` indices of the first and last corner of each slot's facet."""
+        r = self.corners
+        return slots, slots - slots % r + (slots + self._step) % r
 
     @property
-    def n_edges(self) -> int:
+    def n_facets(self) -> int:
         return len(self.codes)
 
     def incidence_counts(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-
-def _slot_ends(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``cells`` indices of the two corners a local-edge slot joins."""
-    return slots, slots - slots % 4 + (slots + 1) % 4
 
 
 def _default_tol(mesh: Mesh) -> float:
@@ -468,61 +474,53 @@ def _default_tol(mesh: Mesh) -> float:
 
 
 def check_conformity(mesh: Mesh, network: FractureNetwork) -> list[np.ndarray]:
-    """Match each fracture path to a chain of mesh entities.
+    """Match each fracture path to a chain of mesh facets.
 
-    Returns one int64 array per fracture: in 2D an (m_j, 2) array of the
-    vertex ids of the mesh edges along the path, in path order and each
-    oriented along it; in 1D a (1,) array holding the matched vertex id.
-    Raises ConformityError if any portion of a path fails to coincide with
-    mesh edges/vertices.
+    Returns one (m_j, d) int64 array per fracture, d the mesh dimension: the
+    vertex ids of the facets along the path, in path order and each oriented
+    along it. A facet is an edge in 2D and a vertex in 1D, where a fracture
+    point gives a (1, 1) chain. Raises ConformityError if any portion of a
+    path fails to coincide with mesh facets.
     """
-    chains, fracture_id = _match_paths(mesh, network,
-                                       _EdgeTable(mesh) if mesh.dim == 2 else None)
+    chains, fracture_id = _match_paths(mesh, network, _FacetTable(mesh))
     return [chains[fracture_id == j] for j in range(len(network))]
 
 
 def _match_paths(mesh: Mesh, network: FractureNetwork,
-                 table: _EdgeTable | None) -> tuple[np.ndarray, np.ndarray]:
-    """``check_conformity`` on the edge table of a 2D mesh (None in 1D): the
-    chains of all fractures concatenated in fracture order, (m, 2) in 2D and
-    (m,) in 1D, and the fracture id (m,) of each row."""
+                 table: _FacetTable) -> tuple[np.ndarray, np.ndarray]:
+    """``check_conformity`` on the facet table of the mesh: the chains of all
+    fractures concatenated in fracture order, (m, d), and the fracture id
+    (m,) of each row."""
     tol = _default_tol(mesh)
     for f in network:
         if f.dim != mesh.dim:
             raise GeometryError(f"fracture dimension {f.dim} does not match mesh dimension {mesh.dim}")
 
-    if mesh.dim == 1:
-        coords = mesh.vertices[:, 0]
-        vertex = np.empty(len(network), dtype=np.int64)
-        for j, frac in enumerate(network):
-            s = frac.path[0].x
-            hits = np.nonzero(np.abs(coords - s) <= tol)[0]
-            if len(hits) == 0:
-                raise ConformityError(f"fracture {j}: no mesh vertex at x={s}")
-            vertex[j] = hits[0]
-        return vertex, np.arange(len(network))
-
     verts = mesh.vertices
-    edges = [np.empty((0, 2), dtype=np.int64)]
+    d = mesh.dim
+    facets = [np.empty((0, d), dtype=np.int64)]
     owner = [np.empty(0, dtype=np.int64)]
     for j, frac in enumerate(network):
+        # A 1D point is matched as the one piece from the point to itself.
+        path = frac.path if len(frac.path) > 1 else frac.path * 2
         prev_end: int | None = None
-        for k, (p, q) in enumerate(zip(frac.path[:-1], frac.path[1:])):
+        for k, (p, q) in enumerate(zip(path[:-1], path[1:])):
             pa = p.as_array()
             qa = q.as_array()
             seg = qa - pa
             seg_len = float(np.linalg.norm(seg))
-            if seg_len <= tol:
+            if 0.0 < seg_len <= tol:
                 raise GeometryError(f"fracture {j}: degenerate path segment {k}")
-            that = seg / seg_len
+            # The unit tangent; a point's is zero, so its every t is 0.
+            that = seg / max(seg_len, tol)
             # A vertex on the segment lies in its bounding box, widened by tol.
             mid, half = 0.5 * (pa + qa), 0.5 * np.abs(seg) + 2.0 * tol
-            near = np.flatnonzero((np.abs(verts[:, 0] - mid[0]) <= half[0])
-                                  & (np.abs(verts[:, 1] - mid[1]) <= half[1]))
+            near = np.flatnonzero(np.logical_and.reduce(
+                [np.abs(x - m) <= h for x, m, h in zip(verts.T, mid, half)]))
             t = (verts[near] - pa) @ that
             closest = pa + np.clip(t, 0.0, seg_len)[:, None] * that
             on = np.linalg.norm(verts[near] - closest, axis=1) <= tol
-            if np.count_nonzero(on) < 2:
+            if np.count_nonzero(on) < d:
                 raise ConformityError(
                     f"fracture {j}, segment {k}: path does not follow mesh vertices"
                 )
@@ -539,94 +537,163 @@ def _match_paths(mesh: Mesh, network: FractureNetwork,
                 raise ConformityError(
                     f"fracture {j}: path segments {k - 1} and {k} do not share a mesh vertex"
                 )
-            missing = np.flatnonzero(table.edge_ids(order[:-1], order[1:]) < 0)
+            # The facets are the windows of d consecutive matched vertices.
+            windows = np.column_stack([order[i:len(order) + i + 1 - d] for i in range(d)])
+            missing = np.flatnonzero(table.facet_ids(windows) < 0)
             if len(missing):
-                va, vb = order[missing[0]], order[missing[0] + 1]
                 raise ConformityError(
-                    f"fracture {j}, segment {k}: no mesh edge between vertices "
-                    f"{int(va)} and {int(vb)}; the path crosses cell interiors"
+                    f"fracture {j}, segment {k}: no mesh facet "
+                    f"{tuple(windows[missing[0]].tolist())}; the path crosses cell interiors"
                 )
-            edges.append(np.column_stack([order[:-1], order[1:]]))
-            owner.append(np.full(len(order) - 1, j))
+            facets.append(windows)
+            owner.append(np.full(len(windows), j))
             prev_end = int(order[-1])
-    return np.concatenate(edges), np.concatenate(owner)
+    return np.concatenate(facets), np.concatenate(owner)
 
 
 def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     """Duplicate fracture vertices per side and label subdomains.
 
-    Every vertex on a fracture path is duplicated once per incident corner
+    Every vertex on a fracture facet is duplicated once per incident corner
     group: the incident cells, connected to each other around the vertex
-    through non-fracture edges. A vertex interior to a single fracture gets
-    two copies, a crossing of two fractures up to four. The copy attached to
-    the group containing the lowest cell id keeps the original vertex id;
-    further copies are appended in deterministic order.
+    through non-fracture facets. A vertex interior to a single fracture, and
+    a 1D fracture point, get two copies, a crossing of two fractures up to
+    four. The copy attached to the group containing the lowest cell id
+    keeps the original vertex id; further copies are appended in order of
+    vertex, then of lowest cell.
 
     Raises UnsupportedTopologyError for a fracture tip that lies strictly
     inside a subdomain (touching neither the domain boundary nor another
-    fracture), for fractures running along the domain boundary, and for
-    overlapping fractures.
+    fracture), for fractures on the domain boundary, and for overlapping
+    fractures.
     """
-    if mesh.dim == 1:
-        return _split_mesh_1d(mesh, network, _match_paths(mesh, network, None)[0])
-    table = _EdgeTable(mesh)
-    return _split_mesh_2d(mesh, network, *_match_paths(mesh, network, table), table)
-
-
-def _split_mesh_1d(mesh: Mesh, network: FractureNetwork, fr_vertex: np.ndarray) -> SplitMesh:
+    table = _FacetTable(mesh)
+    chains, chain_frac = _match_paths(mesh, network, table)
+    cells = mesh.cells
+    n_cells = mesh.n_cells
     nv = mesh.n_vertices
-    repeated = _repeated(fr_vertex)
-    if np.any(repeated):
-        j = int(np.argmax(repeated))
-        v = int(fr_vertex[j])
+    r = table.corners
+    counts = table.incidence_counts()
+
+    # Fracture facets in chain order; reject overlaps and boundary-glued fractures.
+    eids = table.facet_ids(chains)
+    repeated = np.ones(len(eids), dtype=bool)                # a facet met before
+    repeated[np.unique(eids, return_index=True)[1]] = False
+    bad = repeated | (counts[eids] != 2)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        facet, j = tuple(chains[i].tolist()), int(chain_frac[i])
+        if repeated[i]:
+            other = int(chain_frac[np.argmax(eids == eids[i])])
+            raise UnsupportedTopologyError(
+                f"fractures {other} and {j} overlap on facet {facet}")
         raise UnsupportedTopologyError(
-            f"fractures {int(np.argmax(fr_vertex == v))} and {j} coincide at vertex {v}")
+            f"fracture {j} runs along the domain boundary at facet {facet}")
+    on_fracture = np.zeros(table.n_facets, dtype=bool)
+    on_fracture[eids] = True
 
-    # Cell incidences (flat indices 2 c + k into cells) grouped by vertex, in
-    # cell order: those of v are order[start[v]:start[v] + count[v]].
-    order = np.argsort(mesh.cells.ravel(), kind="stable")
-    count = np.bincount(mesh.cells.ravel(), minlength=nv)
-    start = np.cumsum(count) - count
-    inner = count[fr_vertex] != 2
-    if np.any(inner):
+    boundary_vertex = np.zeros(nv, dtype=bool)
+    for ends in np.divmod(table.codes[counts == 1], nv):
+        boundary_vertex[ends] = True
+
+    # Fracture tips, the start and the end of each chain, must rest on the
+    # boundary or on another fracture facet. A 1D point is both ends of its
+    # facet, so it is never a tip.
+    fr_facet_degree = np.bincount(chains[:, [0, -1]].ravel(), minlength=nv)
+    head = np.searchsorted(chain_frac, np.arange(len(network)))
+    tail = np.searchsorted(chain_frac, np.arange(len(network)), side="right") - 1
+    tips = np.column_stack([chains[head, 0], chains[tail, -1]]).ravel()
+    loose = (fr_facet_degree[tips] <= 1) & ~boundary_vertex[tips]
+    if np.any(loose):
+        i = int(np.argmax(loose))
         raise UnsupportedTopologyError(
-            f"1D fracture vertex {int(fr_vertex[np.argmax(inner)])} must be interior to the mesh")
+            f"fracture {i // 2} terminates inside a subdomain at vertex {int(tips[i])}")
 
-    # Flood fill over cells; shared non-fracture vertices connect neighbours.
-    joining = count == 2
-    joining[fr_vertex] = False
-    subdomain = _labels_first_encounter(mesh.n_cells, order[start[joining]] // 2,
-                                        order[start[joining] + 1] // 2)
-    n_sub = int(subdomain.max()) + 1 if mesh.n_cells else 0
+    # Subdomains: flood fill over cells joined by non-fracture facets.
+    joining = np.flatnonzero((counts == 2) & ~on_fracture)
+    slot1, slot2 = table.slot(joining, 0), table.slot(joining, 1)
+    subdomain = _labels_first_encounter(n_cells, slot1 // r, slot2 // r)
+    n_sub = int(subdomain.max()) + 1 if n_cells else 0
 
-    left, right = order[start[fr_vertex]], order[start[fr_vertex] + 1]
-    if np.any(subdomain[left // 2] >= subdomain[right // 2]):
-        raise UnsupportedTopologyError("1D subdomain ordering violated")
-    # The right cell gets the new copy; the left keeps the original id.
-    copy_id = nv + np.arange(len(fr_vertex))
-    cells = mesh.cells.copy()
-    cells.reshape(-1)[right] = copy_id
+    # Corner groups: the corners (cell, fracture vertex) around each
+    # fracture vertex, connected through the non-fracture facets at it.
+    old_flat = cells.ravel()
+    is_fr_vertex = np.zeros(nv, dtype=bool)
+    is_fr_vertex[chains] = True
+    corner_at = np.flatnonzero(is_fr_vertex[old_flat])   # sorted: corner number = position
+    # The first corner of a facet in one cell meets the first or the last
+    # corner of that facet in the other cell, whichever holds the same
+    # vertex. Only facets at a fracture vertex link.
+    ends1 = table.ends(slot1)
+    near = is_fr_vertex[old_flat[ends1[0]]] | is_fr_vertex[old_flat[ends1[1]]]
+    ends1, ends2 = table.ends(slot1[near]), table.ends(slot2[near])
+    aligned = old_flat[ends1[0]] == old_flat[ends2[0]]
+    links = np.concatenate([
+        np.stack([ends1[0], np.where(aligned, ends2[0], ends2[1])]),
+        np.stack([ends1[1], np.where(aligned, ends2[1], ends2[0])]),
+    ], axis=1)
+    links = np.searchsorted(corner_at, links[:, is_fr_vertex[old_flat[links[0]]]])
+    n_groups, group = connected_components(
+        coo_matrix((np.ones(links.shape[1], dtype=np.int8), (links[0], links[1])),
+                   shape=(len(corner_at), len(corner_at))), directed=False)
+    # Each group's vertex and lowest cell (corners are in cell order).
+    _uniq, first = np.unique(group, return_index=True)
+    group_vertex = old_flat[corner_at[first]]
+    group_order = np.lexsort((corner_at[first] // r, group_vertex))
+    sorted_vertex = group_vertex[group_order]
+    starts = np.flatnonzero(np.diff(sorted_vertex, prepend=-1))
+    lonely = np.diff(np.append(starts, n_groups)) < 2
+    if np.any(lonely):
+        raise UnsupportedTopologyError(
+            f"fracture vertex {int(sorted_vertex[starts[np.argmax(lonely)]])} "
+            "does not separate its neighbourhood")
+    # The group with the lowest cell keeps the vertex id; the others get new
+    # ids by vertex, then by lowest cell.
+    rank = np.arange(n_groups) - np.repeat(starts, np.diff(np.append(starts, n_groups)))
+    copied = group_order[rank > 0]
+    group_id = group_vertex.copy()
+    group_id[copied] = nv + np.arange(len(copied))
+    new_cells = cells.copy()
+    new_flat = new_cells.reshape(-1)
+    new_flat[corner_at] = group_id[group]
 
-    fracture_id = np.arange(len(fr_vertex))
-    points = mesh.vertices[fr_vertex][:, None, :]
+    def copy_at(v: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The split id of each v in the cell of its slot, v an end of that facet."""
+        start, end = table.ends(slots)
+        return new_flat[np.where(old_flat[start] == v, start, end)]
+
+    # Boundary facets follow their owning cell's copies.
+    facets = mesh.boundary_facets
+    facet_ids = table.facet_ids(facets)
+    unowned = (facet_ids < 0) | (counts[facet_ids] != 1)
+    if np.any(unowned):
+        vs = tuple(facets[int(np.argmax(unowned))].tolist())
+        raise GeometryError(f"boundary facet {vs} is not owned by exactly one cell")
+
+    origin_extra = group_vertex[copied]
+    base = Mesh(np.vstack([mesh.vertices, mesh.vertices[origin_extra]]), new_cells,
+                copy_at(facets, table.slot(facet_ids)[:, None]), mesh.facet_tags)
+    vertex_origin = np.concatenate([np.arange(nv, dtype=np.int64), origin_extra])
+
+    # Interface facets: side 1 is the cell with the lower (subdomain, cell id).
+    s1, s2 = table.slot(eids, 0), table.slot(eids, 1)
+    swap = subdomain[s2 // r] < subdomain[s1 // r]       # s1's cell id is the lower
+    s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
+    points = mesh.vertices[chains]
+    # An edge's length; a point has no tangent and the empty product 1.
+    tangent = np.diff(points, axis=1)
+    length = np.prod(np.sqrt(np.sum(tangent * tangent, axis=2)), axis=1)
+    node_pairs = np.stack([copy_at(chains, s1[:, None]), copy_at(chains, s2[:, None])], axis=2)
+
     return SplitMesh(
-        base=Mesh(np.vstack([mesh.vertices, mesh.vertices[fr_vertex]]), cells,
-                  mesh.boundary_facets, mesh.facet_tags),
+        base=base,
         subdomain_of_cell=subdomain,
         n_subdomains=n_sub,
-        interface_edges=InterfaceEntities(
-            fracture_id, np.stack([fr_vertex, copy_id], axis=1)[:, None, :], points,
-            _apertures(network, fracture_id, points), np.ones(len(fr_vertex))),
-        vertex_origin=np.concatenate([np.arange(nv, dtype=np.int64), fr_vertex]),
+        interface_edges=InterfaceEntities(chain_frac, node_pairs, points,
+                                          _apertures(network, chain_frac, points), length),
+        vertex_origin=vertex_origin,
         network=network,
     )
-
-
-def _repeated(ids: np.ndarray) -> np.ndarray:
-    """True where an entry equals an earlier one."""
-    repeated = np.ones(len(ids), dtype=bool)
-    repeated[np.unique(ids, return_index=True)[1]] = False
-    return repeated
 
 
 def _apertures(network: FractureNetwork, fracture_id: np.ndarray,
@@ -652,128 +719,3 @@ def _labels_first_encounter(n: int, rows, cols) -> np.ndarray:
     rank = np.empty(len(_uniq), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(_uniq))
     return rank[raw].astype(np.int64)
-
-
-def _split_mesh_2d(mesh: Mesh, network: FractureNetwork, chains: np.ndarray,
-                   chain_frac: np.ndarray, table: _EdgeTable) -> SplitMesh:
-    cells = mesh.cells
-    n_cells = mesh.n_cells
-    nv = mesh.n_vertices
-    counts = table.incidence_counts()
-
-    # Fracture edges in chain order; reject overlaps and boundary-glued fractures.
-    chain_a, chain_b = chains[:, 0], chains[:, 1]
-    eids = table.edge_ids(chain_a, chain_b)
-    repeated = _repeated(eids)
-    bad = repeated | (counts[eids] != 2)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        va, vb, j = int(chain_a[i]), int(chain_b[i]), int(chain_frac[i])
-        if repeated[i]:
-            other = int(chain_frac[np.argmax(eids == eids[i])])
-            raise UnsupportedTopologyError(
-                f"fractures {other} and {j} overlap on edge ({va}, {vb})")
-        raise UnsupportedTopologyError(
-            f"fracture {j} runs along the domain boundary at edge ({va}, {vb})")
-    on_fracture = np.zeros(table.n_edges, dtype=bool)
-    on_fracture[eids] = True
-
-    boundary_vertex = np.zeros(nv, dtype=bool)
-    for ends in np.divmod(table.codes[counts == 1], nv):
-        boundary_vertex[ends] = True
-
-    # Fracture tips, the start and the end of each chain, must rest on the
-    # boundary or on another fracture edge.
-    fr_edge_degree = np.bincount(chains.ravel(), minlength=nv)
-    head = np.searchsorted(chain_frac, np.arange(len(network)))
-    tail = np.searchsorted(chain_frac, np.arange(len(network)), side="right") - 1
-    tips = np.column_stack([chain_a[head], chain_b[tail]]).ravel()
-    loose = (fr_edge_degree[tips] <= 1) & ~boundary_vertex[tips]
-    if np.any(loose):
-        i = int(np.argmax(loose))
-        raise UnsupportedTopologyError(
-            f"fracture {i // 2} terminates inside a subdomain at vertex {int(tips[i])}")
-
-    # Subdomains: flood fill over cells joined by non-fracture edges.
-    joining = np.flatnonzero((counts == 2) & ~on_fracture)
-    slot1, slot2 = table.slot(joining, 0), table.slot(joining, 1)
-    subdomain = _labels_first_encounter(n_cells, slot1 // 4, slot2 // 4)
-    n_sub = int(subdomain.max()) + 1 if n_cells else 0
-
-    # Corner groups: the corners (cell, fracture vertex) around each
-    # fracture vertex, connected through the non-fracture edges at it.
-    old_flat = cells.ravel()
-    is_fr_vertex = np.zeros(nv, dtype=bool)
-    is_fr_vertex[chains] = True
-    corner_at = np.flatnonzero(is_fr_vertex[old_flat])   # sorted: corner number = position
-    # Corner k of the first cell meets corner (k or k + 1) of the second
-    # cell that holds the same vertex. Only edges at a fracture vertex link.
-    ends1 = _slot_ends(slot1)
-    near = is_fr_vertex[old_flat[ends1[0]]] | is_fr_vertex[old_flat[ends1[1]]]
-    ends1, ends2 = _slot_ends(slot1[near]), _slot_ends(slot2[near])
-    aligned = old_flat[ends1[0]] == old_flat[ends2[0]]
-    links = np.concatenate([
-        np.stack([ends1[0], np.where(aligned, ends2[0], ends2[1])]),
-        np.stack([ends1[1], np.where(aligned, ends2[1], ends2[0])]),
-    ], axis=1)
-    links = np.searchsorted(corner_at, links[:, is_fr_vertex[old_flat[links[0]]]])
-    n_groups, group = connected_components(
-        coo_matrix((np.ones(links.shape[1], dtype=np.int8), (links[0], links[1])),
-                   shape=(len(corner_at), len(corner_at))), directed=False)
-    # Each group's vertex and lowest cell (corners are in cell order).
-    _uniq, first = np.unique(group, return_index=True)
-    group_vertex = old_flat[corner_at[first]]
-    group_order = np.lexsort((corner_at[first] // 4, group_vertex))
-    sorted_vertex = group_vertex[group_order]
-    starts = np.flatnonzero(np.diff(sorted_vertex, prepend=-1))
-    lonely = np.diff(np.append(starts, n_groups)) < 2
-    if np.any(lonely):
-        raise UnsupportedTopologyError(
-            f"fracture vertex {int(sorted_vertex[starts[np.argmax(lonely)]])} "
-            "does not separate its neighbourhood")
-    # The group with the lowest cell keeps the vertex id; the others get new
-    # ids by vertex, then by lowest cell.
-    rank = np.arange(n_groups) - np.repeat(starts, np.diff(np.append(starts, n_groups)))
-    copied = group_order[rank > 0]
-    group_id = group_vertex.copy()
-    group_id[copied] = nv + np.arange(len(copied))
-    new_cells = cells.copy()
-    new_flat = new_cells.reshape(-1)
-    new_flat[corner_at] = group_id[group]
-
-    def copy_at(v: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """The split id of each v in the cell of its slot, v an end of that local edge."""
-        start, end = _slot_ends(slots)
-        return new_flat[np.where(old_flat[start] == v, start, end)]
-
-    # Boundary facets follow their owning cell's copies.
-    facets = mesh.boundary_facets
-    facet_ids = table.edge_ids(facets[:, 0], facets[:, 1])
-    unowned = (facet_ids < 0) | (counts[facet_ids] != 1)
-    if np.any(unowned):
-        vs = tuple(facets[int(np.argmax(unowned))].tolist())
-        raise GeometryError(f"boundary facet {vs} is not owned by exactly one cell")
-
-    origin_extra = group_vertex[copied]
-    base = Mesh(np.vstack([mesh.vertices, mesh.vertices[origin_extra]]), new_cells,
-                copy_at(facets, table.slot(facet_ids)[:, None]), mesh.facet_tags)
-    vertex_origin = np.concatenate([np.arange(nv, dtype=np.int64), origin_extra])
-
-    # Interface edges: side 1 is the cell with the lower (subdomain, cell id).
-    s1, s2 = table.slot(eids, 0), table.slot(eids, 1)
-    swap = subdomain[s2 // 4] < subdomain[s1 // 4]       # s1's cell id is the lower
-    s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
-    points = mesh.vertices[chains]
-    tangent = points[:, 1] - points[:, 0]
-    length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
-    node_pairs = np.stack([copy_at(chains, s1[:, None]), copy_at(chains, s2[:, None])], axis=2)
-
-    return SplitMesh(
-        base=base,
-        subdomain_of_cell=subdomain,
-        n_subdomains=n_sub,
-        interface_edges=InterfaceEntities(chain_frac, node_pairs, points,
-                                          _apertures(network, chain_frac, points), length),
-        vertex_origin=vertex_origin,
-        network=network,
-    )

@@ -5,9 +5,9 @@ import pytest
 
 from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
                       FractureNetwork, FractureSpec, GeometryError,
-                      InterfaceEntities, Mesh, Point, build_interval,
-                      build_structured_quad, check_conformity, run_scenario,
-                      split_mesh)
+                      InterfaceEntities, Mesh, Point, UnsupportedTopologyError,
+                      build_interval, build_structured_quad, check_conformity,
+                      run_scenario, split_mesh)
 from conftest import copies_of, unit_square, vertical_network
 
 
@@ -204,9 +204,41 @@ def test_conformity_returns_one_int64_chain_per_fracture():
         FractureSpec(path=(Point(x),), aperture=ConstantAperture(1e-3), mobility=1.0)
         for x in (0.7, 0.3)))
     chains = check_conformity(build_interval(10, 1.0), points)
-    assert [c.shape for c in chains] == [(1,), (1,)]
-    assert [c.tolist() for c in chains] == [[7], [3]]
+    # in 1D each chain is the one facet (vertex) at the point
+    assert [c.shape for c in chains] == [(1, 1), (1, 1)]
+    assert [c.tolist() for c in chains] == [[[7]], [[3]]]
     assert check_conformity(unit_square(4), FractureNetwork(())) == []
+
+
+def test_conformity_rejects_a_degenerate_path_segment():
+    # a segment shorter than the tolerance is bad input, not a mesh mismatch
+    spec = FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 1e-14)),
+                        aperture=ConstantAperture(1e-2), mobility=1.0)
+    with pytest.raises(GeometryError, match="^fracture 0: degenerate path segment 0$"):
+        check_conformity(unit_square(4), FractureNetwork((spec,)))
+
+
+def points_1d(*xs):
+    return FractureNetwork(tuple(
+        FractureSpec(path=(Point(x),), aperture=ConstantAperture(1e-3), mobility=1.0)
+        for x in xs))
+
+
+@pytest.mark.parametrize("xs, error, message", [
+    ((0.0,), UnsupportedTopologyError,
+     r"fracture 0 runs along the domain boundary at facet \(0,\)"),
+    ((1.0,), UnsupportedTopologyError,
+     r"fracture 0 runs along the domain boundary at facet \(10,\)"),
+    ((0.3, 0.5, 0.5), UnsupportedTopologyError,
+     r"fractures 1 and 2 overlap on facet \(5,\)"),
+    ((0.55,), ConformityError,
+     "fracture 0, segment 0: path does not follow mesh vertices"),
+    ((1.5,), ConformityError,
+     "fracture 0, segment 0: path does not follow mesh vertices"),
+], ids=["at-left-end", "at-right-end", "two-at-one-point", "off-every-vertex", "outside"])
+def test_split_1d_rejects_points_it_cannot_split(xs, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        split_mesh(build_interval(10, 1.0), points_1d(*xs))
 
 
 # --- splitting: single vertical fracture ------------------------------------
@@ -309,6 +341,10 @@ def test_split_rejects_a_facet_no_single_cell_owns():
     tagged = Mesh(mesh.vertices, mesh.cells, facets, [*mesh.facet_tags.tolist(), "left"])
     with pytest.raises(GeometryError, match=r"boundary facet \(1, 4\) is not owned"):
         split_mesh(tagged, FractureNetwork(()))
+    interval = build_interval(4, 1.0)                            # an interior vertex
+    tagged = Mesh(interval.vertices, interval.cells, [[0], [4], [2]], ["left", "right", "left"])
+    with pytest.raises(GeometryError, match=r"boundary facet \(2,\) is not owned"):
+        split_mesh(tagged, FractureNetwork(()))
 
 
 def test_split_accepts_tip_on_other_fracture():
@@ -344,13 +380,15 @@ def test_split_six_fracture_network_pinned_counts():
 def corner_group_cells(mesh, chains):
     """Cells after splitting, from the corner groups found vertex by vertex
     (kept as the reference): around each fracture vertex, in id order, the
-    incident cells are joined through the non-fracture edges at the vertex;
-    the group with the lowest cell keeps the id, and the others take new ids
-    in the order of their lowest cells."""
+    incident cells are joined through the non-fracture facets at the vertex
+    (edges in 2D, the vertex itself in 1D); the group with the lowest cell
+    keeps the id, and the others take new ids in the order of their lowest
+    cells."""
     fracture_edges = {frozenset(e) for chain in chains for e in chain.tolist()}
     edge_cells = {}
     for c, cell in enumerate(mesh.cells.tolist()):
-        for a, b in zip(cell, cell[1:] + cell[:1]):
+        # local facet k runs from corner k to corner k + d - 1
+        for a, b in zip(cell, cell[mesh.dim - 1:] + cell[:mesh.dim - 1]):
             edge_cells.setdefault(frozenset((a, b)), []).append(c)
     cells = mesh.cells.copy()
     next_id = mesh.n_vertices
@@ -376,12 +414,28 @@ def corner_group_cells(mesh, chains):
     return cells
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_split_copy_ids_follow_corner_group_order(n):
-    # crossings and T-junctions: three or four groups at one vertex
-    split = run_scenario("regular2d", n=n, variant="blocking").split
-    mesh = unit_square(n)
-    expected = corner_group_cells(mesh, check_conformity(mesh, split.network))
+def interleaved_interval():
+    # x = 0.4, 0.5, 0.6, 0.7 with cells numbered out of x order
+    return Mesh([[0.4], [0.5], [0.6], [0.7]], [[2, 3], [0, 1], [1, 2]],
+                [[0], [3]], ["left", "right"])
+
+
+def copy_id_case(case):
+    """The mesh and network of a corner-group case: regular2d at n = case,
+    or a 1D one."""
+    if case == "1d-out-of-order":           # copies are numbered by vertex
+        return build_interval(10, 1.0), points_1d(0.7, 0.3)
+    if case == "1d-interleaved":
+        return interleaved_interval(), points_1d(0.5)
+    return unit_square(case), run_scenario("regular2d", n=case, variant="blocking").split.network
+
+
+# regular2d has crossings and T-junctions: three or four groups at one vertex
+@pytest.mark.parametrize("case", [8, 16, "1d-out-of-order", "1d-interleaved"])
+def test_split_copy_ids_follow_corner_group_order(case):
+    mesh, network = copy_id_case(case)
+    split = split_mesh(mesh, network)
+    expected = corner_group_cells(mesh, check_conformity(mesh, network))
     assert np.array_equal(split.base.cells, expected)
     assert np.array_equal(split.vertex_origin[mesh.n_vertices:],
                           np.sort(split.vertex_origin[mesh.n_vertices:]))
@@ -412,6 +466,16 @@ def test_split_1d_point_interface():
     assert split.vertex_origin[i] == split.vertex_origin[j]
     assert split.base.vertices[i, 0] == pytest.approx(0.5)
     assert point.points[0, 0, 0] == pytest.approx(0.5)
+
+
+def test_split_1d_cells_out_of_x_order():
+    # cells 0 and 2 lie right of x = 0.5 and form subdomain 0; cell 1, the
+    # lowest cell at the point, keeps vertex 1, and side 1 is subdomain 0
+    split = split_mesh(interleaved_interval(), points_1d(0.5))
+    assert split.subdomain_of_cell.tolist() == [0, 1, 0]
+    assert split.base.cells.tolist() == [[2, 3], [0, 1], [4, 2]]
+    assert split.interface_edges.node_pairs.tolist() == [[[4, 1]]]
+    assert split.subdomain_of_vertex()[[4, 1]].tolist() == [0, 1]
 
 
 def test_split_rejects_nonconforming():
