@@ -15,8 +15,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConformityError, GeometryError, UnsupportedTopologyError
 
@@ -32,6 +30,7 @@ __all__ = [
     "build_structured_quad",
     "build_interval",
     "check_conformity",
+    "components",
     "split_mesh",
 ]
 
@@ -612,7 +611,7 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     # Subdomains: flood fill over cells joined by non-fracture facets.
     joining = np.flatnonzero((counts == 2) & ~on_fracture)
     slot1, slot2 = table.slot(joining, 0), table.slot(joining, 1)
-    subdomain = _labels_first_encounter(n_cells, slot1 // r, slot2 // r)
+    subdomain = components(n_cells, slot1 // r, slot2 // r)
     n_sub = int(subdomain.max()) + 1 if n_cells else 0
 
     # Corner groups: the corners (cell, fracture vertex) around each
@@ -633,11 +632,10 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
         np.stack([ends1[1], np.where(aligned, ends2[1], ends2[0])]),
     ], axis=1)
     links = np.searchsorted(corner_at, links[:, is_fr_vertex[old_flat[links[0]]]])
-    n_groups, group = connected_components(
-        coo_matrix((np.ones(links.shape[1], dtype=np.int8), (links[0], links[1])),
-                   shape=(len(corner_at), len(corner_at))), directed=False)
+    group = components(len(corner_at), links[0], links[1])
     # Each group's vertex and lowest cell (corners are in cell order).
     _uniq, first = np.unique(group, return_index=True)
+    n_groups = len(first)
     group_vertex = old_flat[corner_at[first]]
     group_order = np.lexsort((corner_at[first] // r, group_vertex))
     sorted_vertex = group_vertex[group_order]
@@ -708,14 +706,35 @@ def _apertures(network: FractureNetwork, fracture_id: np.ndarray,
     return out
 
 
-def _labels_first_encounter(n: int, rows, cols) -> np.ndarray:
-    """Connected-component labels, renumbered by first occurrence in id order."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    _count, raw = connected_components(graph, directed=False)
-    _uniq, first = np.unique(raw, return_index=True)
-    # Rank the components by the smallest member id.
-    rank = np.empty(len(_uniq), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(_uniq))
-    return rank[raw].astype(np.int64)
+def components(n: int, a, b) -> np.ndarray:
+    """Connected-component label (n,) int32 of each node of the undirected
+    graph on nodes 0..n-1 with edges (a[i], b[i]), components numbered in
+    order of their smallest node.
+
+    Hook and compress (Shiloach & Vishkin, J. Algorithms 3, 1982): each
+    round hooks the larger root of every edge between two trees under the
+    smallest root it meets, then replaces each parent by its parent until
+    every node points at its root. A parent is never larger than its
+    child, so each root is its component's smallest node. A root with a
+    neighbouring tree either hooks, or sees every neighbour hook under a
+    smaller root and hooks in the next round, so every two rounds at least
+    halve the trees of each component.
+    """
+    parent = np.arange(n, dtype=np.int32)
+    a = np.asarray(a, dtype=np.int32)
+    b = np.asarray(b, dtype=np.int32)
+    while True:
+        joins = a != b                   # a and b are roots: nodes at the first round
+        if not joins.any():
+            break
+        a, b = a[joins], b[joins]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        a, b = parent[a], parent[b]
+    number = np.cumsum(parent == np.arange(n, dtype=np.int32), dtype=np.int32)
+    number -= 1
+    return number[parent]

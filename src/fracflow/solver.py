@@ -17,21 +17,20 @@ in its group is a group of one, so with no groups the smoother is plain
 Jacobi.
 
 Matrices are scipy CSR; the CG loop is written out so the iteration count
-and residual history are available for reporting. ``solve_system`` adds
+and residual history are available for reporting; dense work is numpy, so
+a solve loads nothing of scipy but ``scipy.sparse``. ``solve_system`` adds
 one refinement round; ``cholesky_solve`` is the tests' exact oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, NonConvergenceError, SolverError
+from .geometry import components
 
 __all__ = ["Multigrid", "SolveReport", "cg_solve", "cholesky_solve", "multigrid", "solve"]
 
@@ -42,8 +41,10 @@ DENSE_LIMIT = 2000
 STRENGTH_THETA = 0.08
 # Matrix entries per block of the strength test, which bounds its temporaries.
 STRENGTH_BLOCK = 1 << 14
-# Coarsening stops at this many dofs; that level is factored by dense Cholesky.
+# Coarsening stops at this many dofs; that level keeps its inverse Cholesky factor.
 COARSE_DOFS = 400
+# Cholesky factors of at most this many rows are inverted by np.linalg.inv.
+INV_ROWS = 64
 # A level that keeps more than this share of its parent's dofs is not built.
 # On a symmetric matrix every aggregate holds a root and a neighbour, so each
 # level at most halves; a one-sided strength pattern can make every node a
@@ -102,6 +103,26 @@ def _check_groups(groups, n: int) -> np.ndarray | None:
     return groups
 
 
+def _inverse_factor(B: np.ndarray) -> np.ndarray:
+    """The inverse L^-1 of the Cholesky factor L of each SPD matrix in
+    ``B`` (..., k, k); raises np.linalg.LinAlgError on one that is not
+    positive definite. Above ``INV_ROWS`` rows L^-1 is formed by halves,
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], in matrix
+    products that skip the zero upper triangle np.linalg.inv works through."""
+    def inverse(L: np.ndarray) -> np.ndarray:
+        k = L.shape[-1]
+        if k <= INV_ROWS:
+            return np.linalg.inv(L)
+        h = k // 2
+        out = np.zeros_like(L)
+        A_inv = out[..., :h, :h] = inverse(L[..., :h, :h])
+        D_inv = out[..., h:, h:] = inverse(L[..., h:, h:])
+        out[..., h:, :h] = -(D_inv @ (L[..., h:, :h] @ A_inv))
+        return out
+
+    return inverse(np.linalg.cholesky(B))
+
+
 def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
     """Block-Jacobi inverse: the inverse of A's diagonal blocks over the
     groups (checked labels), as an n x n CSR matrix whose row holds its
@@ -134,7 +155,7 @@ def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
                   sub.data[same])
         B[:, k, k] += ~used
         try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(B))
+            L_inv = _inverse_factor(B)
         except np.linalg.LinAlgError as exc:
             raise SolverError("a copy-group block is not positive definite; "
                               "matrix not SPD") from exc
@@ -210,9 +231,7 @@ def _strength_graph(A: sp.csr_matrix, groups) -> tuple[sp.csr_matrix, np.ndarray
         pair = (scale[i] * A.data[pos] * scale[j] <= -STRENGTH_THETA) \
             & (groups[i] == groups[j]) & (i != j)
         if pair.any():
-            merge = sp.csr_matrix((np.ones(int(pair.sum()), dtype=np.int8), (i[pair], j[pair])),
-                                  shape=(n, n))
-            node = connected_components(merge, directed=False)[1].astype(np.int32)
+            node = components(n, i[pair], j[pair])
 
     # The strong couplings and the diagonal entries, in blocks of whole rows
     # with about STRENGTH_BLOCK entries, which bounds the temporaries.
@@ -322,8 +341,7 @@ class _Level:
     A: sp.csr_matrix
     smoother: sp.csr_matrix | None = None   # damped block Jacobi
     R: sp.csr_matrix | None = None          # restriction P^T to the next level
-    factor: tuple | None = None             # dense Cholesky of the coarsest A
-    potrs: Callable | None = None           # LAPACK solve with that factor
+    L_inv: np.ndarray | None = None         # inverse Cholesky factor of the coarsest A
 
 
 class Multigrid:
@@ -332,10 +350,10 @@ class Multigrid:
     The V-cycle smooths once before and once after the coarse correction
     with the same symmetric smoother and starts from zero, so it is a fixed
     symmetric positive definite operator, as CG requires. The coarsest
-    level is factored by dense Cholesky when it has at most ``COARSE_DOFS``
-    dofs, and is only smoothed when coarsening stalled above that. Each
-    level stores only its restriction R = P^T, as CSR, and prolongs with
-    its CSC view ``R.T``.
+    level, at most ``COARSE_DOFS`` dofs, is solved as L^-T (L^-1 b) with
+    the inverse of its dense Cholesky factor, and is only smoothed when
+    coarsening stalled above that. Each level stores only its restriction
+    R = P^T, as CSR, and prolongs with its CSC view ``R.T``.
     """
 
     def __init__(self, levels: list[_Level]):
@@ -351,13 +369,8 @@ class Multigrid:
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         level = self.levels[k]
-        if level.factor is not None:
-            # cho_solve without its finiteness checks of the factor and b
-            c, lower = level.factor
-            x, info = level.potrs(c, b, lower=lower)
-            if info != 0:
-                raise SolverError(f"coarsest-level solve failed: LAPACK potrs info {info}")
-            return x
+        if level.L_inv is not None:
+            return level.L_inv.T @ (level.L_inv @ b)
         x = level.smoother @ b
         if level.R is not None:
             x += level.R.T @ self._cycle(k + 1, level.R @ self._residual(level, b, x))
@@ -409,11 +422,10 @@ def multigrid(A, groups=None) -> Multigrid:
         A = (0.5 * (A_coarse + A_coarse.T)).tocsr()
         groups = None
     try:
-        factor = scipy.linalg.cho_factor(A.toarray())
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        L_inv = _inverse_factor(A.toarray())
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"coarsest multigrid level is not SPD: {exc}") from exc
-    levels.append(_Level(A, factor=factor,
-                         potrs=scipy.linalg.get_lapack_funcs("potrs", (factor[0],))))
+    levels.append(_Level(A, L_inv=L_inv))
     return Multigrid(levels)
 
 
@@ -540,10 +552,10 @@ def cholesky_solve(A, b) -> tuple[np.ndarray, SolveReport]:
     b = _check_rhs(b, n)
     dense = A.toarray()
     try:
-        c, low = scipy.linalg.cho_factor(dense)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        L_inv = _inverse_factor(dense)
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"Cholesky factorization failed: {exc}") from exc
-    x = scipy.linalg.cho_solve((c, low), b)
+    x = L_inv.T @ (L_inv @ b)
     # Same preconditioned residual norm as cg_solve, for comparability.
     d = np.diag(dense)
     if np.any(d <= 0.0):

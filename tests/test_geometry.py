@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
                       FractureNetwork, FractureSpec, GeometryError,
                       InterfaceEntities, Mesh, Point, UnsupportedTopologyError,
                       build_interval, build_structured_quad, check_conformity,
                       run_scenario, split_mesh)
+from fracflow.geometry import components
 from conftest import copies_of, unit_square, vertical_network
 
 
@@ -502,3 +505,23 @@ def test_subdomain_of_vertex_matches_per_cell_loop():
         assert np.all((expected[cell] == -1) | (expected[cell] == split.subdomain_of_cell[c]))
         expected[cell] = split.subdomain_of_cell[c]
     assert np.array_equal(split.subdomain_of_vertex(), expected)
+
+
+def test_components_match_csgraph():
+    """Hook-and-compress labels are csgraph's, numbered by smallest node: on
+    no nodes, no edges, self-loops and duplicate edges, a 10,000-node path
+    listed from its far end, and random graphs."""
+    rng = np.random.default_rng(3)
+    cases = [(0, [], []), (7, [], []),
+             (6, [2, 2, 4, 1, 4, 5, 5], [2, 0, 1, 0, 1, 5, 5]),
+             (10_000, np.arange(9_999, 0, -1), np.arange(9_998, -1, -1))]
+    for n in rng.integers(1, 300, 50):
+        m = int(rng.integers(0, 2 * n))
+        cases.append((n, rng.integers(0, n, m), rng.integers(0, n, m)))
+    for n, a, b in cases:
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        got = components(n, a, b)
+        assert got.dtype == np.int32 and got.shape == (n,)
+        if n:
+            graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+            assert np.array_equal(got, connected_components(graph, directed=False)[1])

@@ -178,18 +178,33 @@ def test_batched_sampling_matches_per_point_loop_on_distorted_mesh(seed):
         assert np.max(np.abs(got.values - want)) <= 1e-15 * max(1.0, np.abs(want).max())
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    """Sampling needs no KD-tree, so ``import fracflow`` does not pay for
-    loading scipy.spatial."""
+def test_import_leaves_scipy_spatial_unloaded(tmp_path):
+    """A run and a comparison load nothing of scipy beyond scipy.sparse:
+    sampling needs no KD-tree (scipy.spatial), connected components and the
+    coarsest multigrid level are numpy (scipy.sparse.csgraph, which pulls in
+    scipy.sparse.linalg and scipy.linalg). The comparison covers the band
+    reference's row groups and a hierarchy with a coarse level. Modules that
+    ``import scipy.sparse`` loads by itself, as older scipy releases do, are
+    not counted."""
     import fracflow
     package_root = os.path.dirname(os.path.dirname(fracflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, fracflow; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    code = (
+        "import sys, scipy.sparse\n"
+        "before = set(sys.modules)\n"
+        "from fracflow import cli\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['run', 'regular2d', '--n', '16', '--out', out + '/run']) == 0\n"
+        "assert cli.main(['compare', 'single_vertical', '--oracle', 'equidim',\n"
+        "                 '--out', out + '/compare']) == 0\n"
+        "unused = ('scipy.spatial', 'scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if any(m == u or m.startswith(u + '.') for u in unused)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 # --- fracture extraction --------------------------------------------------------

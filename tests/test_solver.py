@@ -11,8 +11,8 @@ from fracflow import (ConfigurationError, NonConvergenceError, SolverError,
                       run_scenario, solve, solve_system)
 from fracflow import solver
 from fracflow.scenarios import SCENARIOS
-from fracflow.solver import (COARSE_DOFS, DENSE_LIMIT, Multigrid, _group_blocks,
-                             _Level, _smoother, multigrid)
+from fracflow.solver import (DENSE_LIMIT, INV_ROWS, Multigrid, _group_blocks,
+                             _inverse_factor, _Level, _smoother, multigrid)
 
 
 def random_spd(n: int, seed: int, scale_spread: float = 0.0) -> np.ndarray:
@@ -487,15 +487,14 @@ def test_multigrid_builds_are_deterministic(conductive_32_system):
 
 def test_multigrid_on_diagonal_matrix_stops_coarsening():
     """A diagonal matrix has no strong couplings, so nothing aggregates: the
-    hierarchy is the smoothed finest level alone, without a dense factor of
-    the 5,000 dofs, and the V-cycle is a multiple of the inverse."""
+    hierarchy is the smoothed finest level alone, without a dense inverse
+    factor of the 5,000 dofs, and the V-cycle is a multiple of the inverse."""
     n = 5000
     d = 10.0 ** np.linspace(-6, 6, n)
     A = sp.diags(d).tocsr()
     mg = multigrid(A)
     assert mg.sizes == (n,)
-    assert all(level.factor is None or len(level.factor[0]) <= COARSE_DOFS
-               for level in mg.levels)
+    assert all(level.L_inv is None for level in mg.levels)
     x, report = solve(A, np.ones(n), tol=1e-12)
     assert report.iterations <= 2
     assert np.allclose(x * d, 1.0, rtol=1e-12)
@@ -509,7 +508,7 @@ def test_multigrid_skips_a_level_that_would_not_shrink():
     A[1:, 0] = -0.5
     mg = multigrid(A.tocsr())
     assert mg.sizes == (n,)
-    assert mg.levels[0].factor is None
+    assert mg.levels[0].L_inv is None
 
 
 def test_small_system_is_one_dense_level():
@@ -521,11 +520,31 @@ def test_small_system_is_one_dense_level():
     assert np.allclose(x, 1.0, atol=1e-9)
 
 
-def test_coarse_level_solve_matches_cho_solve():
-    A = random_spd(40, seed=14)
-    mg = multigrid(A)
-    for b in np.random.default_rng(14).standard_normal((3, 40)):
-        assert np.array_equal(mg(b), scipy.linalg.cho_solve(mg.levels[-1].factor, b))
+def test_inverse_factor_matches_inverse_of_cholesky():
+    """Batched blocks of up to INV_ROWS rows get np.linalg.inv's bits; a
+    coarsest level of 343 rows, formed by halves, matches it to roundoff."""
+    for k in (1, 2, 19, INV_ROWS):
+        B = np.stack([random_spd(k, seed=s, scale_spread=2.0) for s in range(4)])
+        assert np.array_equal(_inverse_factor(B), np.linalg.inv(np.linalg.cholesky(B)))
+    B = random_spd(343, seed=22, scale_spread=2.0)
+    want = np.linalg.inv(np.linalg.cholesky(B))
+    got = _inverse_factor(B)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_coarse_level_solve_matches_cho_solve(conductive_32_system):
+    """The coarsest level's two products with its inverse Cholesky factor
+    solve as LAPACK's triangular solves do, up to roundoff: on a matrix that
+    is one dense level and on the coarsest level of a conductive hierarchy."""
+    system = conductive_32_system
+    for mg in (multigrid(random_spd(40, seed=14)),
+               multigrid(system.matrix, system.copy_groups)):
+        level = mg.levels[-1]
+        factor = scipy.linalg.cho_factor(level.A.toarray())
+        for b in np.random.default_rng(14).standard_normal((3, level.A.shape[0])):
+            want = scipy.linalg.cho_solve(factor, b)
+            got = mg._cycle(len(mg.levels) - 1, b)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_refinement_reuses_one_hierarchy(monkeypatch, conductive_32_system):
@@ -553,10 +572,13 @@ def test_hierarchy_must_match_matrix(conductive_32_system):
 
 def csr_prolongation_cycle(mg, k, b):
     """The V-cycle prolonging through an explicit CSR copy of ``R.T``, kept
-    as the reference for the CSC view the hierarchy applies."""
+    as the reference for the CSC view the hierarchy applies. The coarsest
+    level is the hierarchy's own solve: on the conductive fine level, a
+    coarse difference at roundoff (``cho_solve``'s, 1e-15 relative) reaches
+    the cycle's output at 1e-11 relative, above the prolongation's bound."""
     level = mg.levels[k]
-    if level.factor is not None:
-        return scipy.linalg.cho_solve(level.factor, b)
+    if level.L_inv is not None:
+        return level.L_inv.T @ (level.L_inv @ b)
     x = level.smoother @ b
     if level.R is not None:
         P = level.R.T.tocsr()
