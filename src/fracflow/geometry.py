@@ -286,6 +286,8 @@ class InterfaceEntities:
     id, ties broken by lower cell id) in ``[..., 0]`` and its side-2 copy in
     ``[..., 1]``. ``points`` (m, k, d) and ``apertures`` (m, k) are taken at
     the nodes, and ``length`` (m,) is the edge length (1 for a point).
+    ``arc`` (m, k) is the arc length of each node along its fracture path,
+    measured from the path's first point (0 for a point).
     Indexing with a slice, mask or index array gives those rows as a new
     record. A caller's array that needs no layout conversion is kept and made
     read-only.
@@ -296,6 +298,7 @@ class InterfaceEntities:
     points: np.ndarray
     apertures: np.ndarray
     length: np.ndarray
+    arc: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
@@ -320,7 +323,8 @@ class SplitMesh:
     in the cell that owns the facet. ``interface_edges`` is the one
     ``InterfaceEntities`` record of every fracture facet, an edge in 2D and
     a point in 1D: the (m_j, d) ``check_conformity`` chains concatenated in
-    fracture order.
+    fracture order. Within a fracture the rows follow its path, so the last
+    node of row i is the first node of row i + 1.
     ``subdomain_of_cell`` and ``vertex_origin`` are read-only int64 arrays,
     the caller's own (made read-only) where no conversion is needed.
     """
@@ -481,15 +485,16 @@ def check_conformity(mesh: Mesh, network: FractureNetwork) -> list[np.ndarray]:
     point gives a (1, 1) chain. Raises ConformityError if any portion of a
     path fails to coincide with mesh facets.
     """
-    chains, fracture_id = _match_paths(mesh, network, _FacetTable(mesh))
+    chains, fracture_id, _arc = _match_paths(mesh, network, _FacetTable(mesh))
     return [chains[fracture_id == j] for j in range(len(network))]
 
 
 def _match_paths(mesh: Mesh, network: FractureNetwork,
-                 table: _FacetTable) -> tuple[np.ndarray, np.ndarray]:
+                 table: _FacetTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``check_conformity`` on the facet table of the mesh: the chains of all
-    fractures concatenated in fracture order, (m, d), and the fracture id
-    (m,) of each row."""
+    fractures concatenated in fracture order, (m, d), the fracture id (m,)
+    of each row, and the arc length (m, d) of each facet vertex from its
+    path's first point."""
     tol = _default_tol(mesh)
     for f in network:
         if f.dim != mesh.dim:
@@ -499,10 +504,12 @@ def _match_paths(mesh: Mesh, network: FractureNetwork,
     d = mesh.dim
     facets = [np.empty((0, d), dtype=np.int64)]
     owner = [np.empty(0, dtype=np.int64)]
+    arcs = [np.empty((0, d))]
     for j, frac in enumerate(network):
         # A 1D point is matched as the one piece from the point to itself.
         path = frac.path if len(frac.path) > 1 else frac.path * 2
         prev_end: int | None = None
+        prefix = 0.0                              # the length of the earlier segments
         for k, (p, q) in enumerate(zip(path[:-1], path[1:])):
             pa = p.as_array()
             qa = q.as_array()
@@ -517,13 +524,14 @@ def _match_paths(mesh: Mesh, network: FractureNetwork,
             near = np.flatnonzero(np.logical_and.reduce(
                 [np.abs(x - m) <= h for x, m, h in zip(verts.T, mid, half)]))
             t = (verts[near] - pa) @ that
-            closest = pa + np.clip(t, 0.0, seg_len)[:, None] * that
-            on = np.linalg.norm(verts[near] - closest, axis=1) <= tol
+            along = np.clip(t, 0.0, seg_len)
+            on = np.linalg.norm(verts[near] - (pa + along[:, None] * that), axis=1) <= tol
             if np.count_nonzero(on) < d:
                 raise ConformityError(
                     f"fracture {j}, segment {k}: path does not follow mesh vertices"
                 )
-            order = near[on][np.argsort(t[on], kind="stable")]
+            matched = np.flatnonzero(on)[np.argsort(t[on], kind="stable")]
+            order = near[matched]
             if np.linalg.norm(verts[order[0]] - pa) > tol:
                 raise ConformityError(
                     f"fracture {j}, segment {k}: start point {tuple(pa)} is not a mesh vertex"
@@ -537,7 +545,8 @@ def _match_paths(mesh: Mesh, network: FractureNetwork,
                     f"fracture {j}: path segments {k - 1} and {k} do not share a mesh vertex"
                 )
             # The facets are the windows of d consecutive matched vertices.
-            windows = np.column_stack([order[i:len(order) + i + 1 - d] for i in range(d)])
+            window = np.arange(len(order) + 1 - d)[:, None] + np.arange(d)
+            windows = order[window]
             missing = np.flatnonzero(table.facet_ids(windows) < 0)
             if len(missing):
                 raise ConformityError(
@@ -546,8 +555,10 @@ def _match_paths(mesh: Mesh, network: FractureNetwork,
                 )
             facets.append(windows)
             owner.append(np.full(len(windows), j))
+            arcs.append(prefix + along[matched][window])
             prev_end = int(order[-1])
-    return np.concatenate(facets), np.concatenate(owner)
+            prefix += seg_len
+    return np.concatenate(facets), np.concatenate(owner), np.concatenate(arcs)
 
 
 def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
@@ -567,7 +578,7 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     fractures.
     """
     table = _FacetTable(mesh)
-    chains, chain_frac = _match_paths(mesh, network, table)
+    chains, chain_frac, arc = _match_paths(mesh, network, table)
     cells = mesh.cells
     n_cells = mesh.n_cells
     nv = mesh.n_vertices
@@ -667,28 +678,32 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     if np.any(unowned):
         vs = tuple(facets[int(np.argmax(unowned))].tolist())
         raise GeometryError(f"boundary facet {vs} is not owned by exactly one cell")
-
-    origin_extra = group_vertex[copied]
-    base = Mesh(np.vstack([mesh.vertices, mesh.vertices[origin_extra]]), new_cells,
-                copy_at(facets, table.slot(facet_ids)[:, None]), mesh.facet_tags)
-    vertex_origin = np.concatenate([np.arange(nv, dtype=np.int64), origin_extra])
+    boundary = copy_at(facets, table.slot(facet_ids)[:, None])
 
     # Interface facets: side 1 is the cell with the lower (subdomain, cell id).
     s1, s2 = table.slot(eids, 0), table.slot(eids, 1)
     swap = subdomain[s2 // r] < subdomain[s1 // r]       # s1's cell id is the lower
     s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
+    node_pairs = np.stack([copy_at(chains, s1[:, None]), copy_at(chains, s2[:, None])], axis=2)
+    # The facet table and the per-facet arrays go before the split mesh and
+    # its records are built, so that they do not add to its peak.
+    del table, counts, on_fracture, fr_facet_degree, joining, slot1, slot2, links
+
+    origin_extra = group_vertex[copied]
+    base = Mesh(np.vstack([mesh.vertices, mesh.vertices[origin_extra]]), new_cells,
+                boundary, mesh.facet_tags)
+    vertex_origin = np.concatenate([np.arange(nv, dtype=np.int64), origin_extra])
     points = mesh.vertices[chains]
     # An edge's length; a point has no tangent and the empty product 1.
     tangent = np.diff(points, axis=1)
     length = np.prod(np.sqrt(np.sum(tangent * tangent, axis=2)), axis=1)
-    node_pairs = np.stack([copy_at(chains, s1[:, None]), copy_at(chains, s2[:, None])], axis=2)
 
     return SplitMesh(
         base=base,
         subdomain_of_cell=subdomain,
         n_subdomains=n_sub,
         interface_edges=InterfaceEntities(chain_frac, node_pairs, points,
-                                          _apertures(network, chain_frac, points), length),
+                                          _apertures(network, chain_frac, points), length, arc),
         vertex_origin=vertex_origin,
         network=network,
     )

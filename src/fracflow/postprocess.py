@@ -2,6 +2,9 @@
 
 Sampling works on the split mesh, so a profile crossing a duplicated line
 averages the containing cells on both sides and returns the side mean there.
+Fracture profiles read the split's interface record, whose rows follow each
+fracture's path, at the arc positions the split measured; a node between two
+edges with different pairs, at a crossing, takes the mean of the two.
 """
 
 from __future__ import annotations
@@ -171,53 +174,26 @@ def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Poin
     return Profile(s=s, points=pts, values=_sample(split, values, pts, _default_tol(split.base)))
 
 
-def _arc_positions(path: tuple[Point, ...], pts: np.ndarray, tol: float) -> np.ndarray:
-    """Arc position along the polyline ``path`` of each point (m, 2), read on
-    the first segment that passes within tol of it."""
-    corners = np.array([p.coords for p in path])
-    a, seg = corners[:-1], np.diff(corners, axis=0)
-    L = np.sqrt(np.einsum("kd,kd->k", seg, seg))
-    prefix = np.r_[0.0, np.cumsum(L)[:-1]]
-    rel = pts[:, None, :] - a[None]                       # (m, segments, 2)
-    t = np.einsum("mkd,kd->mk", rel, seg) / (L * L)
-    tc = np.clip(t, 0.0, 1.0)
-    off = np.linalg.norm(rel - tc[:, :, None] * seg, axis=2)
-    on = (-tol <= t * L) & (t * L <= L + tol) & (off <= tol)
-    if not np.all(on.any(axis=1)):
-        pt = pts[np.argmin(on.any(axis=1))]
-        raise GeometryError(f"interface node {tuple(pt)} not on its fracture path")
-    k = np.argmax(on, axis=1)
-    return prefix[k] + tc[np.arange(len(pts)), k] * L[k]
+def _chain_nodes(x: np.ndarray) -> np.ndarray:
+    """Values (n, ...) at the nodes of one fracture's chain from the values x
+    (m, k, ...) at each entity's nodes. Node i ends edge i - 1 and starts
+    edge i and takes the mean of the two; a 1D point is one node."""
+    if x.shape[1] == 1:
+        return x[:, 0]
+    return np.concatenate([x[:1, 0], 0.5 * (x[:-1, 1] + x[1:, 0]), x[-1:, 1]])
 
 
 def _fracture_nodal(split: SplitMesh, values: np.ndarray, fracture_id: int):
-    """Unique arc positions with side-mean and jump values for one fracture."""
+    """Arc positions, points, side means and jumps at the nodes of one
+    fracture, in path order."""
     values = np.asarray(values, dtype=float)
     entities = split.edges_of_fracture(fracture_id)
     if not len(entities):
         raise GeometryError(f"fracture {fracture_id} has no interface entities")
-    # Every node of every entity, in entity order.
-    pairs = entities.node_pairs.reshape(-1, 2)
-    pts = entities.points.reshape(len(pairs), -1)
-    M, J = _pair_maps(pairs, len(values))
-    mean, jump = M @ values, J @ values
-    path = split.network.fractures[fracture_id].path
-    if len(path) == 1:                     # a 1D point: one node at s = 0
-        return np.zeros(1), pts, mean, jump
-
-    total = sum(float(np.linalg.norm(p1.as_array() - p0.as_array()))
-                for p0, p1 in zip(path[:-1], path[1:]))
-    tol = 1e-9 * max(total, 1.0)
-    s = _arc_positions(path, pts, tol)
-    order = np.argsort(s, kind="stable")
-    s, pts, mean, jump = s[order], pts[order], mean[order], jump[order]
-    # Positions within tol of their predecessor are one node.
-    starts = np.flatnonzero(np.r_[True, np.diff(s) > tol])
-    size = np.diff(np.append(starts, len(s)))
-    return (np.add.reduceat(s, starts) / size,
-            np.add.reduceat(pts, starts) / size[:, None],
-            np.add.reduceat(mean, starts) / size,
-            np.add.reduceat(jump, starts) / size)
+    M, J = _pair_maps(entities.node_pairs.reshape(-1, 2), len(values))
+    shape = entities.arc.shape
+    return (_chain_nodes(entities.arc), _chain_nodes(entities.points),
+            _chain_nodes((M @ values).reshape(shape)), _chain_nodes((J @ values).reshape(shape)))
 
 
 def fracture_pressure(split: SplitMesh, values: np.ndarray, fracture_id: int) -> Profile:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracflow import (BoundaryConditionSet, ConstantAperture, FractureNetwork,
-                      FractureSpec, Point, assemble, build_structured_quad,
+                      FractureSpec, Mesh, Point, assemble, build_structured_quad,
                       fracture_coefficient_map, solve_system, split_mesh)
 from fracflow.elements import q1_stiffness_upper
 
@@ -19,6 +19,37 @@ def vertical_network(eps: float, kf: float, x: float = 0.5) -> FractureNetwork:
     spec = FractureSpec(path=(Point(x, 0.0), Point(x, 1.0)),
                         aperture=ConstantAperture(eps), mobility=kf)
     return FractureNetwork((spec,))
+
+
+def polyline_network(*paths, eps: float = 1e-4, kf: float = 1e4) -> FractureNetwork:
+    """One fracture per path, a path being a sequence of (x, y) corners."""
+    return FractureNetwork(tuple(
+        FractureSpec(path=tuple(Point(*p) for p in path),
+                     aperture=ConstantAperture(eps), mobility=kf)
+        for path in paths))
+
+
+def sheared_square(n: int, shear: float) -> Mesh:
+    """unit_square(n) with every vertex (x, y) moved to (x + shear y, y)."""
+    mesh = unit_square(n)
+    vertices = mesh.vertices.copy()
+    vertices[:, 0] += shear * vertices[:, 1]
+    return Mesh(vertices, mesh.cells, mesh.boundary_facets, mesh.facet_tags)
+
+
+# Fractures with polyline corners, drawn against the axes and crossing, on
+# a non-dyadic grid; and oblique ones on sheared meshes, whose edges follow
+# no axis. Each value builds the (mesh, network).
+PATH_CASES = {
+    "bent24": lambda: (unit_square(24), polyline_network(
+        ((0.0, 0.25), (0.5, 0.25), (0.5, 1.0)),
+        ((0.75, 1.0), (0.75, 0.0)),                           # top-down
+        ((1.0, 0.625), (0.25, 0.625), (0.25, 0.0)))),         # crosses both
+    "shear_quarter64": lambda: (sheared_square(64, 0.25), polyline_network(
+        ((0.5, 0.0), (0.75, 1.0)), ((0.125, 0.5), (1.125, 0.5)))),
+    "shear_one64": lambda: (sheared_square(64, 1.0), polyline_network(
+        ((0.5, 0.0), (1.5, 1.0)), ((0.5, 0.5), (1.5, 0.5)))),
+}
 
 
 def coeffs_for(network: FractureNetwork):

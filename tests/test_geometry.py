@@ -11,7 +11,7 @@ from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
                       build_interval, build_structured_quad, check_conformity,
                       run_scenario, split_mesh)
 from fracflow.geometry import components
-from conftest import copies_of, unit_square, vertical_network
+from conftest import PATH_CASES, copies_of, unit_square, vertical_network
 
 
 # --- points and apertures ---------------------------------------------------
@@ -295,7 +295,7 @@ def test_interface_record_rows_are_read_only_records():
     edges = split.interface_edges
     assert isinstance(edges, InterfaceEntities)
     assert len(edges) == len(edges.fracture_id) == 28
-    for name in ("fracture_id", "node_pairs", "points", "apertures", "length"):
+    for name in ("fracture_id", "node_pairs", "points", "apertures", "length", "arc"):
         assert not getattr(edges, name).flags.writeable
     # the rows of each fracture, in order, make up the record
     rows = [split.edges_of_fracture(j) for j in range(6)]
@@ -308,6 +308,24 @@ def test_interface_record_rows_are_read_only_records():
     assert np.all(side[..., 0] < side[..., 1])
     tangent = edges.points[:, 1] - edges.points[:, 0]
     assert np.allclose(np.linalg.norm(tangent, axis=1), edges.length)
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_interface_rows_follow_each_path(case):
+    # bent, reversed and oblique paths: each fracture's rows form one chain
+    # from its first point, and arc measures the distance along it
+    mesh, network = PATH_CASES[case]()
+    split = split_mesh(mesh, network)
+    eps = np.finfo(float).eps
+    for j, frac in enumerate(network):
+        edges = split.edges_of_fracture(j)
+        assert np.array_equal(edges.points[:-1, -1], edges.points[1:, 0])
+        assert edges.arc[0, 0] == 0.0
+        step = edges.arc[:, 1] - edges.arc[:, 0]
+        assert np.all(np.abs(step - edges.length) <= 4 * eps * edges.arc[:, 1])
+        corners = np.array([p.coords for p in frac.path])
+        total = np.sum(np.linalg.norm(np.diff(corners, axis=0), axis=1))
+        assert abs(edges.arc[-1, -1] - total) <= 4 * eps * total
 
 
 def test_split_rejects_interior_tip():

@@ -17,7 +17,8 @@ from fracflow import (BoundaryConditionSet, ConstantAperture, FractureNetwork, F
                       write_fracture_csv, write_profile_csv, write_solution_csv)
 from fracflow import postprocess
 from fracflow.elements import q1_shape
-from conftest import THROUGHFLOW, coeffs_for, copies_of, unit_square, vertical_network
+from conftest import (PATH_CASES, THROUGHFLOW, coeffs_for, copies_of, polyline_network,
+                      unit_square, vertical_network)
 
 
 def make_profile(s, values):
@@ -247,10 +248,31 @@ def fracture_nodal_per_edge(split, values, fracture_id):
                  for k in range(4))
 
 
-@pytest.mark.parametrize("fracture_id", range(6))
-def test_batched_fracture_extraction_matches_per_edge(conductive_32, fracture_id):
-    # every fracture of the network: crossings and T-junctions included
-    split, pressure = conductive_32
+@pytest.fixture(scope="module")
+def path_case_fields():
+    """The split of each PATH_CASES network with a field that differs
+    across every fracture: smooth in x and y plus the subdomain id."""
+    out = {}
+    for name, build in PATH_CASES.items():
+        split = split_mesh(*build())
+        V = split.base.vertices
+        out[name] = (split, np.cos(3.0 * V[:, 0]) + V[:, 1] ** 2 + split.subdomain_of_vertex())
+    return out
+
+
+@pytest.mark.parametrize("case, fracture_id",
+                         [pytest.param(None, j, id=str(j)) for j in range(6)]
+                         + [pytest.param(name, j, id=f"{name}-{j}")
+                            for name, count in (("bent24", 3), ("shear_quarter64", 2),
+                                                ("shear_one64", 2))
+                            for j in range(count)])
+def test_batched_fracture_extraction_matches_per_edge(request, case, fracture_id):
+    # every fracture of the regular2d network (crossings and T-junctions),
+    # then bent, reversed and oblique paths
+    if case is None:
+        split, pressure = request.getfixturevalue("conductive_32")
+    else:
+        split, pressure = request.getfixturevalue("path_case_fields")[case]
     got = postprocess._fracture_nodal(split, pressure, fracture_id)
     want = fracture_nodal_per_edge(split, pressure, fracture_id)
     for g, w in zip(got, want):
@@ -258,11 +280,20 @@ def test_batched_fracture_extraction_matches_per_edge(conductive_32, fracture_id
         assert np.max(np.abs(g - w)) <= 1e-15 * max(1.0, np.abs(w).max())
 
 
-def test_fracture_extraction_rejects_node_off_path():
-    split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
-    with pytest.raises(GeometryError, match="not on its fracture path"):
-        postprocess._arc_positions(split.network.fractures[0].path,
-                                   np.array([[0.5, 0.5], [0.25, 0.5]]), 1e-9)
+def test_fracture_profile_of_a_closed_loop_ends_at_its_length():
+    # the last node of a closed path is its first point, reached at s = 2
+    loop = ((0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75), (0.25, 0.25))
+    split = split_mesh(unit_square(8), polyline_network(loop))
+    V = split.base.vertices
+    values = V[:, 0] + 2.0 * V[:, 1] + 3.0 * split.subdomain_of_vertex()
+    mean = fracture_pressure(split, values, 0)
+    jump = fracture_jump(split, values, 0)
+    assert len(mean) == len(jump) == 17
+    assert mean.s[0] == 0.0 and mean.s[-1] == 2.0
+    assert np.all(np.diff(mean.s) > 0)
+    assert np.array_equal(mean.points[0], mean.points[-1])
+    assert mean.values[0] == mean.values[-1]
+    assert jump.values[0] == jump.values[-1] != 0.0
 
 
 def test_fracture_mean_and_jump_2d():
