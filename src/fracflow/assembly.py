@@ -196,23 +196,13 @@ class LinearSystem:
 
     @property
     def matrix_domain(self) -> sp.csr_matrix:
-        """The subdomain diffusion as a new n x n CSR matrix on each access:
-        ``domain_at_rows`` in ``domain_rows`` and the rows of ``matrix`` in
-        all others."""
-        A, D = self.matrix, self.domain_at_rows
-        from_A = np.ones(self.n_dofs, dtype=bool)
-        from_A[self.domain_rows] = False
-        count = np.diff(A.indptr)
-        take = np.repeat(from_A, count)
-        count[self.domain_rows] = np.diff(D.indptr)
-        put = np.repeat(from_A, count)
-        indptr = np.zeros(self.n_dofs + 1, dtype=D.indptr.dtype)
-        np.cumsum(count, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=D.indices.dtype)
-        data = np.empty(indptr[-1])
-        indices[put], data[put] = A.indices[take], A.data[take]
-        indices[~put], data[~put] = D.indices, D.data
-        return sp.csr_matrix((data, indices, indptr), shape=A.shape)
+        """The subdomain diffusion as a new n x n CSR matrix on each access: a
+        row gather of ``matrix`` stacked over ``domain_at_rows``, which takes
+        the stored row in ``domain_rows`` and the row of ``matrix`` in all
+        others."""
+        rows = np.arange(self.n_dofs)
+        rows[self.domain_rows] = self.n_dofs + np.arange(len(self.domain_rows))
+        return sp.vstack([self.matrix, self.domain_at_rows], format="csr")[rows]
 
     @property
     def matrix_raw(self) -> sp.csr_matrix:
@@ -370,19 +360,17 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
     free[d_idx] = False
 
     # Symmetric elimination, in place on the new sum: zero the fixed rows and
-    # columns; every dof lies in a cell, so its diagonal entry is stored and
-    # can take the fixed row's 1.
+    # columns, then put the fixed rows' 1 on the diagonal. Every dof lies in
+    # a cell, so its diagonal entry is stored: the assignment writes in
+    # place and changes no structure.
     A = _with_interface(A_domain, pairs, K_mean, K_jump)
     rhs = rhs_raw - A @ g_vec
     rhs[d_idx] = g
-    count = np.diff(A.indptr)
-    fixed_entry = ~np.repeat(free, count)
+    fixed_entry = ~np.repeat(free, np.diff(A.indptr))
     fixed_entry |= ~free[A.indices]
     A.data[fixed_entry] = 0.0
     del fixed_entry
-    size = count[d_idx]
-    fixed_row = np.arange(size.sum()) + np.repeat(A.indptr[d_idx] - (np.cumsum(size) - size), size)
-    A.data[fixed_row[A.indices[fixed_row] == np.repeat(d_idx, size)]] = 1.0
+    A[d_idx, d_idx] = 1.0
     A.eliminate_zeros()
 
     # The rows where A may differ from the domain matrix: those whose entry
@@ -486,7 +474,9 @@ def _dirichlet_values(split: SplitMesh,
     then each of those dofs, in the order first met, passes its value to
     every copy of its pre-split vertex, in dof order. In this sequence a later
     value wins, and one that differs from the dof's earlier value by more than
-    1e-12 relative raises ConfigurationError, naming the first such dof.
+    1e-12 relative raises ConfigurationError, naming the first such dof. The
+    copies are read from a boolean CSR matrix whose row v holds the dofs of
+    pre-split vertex v, ascending.
     """
     facets, values = _boundary_data(split.base, bcs.dirichlet)
     dofs, values = facets.ravel(), values.ravel()
@@ -498,17 +488,12 @@ def _dirichlet_values(split: SplitMesh,
     seeds, seed_values = seeds[met], values[last[met]]
 
     origin = split.vertex_origin
-    count = np.bincount(origin)
-    by_origin = np.argsort(origin, kind="stable")       # each group's dofs ascending
-    seeded = count[origin[seeds]] > 1
-    group = origin[seeds[seeded]]
-    size = count[group]
-    ends = np.cumsum(size)
-    within = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - size, size)
-    twins = by_origin[np.repeat((np.cumsum(count) - count)[group], size) + within]
+    copies = sp.csr_matrix((np.ones(len(origin), dtype=bool), (origin, np.arange(len(origin)))))
+    seeded = np.diff(copies.indptr)[origin[seeds]] > 1
+    twins = copies[origin[seeds[seeded]]]
 
-    dofs = np.concatenate([dofs, twins])
-    values = np.concatenate([values, np.repeat(seed_values[seeded], size)])
+    dofs = np.concatenate([dofs, twins.indices])
+    values = np.concatenate([values, np.repeat(seed_values[seeded], np.diff(twins.indptr))])
     order = np.argsort(dofs, kind="stable")
     dofs, values = dofs[order], values[order]
     again = dofs[1:] == dofs[:-1]

@@ -242,6 +242,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     merged = _merge_args(args)
+    if merged["fractures"] is not None:
+        raise ConfigurationError("config field 'fractures' is not supported by compare: "
+                                 "each reference models its scenario's built-in network")
     report = compare_scenario(merged["scenario"], n=merged["n"],
                               variant=merged["variant"], tol=merged["tol"],
                               oracle=merged["oracle"])

@@ -153,7 +153,8 @@ def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Poin
                    n_samples: int) -> Profile:
     """Sample a nodal field along the segment start-end at n_samples points.
 
-    Points on duplicated interface lines average both sides. Raises if any
+    Points on duplicated interface lines average both sides. Raises
+    GeometryError unless both endpoints have the mesh's dimension, or if any
     sample point is not covered by a cell.
     """
     if n_samples < 2:
@@ -162,10 +163,12 @@ def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Poin
     if values.shape != (split.n_dofs,):
         raise GeometryError(
             f"field has {values.shape} entries, mesh has {split.n_dofs} dofs")
+    dim = split.base.dim
+    if start.dim != dim or end.dim != dim:
+        raise GeometryError(f"profile endpoints are {start.dim}D and {end.dim}D; "
+                            f"the mesh is {dim}D")
     a = start.as_array()
     b = end.as_array()
-    if a.shape != b.shape:
-        raise GeometryError("profile endpoints must share the dimension")
     length = float(np.linalg.norm(b - a))
     if length == 0.0:
         raise GeometryError("profile endpoints coincide")

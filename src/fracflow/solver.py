@@ -132,10 +132,12 @@ def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise SolverError("matrix has a non-positive diagonal entry; not SPD")
-    row_len = np.ones(n, dtype=np.int32)
-    dofs = np.zeros(0, dtype=np.intp)
+    grouped = np.zeros(n, dtype=bool)
     if groups is not None:
-        dofs = np.flatnonzero((np.bincount(groups) > 1)[groups])
+        grouped = (np.bincount(groups) > 1)[groups]
+    single = np.flatnonzero(~grouped)
+    rows, cols, data = [single], [single], [1.0 / diag[single]]
+    dofs = np.flatnonzero(grouped)
     if len(dofs):
         dofs = dofs[np.argsort(groups[dofs], kind="stable")].astype(np.int32)
         g = groups[dofs]
@@ -143,7 +145,6 @@ def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
         sizes = np.diff(np.r_[starts, len(g)])
         block = np.repeat(np.arange(len(starts)), sizes)
         local = np.arange(len(g)) - starts[block]
-        row_len[dofs] = sizes[block]
 
         # Dense blocks padded to the largest group with an identity tail.
         sub = A[dofs][:, dofs].tocoo()
@@ -163,20 +164,13 @@ def _group_blocks(A: sp.csr_matrix, groups: np.ndarray | None) -> sp.csr_matrix:
         P = L_inv.transpose(0, 2, 1) @ L_inv              # B^-1 = L^-T L^-1
         del L_inv
         P = 0.5 * (P + P.transpose(0, 2, 1))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(row_len, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    single = np.flatnonzero(row_len == 1)
-    indices[indptr[single]] = single
-    data[indptr[single]] = 1.0 / diag[single]
-    if len(dofs):
         # the row of dofs[p] is row local[p] of its block, over its group's dofs
         in_block = used[block]
-        at = (indptr[dofs][:, None] + k)[in_block]
-        indices[at] = dofs[(starts[block][:, None] + k)[in_block]]
-        data[at] = P[block, local][in_block]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        rows.append(np.repeat(dofs, sizes[block]))
+        cols.append(dofs[(starts[block][:, None] + k)[in_block]])
+        data.append(P[block, local][in_block])
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
 
 
 def _smoother(A: sp.csr_matrix, groups) -> sp.csr_matrix:
@@ -213,9 +207,12 @@ def _strength_graph(A: sp.csr_matrix, groups) -> tuple[sp.csr_matrix, np.ndarray
     CSR graph, and each dof's node (None: every dof is its own node).
 
     Dofs of one group joined by a strong coupling are one node. The graph
-    is built in A's rows; when some dofs merge, the rows of a node's dofs
-    are gathered into one and their columns renamed to nodes, so a merged
-    node's row may name a column more than once.
+    is built in A's rows: A's pattern, True at each strong coupling and
+    loop, with the other entries dropped by ``eliminate_zeros``. That
+    compacts the index arrays in place, so the graph is built on copies of
+    A's (``copy=True``). When some dofs merge, the rows of a node's dofs are
+    gathered into one and their columns renamed to nodes, so a merged node's
+    row may name a column more than once.
     """
     n = A.shape[0]
     indptr, cols = A.indptr, A.indices
@@ -246,11 +243,9 @@ def _strength_graph(A: sp.csr_matrix, groups) -> tuple[sp.csr_matrix, np.ndarray
         strength *= scale[c]
         np.less_equal(strength, -STRENGTH_THETA, out=looped[part])
         looped[part] |= np.repeat(np.arange(a, b, dtype=c.dtype), row_len[a:b]) == c
-    S_indptr = np.zeros(n + 1, dtype=indptr.dtype)
-    np.cumsum(np.add.reduceat(looped, indptr[:-1], dtype=indptr.dtype), out=S_indptr[1:])
-    S = sp.csr_matrix((np.ones(int(S_indptr[-1]), dtype=bool), cols[looped], S_indptr),
-                      shape=(n, n))
+    S = sp.csr_matrix((looped, cols, indptr), shape=(n, n), copy=True)
     del looped
+    S.eliminate_zeros()
     if node is None:
         return S, None
     # A node's row is its dofs' rows one after another; a merged pair becomes a loop.

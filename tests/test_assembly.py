@@ -1,6 +1,7 @@
 """System assembly: coefficient mapping, interface terms, boundary data."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from fracflow import (BoundaryConditionSet, ConfigurationError,
 from fracflow.assembly import _domain_matrix, _pair_maps
 from fracflow.elements import facet_load
 from fracflow.scenarios import SCENARIOS
-from conftest import (THROUGHFLOW, coeffs_for, copies_of, q1_stiffness_batch, unit_square,
-                      vertical_network)
+from conftest import (PATH_CASES, THROUGHFLOW, coeffs_for, copies_of, q1_stiffness_batch,
+                      unit_square, vertical_network)
 
 
 # --- coefficient mapping ----------------------------------------------------
@@ -452,25 +453,37 @@ def test_fracture_free_elimination_leaves_matrix_domain_intact():
 # --- the stored domain rows --------------------------------------------------
 
 _DOMAIN_CASES = [(name, variant) for name, spec in SCENARIOS.items()
-                 for variant in spec.variants or (None,)] + [("fracture-free", None)]
+                 for variant in spec.variants or (None,)] + [("fracture-free", None)] \
+    + [(name, None) for name in PATH_CASES]
 
 
 @pytest.fixture(scope="module", params=_DOMAIN_CASES, ids=lambda c: "-".join(filter(None, c)))
 def system_and_domain(request):
     """A system and the full domain matrix it was assembled from: every
     built-in at its default n (regular2d's fractures meet its Dirichlet
-    sides), and a fracture-free system with per-cell mobilities."""
+    sides), a fracture-free system with per-cell mobilities, and the bent
+    and oblique ``PATH_CASES`` with unit mobilities, whose fractures have
+    copies on the Dirichlet side. An assembly that inserts a stored entry
+    fails here."""
     name, variant = request.param
-    if name == "fracture-free":
-        split = split_mesh(unit_square(8), FractureNetwork(()))
-        k_cell = np.random.default_rng(0).uniform(0.5, 2.0, split.base.n_cells)
-        system = assemble(split, None, [], THROUGHFLOW, k_per_cell=k_cell)
-    else:
-        spec = SCENARIOS[name]
-        case = spec.build(spec.default_n, variant)
-        split = case.split
-        system = assemble(split, case.k_per_subdomain, case.coeffs, case.bcs)
-        k_cell = np.asarray(case.k_per_subdomain, dtype=float)[split.subdomain_of_cell]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sp.SparseEfficiencyWarning)
+        if name == "fracture-free":
+            split = split_mesh(unit_square(8), FractureNetwork(()))
+            k_cell = np.random.default_rng(0).uniform(0.5, 2.0, split.base.n_cells)
+            system = assemble(split, None, [], THROUGHFLOW, k_per_cell=k_cell)
+        elif name in PATH_CASES:
+            mesh, network = PATH_CASES[name]()
+            split = split_mesh(mesh, network)
+            k_cell = np.ones(split.base.n_cells)
+            system = assemble(split, np.ones(split.n_subdomains), coeffs_for(network),
+                              THROUGHFLOW)
+        else:
+            spec = SCENARIOS[name]
+            case = spec.build(spec.default_n, variant)
+            split = case.split
+            system = assemble(split, case.k_per_subdomain, case.coeffs, case.bcs)
+            k_cell = np.asarray(case.k_per_subdomain, dtype=float)[split.subdomain_of_cell]
     return system, _domain_matrix(split.base, k_cell, system.n_dofs)
 
 

@@ -154,6 +154,11 @@ def test_config_extra_profile(tmp_path):
     ({"scenario": "regular2d",
       "fractures": [{"path": [[0.5, 0.0], [0.5, 1.0]], "aperture": 1e-3,
                      "mobility": 1.0, "source": "field-map"}]}, "source"),
+    # profile endpoints of the wrong dimension for the mesh
+    ({"scenario": "onedim",
+      "profiles": {"q": {"start": [0, 0], "end": [1, 0]}}}, "1D"),
+    ({"scenario": "single_vertical", "n": 8,
+      "profiles": {"q": {"start": [0.1], "end": [0.9]}}}, "1D"),
 ])
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, config, needle):
     cfg = tmp_path / "bad.json"
@@ -196,6 +201,19 @@ def test_compare_unknown_oracle_exits_2(tmp_path):
                    "--out", str(tmp_path / "o")) == 2
     # a scenario without any reference cannot be compared
     assert run_cli("compare", "regular2d", "--out", str(tmp_path / "o2")) == 2
+
+
+def test_compare_rejects_a_fractures_config(tmp_path, capsys):
+    """The references model the built-in networks, so compare does not run
+    a config that replaces the network."""
+    cfg = tmp_path / "frac.json"
+    cfg.write_text(json.dumps({
+        "scenario": "single_vertical", "n": 16,
+        "fractures": [{"path": [[0.25, 0], [0.25, 1]], "aperture": 0.01, "mobility": 0.01}]}))
+    out = tmp_path / "c"
+    assert run_cli("compare", str(cfg), "--oracle", "analytic", "--out", str(out)) == 2
+    assert "'fractures'" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
 
 
 def test_failing_comparison_exits_4(tmp_path, monkeypatch, capsys):

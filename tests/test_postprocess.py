@@ -56,6 +56,9 @@ def test_sample_profile_outside_domain_raises():
     with pytest.raises(GeometryError):
         sample_profile(split, np.zeros(split.n_dofs),
                        Point(0.2, 0.2), Point(0.2, 0.2), 5)
+    # 1D endpoints on a 2D mesh
+    with pytest.raises(GeometryError, match="1D and 1D; the mesh is 2D"):
+        sample_profile(split, np.zeros(split.n_dofs), Point(0.1), Point(0.9), 5)
 
 
 def test_sample_profile_1d():
@@ -64,6 +67,9 @@ def test_sample_profile_1d():
     field = 1.0 - split.base.vertices[:, 0]
     prof = sample_profile(split, field, Point(0.0), Point(1.0), 11)
     assert np.allclose(prof.values, 1.0 - prof.s, atol=1e-13)
+    # 2D endpoints on a 1D mesh
+    with pytest.raises(GeometryError, match="2D and 2D; the mesh is 1D"):
+        sample_profile(split, field, Point(0.0, 0.0), Point(1.0, 0.0), 11)
 
 
 def sample_1d_per_point(split, values, xs, tol):
