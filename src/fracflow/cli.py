@@ -14,9 +14,12 @@ Commands
     Print the built-in scenarios with variants and default sizes.
 
 The positional argument is either a scenario name or a path to a JSON config
-file (detected by an existing file or a ``.json`` suffix). Command-line
-flags override config values. Exit codes: 0 ok, 2 invalid input or geometry,
-3 solver failure, 4 comparison above threshold.
+file (detected by an existing file or a ``.json`` suffix). A config may
+hold ``scenario``, ``n``, ``variant``, ``tol`` and ``out``, plus
+``fractures`` and ``profiles`` for run or ``oracle`` for compare; any other
+key is an error. Command-line flags override config values. Exit codes:
+0 ok, 2 invalid input or geometry, 3 solver failure, 4 comparison above
+threshold.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ from .scenarios import SCENARIOS, ScenarioResult, compare_scenario, run_scenario
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = {"scenario", "n", "variant", "tol", "oracle", "out",
-                "fractures", "profiles"}
+# The config keys each command reads; any other key is an error.
+_SHARED_KEYS = {"scenario", "n", "variant", "tol", "out"}
+_CONFIG_KEYS = {"run": _SHARED_KEYS | {"fractures", "profiles"},
+                "compare": _SHARED_KEYS | {"oracle"}}
 
 
 def _is_number(value) -> bool:
@@ -46,7 +51,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -58,10 +63,11 @@ def _load_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"config file {path!r} must hold a JSON object at top level")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    allowed = _CONFIG_KEYS[command]
+    unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigurationError(
-            f"unknown config keys {unknown}; allowed: {sorted(_CONFIG_KEYS)}")
+            f"config keys {unknown} are not read by {command}; it reads {sorted(allowed)}")
     if "scenario" in data and not isinstance(data["scenario"], str):
         raise ConfigurationError("config field 'scenario' must be a string")
     if "n" in data:
@@ -116,6 +122,9 @@ def _parse_profiles(raw) -> dict[str, tuple[Point, Point, int]]:
     out = {}
     for name, entry in raw.items():
         where = f"profiles[{name!r}]"
+        if not name or "/" in name or "\\" in name:
+            raise ConfigurationError(f"{where}: a profile name must be non-empty and "
+                                     "hold no '/' or '\\', since it names a file")
         if not isinstance(entry, dict):
             raise ConfigurationError(f"{where} must be an object")
         unknown = sorted(set(entry) - {"start", "end", "n"})
@@ -142,7 +151,7 @@ def _merge_args(args) -> dict:
     config: dict = {}
     if target is not None:
         if target.endswith(".json") or Path(target).is_file():
-            config = _load_config(target)
+            config = _load_config(target, args.command)
         else:
             config["scenario"] = target
     merged = {
@@ -242,9 +251,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     merged = _merge_args(args)
-    if merged["fractures"] is not None:
-        raise ConfigurationError("config field 'fractures' is not supported by compare: "
-                                 "each reference models its scenario's built-in network")
     report = compare_scenario(merged["scenario"], n=merged["n"],
                               variant=merged["variant"], tol=merged["tol"],
                               oracle=merged["oracle"])

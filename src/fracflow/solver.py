@@ -191,45 +191,22 @@ def _smoother(A: sp.csr_matrix, groups) -> sp.csr_matrix:
     return M_inv
 
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the entries of ``rows`` in a CSR matrix with this
-    ``indptr``, row after row, and where each row starts among them."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    at = np.cumsum(lengths, dtype=lengths.dtype) - lengths
-    pos = np.repeat(starts - at, lengths)
-    pos += np.arange(len(pos), dtype=pos.dtype)
-    return pos, at
-
-
 def _strength_graph(A: sp.csr_matrix, groups) -> tuple[sp.csr_matrix, np.ndarray | None]:
     """The strong couplings of A with a loop at every node, as a boolean
     CSR graph, and each dof's node (None: every dof is its own node).
 
-    Dofs of one group joined by a strong coupling are one node. The graph
-    is built in A's rows: A's pattern, True at each strong coupling and
-    loop, with the other entries dropped by ``eliminate_zeros``. That
-    compacts the index arrays in place, so the graph is built on copies of
-    A's (``copy=True``). When some dofs merge, the rows of a node's dofs are
-    gathered into one and their columns renamed to nodes, so a merged node's
-    row may name a column more than once.
+    The graph is built in A's rows: A's pattern, True at each strong
+    coupling and loop, with the other entries dropped by
+    ``eliminate_zeros``. That compacts the index arrays in place, so the
+    graph is built on copies of A's (``copy=True``). Dofs of one group
+    joined by an edge of that graph are one node: the rows of a node's dofs
+    are gathered into one and their columns renamed to nodes, so a merged
+    node's row may name a column more than once.
     """
     n = A.shape[0]
     indptr, cols = A.indptr, A.indices
     row_len = np.diff(indptr)
     scale = 1.0 / np.sqrt(A.diagonal())
-    node = None
-    if groups is not None:
-        # Only dofs with copies can couple within their group.
-        copied = np.flatnonzero((np.bincount(groups) > 1)[groups]).astype(indptr.dtype)
-        pos, _ = _row_entries(indptr, copied)
-        i, j = np.repeat(copied, row_len[copied]), cols[pos]
-        # a_ij s_i s_j: the strength with its sign flipped, rounded alike.
-        pair = (scale[i] * A.data[pos] * scale[j] <= -STRENGTH_THETA) \
-            & (groups[i] == groups[j]) & (i != j)
-        if pair.any():
-            node = components(n, i[pair], j[pair])
-
     # The strong couplings and the diagonal entries, in blocks of whole rows
     # with about STRENGTH_BLOCK entries, which bounds the temporaries.
     looped = np.empty(len(cols), dtype=bool)
@@ -246,8 +223,16 @@ def _strength_graph(A: sp.csr_matrix, groups) -> tuple[sp.csr_matrix, np.ndarray
     S = sp.csr_matrix((looped, cols, indptr), shape=(n, n), copy=True)
     del looped
     S.eliminate_zeros()
-    if node is None:
+    if groups is None:
         return S, None
+    # Only dofs with copies can couple within their group.
+    copied = np.flatnonzero((np.bincount(groups) > 1)[groups])
+    sub = S[copied]
+    i, j = np.repeat(copied, np.diff(sub.indptr)), sub.indices
+    pair = (groups[i] == groups[j]) & (i != j)
+    if not pair.any():
+        return S, None
+    node = components(n, i[pair], j[pair])
     # A node's row is its dofs' rows one after another; a merged pair becomes a loop.
     S = S[np.argsort(node, kind="stable")]
     S.indices = node[S.indices]
@@ -270,7 +255,10 @@ def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
     rounds fall (Blelloch, Fineman & Shun, SPAA 2012). Each aggregate is a
     root, its neighbours, then the nodes next to those. Nodes without strong
     couplings (Dirichlet rows among them) stay out: the smoother alone
-    handles them. ``A`` has a positive diagonal (``_smoother`` checks).
+    handles them. While the undecided nodes are a majority a round reads
+    the whole graph, after that only the rows next to them; either way it
+    picks the same roots. ``A`` has a positive diagonal (``_smoother``
+    checks).
     """
     S, node = _strength_graph(A, groups)
     m = S.shape[0]
@@ -280,11 +268,8 @@ def _aggregates(A: sp.csr_matrix, groups) -> tuple[np.ndarray, int]:
         == np.maximum.reduceat(S.indices, S.indptr[:-1])
 
     def rows_of(r):  # S's column indices in the nodes r's rows, and where each row starts
-        if 8 * len(r) > m:
-            sub = S[r]            # scipy's row gather: faster on many rows, slower on few
-            return sub.indices, sub.indptr[:-1]
-        pos, at = _row_entries(S.indptr, r)
-        return S.indices[pos], at
+        sub = S[r]
+        return sub.indices, sub.indptr[:-1]
 
     def neighbour_max(v, r=None):  # max over each node's neighbours and itself (nodes r)
         idx, at = (S.indices, S.indptr[:-1]) if r is None else rows_of(r)
@@ -400,11 +385,9 @@ def multigrid(A, groups=None) -> Multigrid:
         if n_coarse == 0 or n_coarse > MIN_SHRINK * A.shape[0]:
             levels.append(_Level(A, S))           # stalled: smoothing only
             return Multigrid(levels)
-        have = agg >= 0
-        T = sp.csr_matrix((np.ones(int(have.sum())), agg[have].astype(np.int32),
-                           np.r_[0, np.cumsum(have)].astype(np.int32)),
-                          shape=(A.shape[0], n_coarse))
-        del agg, have
+        rows = np.flatnonzero(agg >= 0)
+        T = sp.csr_matrix((np.ones(len(rows)), (rows, agg[rows])), shape=(A.shape[0], n_coarse))
+        del agg, rows
         P = T - S @ (A @ T)
         del T
         R = P.T.tocsr()

@@ -159,6 +159,9 @@ def test_config_extra_profile(tmp_path):
       "profiles": {"q": {"start": [0, 0], "end": [1, 0]}}}, "1D"),
     ({"scenario": "single_vertical", "n": 8,
       "profiles": {"q": {"start": [0.1], "end": [0.9]}}}, "1D"),
+    # a profile name is part of a file name
+    ({"scenario": "onedim", "profiles": {"": {"start": [0.2], "end": [0.8]}}}, "profiles['']"),
+    ({"scenario": "onedim", "profiles": {"a/b": {"start": [0.2], "end": [0.8]}}}, "a/b"),
 ])
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, config, needle):
     cfg = tmp_path / "bad.json"
@@ -214,6 +217,22 @@ def test_compare_rejects_a_fractures_config(tmp_path, capsys):
     assert run_cli("compare", str(cfg), "--oracle", "analytic", "--out", str(out)) == 2
     assert "'fractures'" in capsys.readouterr().err
     assert not (out / "compare.json").exists()
+
+
+@pytest.mark.parametrize("command, config, needle", [
+    ("compare", {"scenario": "onedim", "profiles": {"q": {"start": [0.2], "end": [0.8]}}},
+     "'profiles'"),
+    ("run", {"scenario": "onedim", "oracle": "nonsense"}, "'oracle'"),
+])
+def test_config_key_of_the_other_command_exits_2(tmp_path, capsys, command, config, needle):
+    """Each command reads only its own config keys: compare writes no
+    profiles and run has no oracle, so neither ignores one without a word."""
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(command, str(cfg), "--out", str(out)) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failing_comparison_exits_4(tmp_path, monkeypatch, capsys):

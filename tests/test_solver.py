@@ -454,13 +454,23 @@ def test_aggregates_match_full_graph_rounds_on_band_lines(monkeypatch):
     assert len(levels) == 6 and all(same for _, same in levels)
 
 
-@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("grouped", [False, True, "chains"])
 def test_aggregates_match_full_graph_rounds_on_random_graph(grouped):
     """A random diagonally dominant M-matrix, 200 of whose nodes couple to
-    nothing, with or without copy groups of two dofs."""
+    nothing: without copy groups, with random groups of two dofs, or with
+    groups of three that merge in part ("chains"). In half of those, two
+    strong couplings chain a-b-c; in the others one joins a-b and c stays
+    apart."""
     n = 3000
     rng = np.random.default_rng(21)
     W = sp.random(n, n, density=3.0 / n, random_state=rng, format="csr")
+    if grouped == "chains":
+        a, b, c = rng.permutation(n).reshape(3, -1)
+        groups = np.empty(n, dtype=np.intp)
+        groups[a] = groups[b] = groups[c] = np.arange(n // 3)
+        half = n // 6
+        joins = (np.r_[a, b[:half]], np.r_[b, c[:half]])
+        W = W + sp.csr_matrix((np.full(len(joins[0]), 5.0), joins), shape=(n, n))
     W = W + W.T
     isolated = rng.choice(n, 200, replace=False)
     keep = np.ones(n)
@@ -468,7 +478,10 @@ def test_aggregates_match_full_graph_rounds_on_random_graph(grouped):
     W = (sp.diags(keep) @ W @ sp.diags(keep)).tocsr()
     # row sums plus a random margin: some couplings fall below the strength threshold
     A = (sp.diags(np.asarray(W.sum(axis=1)).ravel() + rng.uniform(0.1, 3.0, n)) - W).tocsr()
-    groups = rng.permutation(n) // 2 if grouped else None
+    if grouped != "chains":
+        groups = rng.permutation(n) // 2 if grouped else None
+    if grouped == "chains":  # nodes of three dofs and of two
+        assert np.all(np.bincount(np.bincount(solver._strength_graph(A, groups)[1]))[2:4])
     agg, count = solver._aggregates(A, groups)
     want_agg, want_count = aggregates_full_graph(A, groups)
     assert count == want_count and np.array_equal(agg, want_agg)
