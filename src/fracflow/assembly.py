@@ -146,16 +146,6 @@ def _pair_maps(pairs: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]
                                shape=(len(pairs), n)) for w in ([0.5, 0.5], [-1.0, 1.0]))
 
 
-def _with_interface(matrix_domain: sp.csr_matrix, pairs: np.ndarray, K_mean: sp.csr_matrix,
-                    K_jump: sp.csr_matrix) -> sp.csr_matrix:
-    """A new matrix matrix_domain + M^T K_mean M + J^T K_jump J; a copy of
-    matrix_domain when there are no pairs."""
-    if not len(pairs):
-        return matrix_domain.copy()
-    M, J = _pair_maps(pairs, matrix_domain.shape[0])
-    return matrix_domain + (M.T @ K_mean @ M + J.T @ K_jump @ J)
-
-
 @dataclass(eq=False)
 class LinearSystem:
     """Assembled system before and after Dirichlet elimination.
@@ -173,8 +163,7 @@ class LinearSystem:
     pair dofs, of Dirichlet dofs and of dofs coupled to a Dirichlet dof. Only
     those rows are stored: ``domain_rows`` (ascending) and
     ``domain_at_rows``, the domain matrix's rows there as a
-    len(domain_rows) x n CSR. ``matrix_domain`` and ``matrix_raw``, the
-    matrix with all couplings before elimination, are formed on each access.
+    len(domain_rows) x n CSR. ``matrix_domain`` is formed on each access.
     ``copy_groups`` labels each dof with the pre-split vertex it was copied
     from; the solver preconditions over these groups.
     """
@@ -204,16 +193,9 @@ class LinearSystem:
         rows[self.domain_rows] = self.n_dofs + np.arange(len(self.domain_rows))
         return sp.vstack([self.matrix, self.domain_at_rows], format="csr")[rows]
 
-    @property
-    def matrix_raw(self) -> sp.csr_matrix:
-        """All couplings before elimination, ``matrix_domain + M^T
-        interface_mean M + J^T interface_jump J``, as a new matrix on each
-        access; ``assemble`` eliminates the same sum."""
-        return _with_interface(self.matrix_domain, self.interface_pairs,
-                               self.interface_mean, self.interface_jump)
-
     def residual_raw(self, solution: np.ndarray) -> np.ndarray:
-        """rhs_body - matrix_raw @ solution, with the interface part in jump/mean form.
+        """rhs_body - (matrix_domain + M^T interface_mean M + J^T interface_jump J)
+        @ solution, with the interface part in jump/mean form.
 
         The domain matrix is applied row by row as it is: ``matrix @ x``,
         with the ``domain_rows`` overwritten by ``domain_at_rows @ x``. Every
@@ -302,12 +284,13 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
     bcs : BoundaryConditionSet over the mesh's facet tags. A callable value
         gets one Point per facet vertex.
 
-    The domain matrix and the pair operators are summed once, and the
-    Dirichlet rows and columns are eliminated in place on the sum, which
-    gives ``matrix``. Neither the sum nor the full domain matrix is kept: the
-    system stores the pair operators and only the domain rows that differ
-    from ``matrix`` (see ``LinearSystem``), from which ``matrix_domain`` and
-    ``matrix_raw`` are formed again on access.
+    The domain matrix and the pair operators are summed once, as
+    ``A_domain + M^T K_mean M + J^T K_jump J`` with the pair maps that also
+    give ``rhs_body``, and the Dirichlet rows and columns are eliminated in
+    place on the sum, which gives ``matrix``. Neither the sum nor the full
+    domain matrix is kept: the system stores the pair operators and only the
+    domain rows that differ from ``matrix`` (see ``LinearSystem``), from
+    which ``matrix_domain`` is formed again on access.
     """
     mesh = split.base
     n = split.n_dofs
@@ -363,7 +346,7 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
     # columns, then put the fixed rows' 1 on the diagonal. Every dof lies in
     # a cell, so its diagonal entry is stored: the assignment writes in
     # place and changes no structure.
-    A = _with_interface(A_domain, pairs, K_mean, K_jump)
+    A = A_domain + (M.T @ K_mean @ M + J.T @ K_jump @ J) if len(pairs) else A_domain.copy()
     rhs = rhs_raw - A @ g_vec
     rhs[d_idx] = g
     fixed_entry = ~np.repeat(free, np.diff(A.indptr))

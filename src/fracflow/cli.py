@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -174,9 +175,15 @@ def _merge_args(args) -> dict:
 
 
 def _out_dir(merged: dict, sub: str) -> Path:
+    """The output folder, checked before any solve: the nearest part of its
+    path that exists must be a writable folder. The commands make it only
+    after the solve, so a run that fails leaves no folder behind."""
     base = merged["out"] or str(Path("fracflow_out") / merged["scenario"])
     path = Path(base) if merged["out"] else Path(base + (f"_{sub}" if sub else ""))
-    path.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK)):
+        raise ConfigurationError(f"cannot make output folder {str(path)!r}: "
+                                 f"{str(existing)!r} is not a writable folder")
     return path
 
 
@@ -227,11 +234,12 @@ def _summary_payload(res: ScenarioResult, files: dict) -> dict:
 
 def _cmd_run(args) -> int:
     merged = _merge_args(args)
+    out = _out_dir(merged, merged["variant"] or "")
     res = run_scenario(merged["scenario"], n=merged["n"],
                        variant=merged["variant"], tol=merged["tol"],
                        fractures=merged["fractures"],
                        extra_profiles=merged["profiles"])
-    out = _out_dir(merged, res.variant or "")
+    out.mkdir(parents=True, exist_ok=True)
     write_solution_csv(out / "solution.csv", res.split, res.pressure)
     files = {"profiles": {}, "fractures": {}}
     for key, prof in res.profiles.items():
@@ -251,10 +259,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     merged = _merge_args(args)
+    out = _out_dir(merged, "compare")
     report = compare_scenario(merged["scenario"], n=merged["n"],
                               variant=merged["variant"], tol=merged["tol"],
                               oracle=merged["oracle"])
-    out = _out_dir(merged, "compare")
+    out.mkdir(parents=True, exist_ok=True)
     (out / "compare.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{merged['scenario']} vs {report['oracle']}: {status} -> {out}")

@@ -534,11 +534,13 @@ def _match_paths(mesh: Mesh, network: FractureNetwork,
             order = near[matched]
             if np.linalg.norm(verts[order[0]] - pa) > tol:
                 raise ConformityError(
-                    f"fracture {j}, segment {k}: start point {tuple(pa)} is not a mesh vertex"
+                    f"fracture {j}, segment {k}: start point {tuple(pa.tolist())} "
+                    "is not a mesh vertex"
                 )
             if np.linalg.norm(verts[order[-1]] - qa) > tol:
                 raise ConformityError(
-                    f"fracture {j}, segment {k}: end point {tuple(qa)} is not a mesh vertex"
+                    f"fracture {j}, segment {k}: end point {tuple(qa.tolist())} "
+                    "is not a mesh vertex"
                 )
             if prev_end is not None and int(order[0]) != prev_end:
                 raise ConformityError(

@@ -144,7 +144,8 @@ def _sample(split: SplitMesh, values: np.ndarray, pts: np.ndarray, tol: float) -
     hit = np.linalg.norm(np.einsum("am,mad->md", N, X) - p, axis=1) <= tol
     count = np.bincount(point[hit], minlength=len(pts))
     if not np.all(count):
-        raise GeometryError(f"sample point {tuple(pts[np.argmin(count)])} lies outside the mesh")
+        outside = tuple(pts[np.argmin(count)].tolist())
+        raise GeometryError(f"sample point {outside} lies outside the mesh")
     value = np.einsum("am,ma->m", N[:, hit], values[mesh.cells[cell[hit]]])
     return np.bincount(point[hit], weights=value, minlength=len(pts)) / count
 

@@ -236,7 +236,9 @@ def run_scenario(name: str, n: int | None = None, variant: str | None = None,
     """Build, solve and postprocess one scenario instance.
 
     ``fractures`` replaces the built-in network (regular2d only).
-    ``extra_profiles`` adds named sampling segments to the scenario's own.
+    ``extra_profiles`` adds named sampling segments to the scenario's own;
+    each is sampled on a zero field before the solve, so one that leaves
+    the mesh fails first.
     """
     spec = _check_scenario_args(name, variant)
     if n is None:
@@ -255,6 +257,8 @@ def run_scenario(name: str, n: int | None = None, variant: str | None = None,
         if overlap:
             raise ConfigurationError(
                 f"profile names already used by the scenario: {sorted(overlap)}")
+        for a, b, m in extra_profiles.values():
+            sample_profile(case.split, np.zeros(case.split.n_dofs), a, b, m)
         case.profiles.update(extra_profiles)
     system, pressure, report = _solve_case(case, tol)
 

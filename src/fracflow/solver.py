@@ -429,7 +429,9 @@ def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
     b - A x at the iterate, has converged (a normwise backward-error test;
     Arioli, Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992), and its report
     gives that ``float64_floor``. No float64 residual can show a ``tol``
-    below eps, so a stall never meets one.
+    below eps, so a stall never meets one; the trigger and its tightening
+    stay at or above eps times the norm they scale, so such a ``tol`` ends
+    in that stall and not in a curvature breakdown.
 
     The initial residual is b itself, so a call applies the V-cycle once per
     iteration plus once, and no product with A precedes the loop.
@@ -468,7 +470,7 @@ def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
     p = hierarchy(r)
     rz = float(r @ p)
     history = [float(np.sqrt(max(rz, 0.0)))]
-    trigger = tol * history[0]
+    trigger = max(tol, EPS) * history[0]
     it = 0
     last_true = np.inf
     stalled = False
@@ -487,7 +489,7 @@ def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
                 stalled = True
                 break
             last_true = true_norm
-            trigger = history[-1] * min(0.5, tol * b_norm / true_norm)
+            trigger = history[-1] * max(min(0.5, tol * b_norm / true_norm), EPS)
         Ap = A @ p
         pAp = float(p @ Ap)
         if not np.isfinite(pAp) or pAp <= 0.0:
@@ -513,7 +515,12 @@ def cg_solve(A, b, hierarchy: Multigrid, tol: float = 1e-10,
                          tuple(history), multigrid_levels=levels)
     if report.converged:
         return x, report
-    reason = "stalled above the float64 floor" if stalled else f"budget of {max_iter} iterations exhausted"
+    if not stalled:
+        reason = f"budget of {max_iter} iterations exhausted"
+    elif tol < EPS:
+        reason = f"stalled, the tolerance is below what a float64 residual can show (eps={EPS:.3g})"
+    else:
+        reason = "stalled above the float64 floor"
     exc = NonConvergenceError(
         f"CG did not reach tol={tol}: {reason} "
         f"(relative residual {report.relative_residual:.3e})", report)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracflow import (BoundaryConditionSet, ConstantAperture, FractureNetwork,
                       FractureSpec, Mesh, Point, assemble, build_structured_quad,
@@ -79,6 +80,19 @@ def q1_stiffness_batch(cell_vertices, k) -> np.ndarray:
     X = np.asarray(cell_vertices, dtype=float)
     upper = q1_stiffness_upper(X.reshape(-1, 2), np.arange(4 * len(X)).reshape(-1, 4), k)
     return upper[:, _Q1_FULL].reshape(len(X), 4, 4)
+
+
+def pair_operator_sum(system) -> sp.csr_matrix:
+    """matrix_domain + M^T interface_mean M + J^T interface_jump J, written
+    out: all couplings of ``system`` before the Dirichlet elimination."""
+    pairs, n = system.interface_pairs, system.n_dofs
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
+                      shape=(len(pairs), n))
+    return system.matrix_domain + (M.T @ system.interface_mean @ M
+                                   + J.T @ system.interface_jump @ J)
 
 
 THROUGHFLOW = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})

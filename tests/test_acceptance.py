@@ -19,7 +19,7 @@ from fracflow import (BoundaryConditionSet, SCENARIOS, assemble,
                       fracture_jump, mass_balance_defect,
                       nodal_error_vs_analytic, run_scenario, solve,
                       solve_1d_interface_analytic, solve_system, split_mesh)
-from conftest import coeffs_for, unit_square, vertical_network
+from conftest import coeffs_for, pair_operator_sum, unit_square, vertical_network
 
 
 ALL_BUILTINS = (("onedim", None), ("regular2d", "conductive"),
@@ -174,7 +174,7 @@ def test_criterion_09_algebraic_invariants_all_builtins():
     worst_null = worst_sym = worst_cg = 0.0
     for name, variant in ALL_BUILTINS:
         res = cached_run(name, variant)
-        A = res.system.matrix_raw
+        A = pair_operator_sum(res.system)
         scale = float(np.max(np.abs(A.data)))
         null = float(np.max(np.abs(A @ np.ones(A.shape[0])))) / scale
         diff = (A - A.T).tocsr()

@@ -1,6 +1,5 @@
 """System assembly: coefficient mapping, interface terms, boundary data."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -9,15 +8,15 @@ import scipy.sparse as sp
 
 from fracflow import (BoundaryConditionSet, ConfigurationError,
                       ConstantAperture, FractureNetwork, FractureSpec,
-                      InterfaceCoefficients, LinearSystem, Point, assemble,
+                      InterfaceCoefficients, Point, assemble,
                       build_interval, build_structured_quad, default_eps_floor,
                       fracture_coefficient_map, fracture_to_coeffs,
                       sample_profile, solve_system, split_mesh)
 from fracflow.assembly import _domain_matrix, _pair_maps
 from fracflow.elements import facet_load
 from fracflow.scenarios import SCENARIOS
-from conftest import (PATH_CASES, THROUGHFLOW, coeffs_for, copies_of, q1_stiffness_batch,
-                      unit_square, vertical_network)
+from conftest import (PATH_CASES, THROUGHFLOW, coeffs_for, copies_of, pair_operator_sum,
+                      q1_stiffness_batch, unit_square, vertical_network)
 
 
 # --- coefficient mapping ----------------------------------------------------
@@ -102,7 +101,7 @@ def test_coefficient_callable_runs_once_per_fracture():
     # array-valued constants give the same system as the callables
     constants = [c(split.edges_of_fracture(j).apertures) for j, c in enumerate(maps)]
     again = assemble(split, np.ones(split.n_subdomains), constants, THROUGHFLOW)
-    assert (again.matrix_raw != system.matrix_raw).nnz == 0
+    assert (pair_operator_sum(again) != pair_operator_sum(system)).nnz == 0
     assert np.array_equal(again.rhs, system.rhs)
 
 
@@ -161,13 +160,15 @@ def _vertical_case(n=8, eps=1e-2, kf=1e-2):
 def test_raw_matrix_annihilates_constants():
     split, system = _vertical_case()
     ones = np.ones(system.n_dofs)
-    scale = np.max(np.abs(system.matrix_raw.data))
-    assert np.max(np.abs(system.matrix_raw @ ones)) <= 1e-12 * scale
+    A = pair_operator_sum(system)
+    scale = np.max(np.abs(A.data))
+    assert np.max(np.abs(A @ ones)) <= 1e-12 * scale
 
 
 def test_raw_matrix_exactly_symmetric():
     split, system = _vertical_case(kf=1e4, eps=1e-4)
-    diff = system.matrix_raw - system.matrix_raw.T
+    A = pair_operator_sum(system)
+    diff = A - A.T
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
     diff_elim = system.matrix - system.matrix.T
     assert diff_elim.nnz == 0 or np.max(np.abs(diff_elim.data)) == 0.0
@@ -224,9 +225,10 @@ def test_zero_interface_coefficients_decouple_sides():
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
     system = assemble(split, np.ones(2), [InterfaceCoefficients()], THROUGHFLOW)
     side = (split.subdomain_of_vertex() == 0).astype(float)
-    scale = np.max(np.abs(system.matrix_raw.data))
+    A = pair_operator_sum(system)
+    scale = np.max(np.abs(A.data))
     # with no interface terms each side's constant is in the null space
-    assert np.max(np.abs(system.matrix_raw @ side)) <= 1e-12 * scale
+    assert np.max(np.abs(A @ side)) <= 1e-12 * scale
 
 
 def test_large_penalty_restores_continuity():
@@ -267,7 +269,7 @@ def test_interface_load_enters_rhs_body():
 
 
 def test_residual_raw_is_rhs_body_minus_matrix_raw():
-    """The pair-form apply and matrix_raw come from the same pair operators;
+    """The pair-form apply and the raw matrix come from the same pair operators;
     every one of the six coefficients takes part."""
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
     c = InterfaceCoefficients(kappa_j=(1.0, 2.0), r_j=0.5, h_j=1.0,
@@ -275,7 +277,7 @@ def test_residual_raw_is_rhs_body_minus_matrix_raw():
     system = assemble(split, np.ones(2), [c], THROUGHFLOW)
     x = np.sin(np.arange(system.n_dofs))
     assert np.allclose(system.residual_raw(x),
-                       system.rhs_body - system.matrix_raw @ x, rtol=0.0, atol=1e-12)
+                       system.rhs_body - pair_operator_sum(system) @ x, rtol=0.0, atol=1e-12)
 
 
 def test_k_per_cell_matches_uniform_subdomain_k():
@@ -285,7 +287,7 @@ def test_k_per_cell_matches_uniform_subdomain_k():
     k_cell = 2.5 * np.ones(split.base.n_cells)
     sys_b = assemble(split, None, coeffs_for(split.network), THROUGHFLOW,
                      k_per_cell=k_cell)
-    assert (sys_a.matrix_raw - sys_b.matrix_raw).nnz == 0
+    assert (pair_operator_sum(sys_a) - pair_operator_sum(sys_b)).nnz == 0
     assert np.array_equal(sys_a.rhs, sys_b.rhs)
 
 
@@ -399,33 +401,24 @@ def test_dirichlet_values_within_tolerance_keep_the_last():
 
 # --- the stored system -----------------------------------------------------------
 
-def _pair_operator_sum(system) -> sp.csr_matrix:
-    """matrix_domain + M^T interface_mean M + J^T interface_jump J, written out."""
-    pairs, n = system.interface_pairs, system.n_dofs
-    rows = np.repeat(np.arange(len(pairs)), 2)
-    M = sp.csr_matrix((np.tile([0.5, 0.5], len(pairs)), (rows, pairs.ravel())),
-                      shape=(len(pairs), n))
-    J = sp.csr_matrix((np.tile([-1.0, 1.0], len(pairs)), (rows, pairs.ravel())),
-                      shape=(len(pairs), n))
-    return system.matrix_domain + (M.T @ system.interface_mean @ M
-                                   + J.T @ system.interface_jump @ J)
-
-
-def test_matrix_raw_is_not_stored():
-    assert "matrix_raw" not in {f.name for f in dataclasses.fields(LinearSystem)}
-
-
 @pytest.mark.parametrize("name,n,variant", [("regular2d", 32, "conductive"),
                                             ("onedim", 64, None)])
 def test_matrix_raw_is_the_pair_operator_sum_bit_for_bit(name, n, variant):
+    """The raw matrix, the written-out pair operator sum, is what ``assemble``
+    eliminates: every row of ``matrix`` that the Dirichlet elimination leaves
+    alone, interface pair rows among them, is its row bit for bit."""
     case = SCENARIOS[name].build(n, variant)
     system = assemble(case.split, case.k_per_subdomain, case.coeffs, case.bcs)
-    assert len(system.interface_pairs)
-    raw, want = system.matrix_raw, _pair_operator_sum(system)
-    assert np.array_equal(raw.indptr, want.indptr)
-    assert np.array_equal(raw.indices, want.indices)
-    assert np.array_equal(raw.data.view(np.int64), want.data.view(np.int64))
-    assert raw is not system.matrix_raw                  # formed on each access
+    want = pair_operator_sum(system)
+    fixed = np.zeros(system.n_dofs, dtype=bool)
+    fixed[list(system.dirichlet_dofs)] = True
+    touched = fixed | (want @ fixed.astype(float) != 0.0)   # fixed, or a fixed column
+    kept = np.flatnonzero(~touched)
+    assert np.isin(system.interface_pairs, kept).any()
+    got, want = system.matrix[kept], want[kept]
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 def test_fracture_free_elimination_leaves_matrix_domain_intact():
@@ -447,7 +440,7 @@ def test_fracture_free_elimination_leaves_matrix_domain_intact():
     assert np.max(np.abs(domain.data - fresh.data)) <= 1e-14 * scale
     assert np.max(np.abs(domain @ np.ones(system.n_dofs))) <= 1e-12 * scale
     assert not np.shares_memory(system.matrix.data, domain.data)
-    assert (system.matrix_raw != domain).nnz == 0
+    assert (pair_operator_sum(system) != domain).nnz == 0
 
 
 # --- the stored domain rows --------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fracflow.cli as cli
+import fracflow.scenarios as scenarios
 from fracflow.solver import COARSE_DOFS
 
 
@@ -184,10 +185,10 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
 
 
 def test_unconverged_solve_exits_3(tmp_path, capsys):
-    code = run_cli("run", "single_vertical", "--tol", "1e-30",
-                   "--out", str(tmp_path / "o"))
-    assert code == 3
-    assert "converge" in capsys.readouterr().err
+    for tol in ("1e-30", "1e-300"):
+        code = run_cli("run", "single_vertical", "--tol", tol, "--out", str(tmp_path / tol))
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
 
 
 def test_compare_onedim_writes_report(tmp_path):
@@ -233,6 +234,37 @@ def test_config_key_of_the_other_command_exits_2(tmp_path, capsys, command, conf
     assert run_cli(command, str(cfg), "--out", str(out)) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if any scenario solve starts."""
+    def solve(case, tol):
+        raise AssertionError("a solve started")
+    monkeypatch.setattr(scenarios, "_solve_case", solve)
+
+
+def test_out_that_cannot_be_a_folder_exits_2_before_the_solve(tmp_path, capsys, no_solve):
+    taken = tmp_path / "taken"
+    taken.write_text("not a folder")
+    for argv, path in ((("run", "onedim", "--out", str(taken)), taken),
+                       (("compare", "onedim", "--out", str(taken / "sub")), taken / "sub"),
+                       (("run", "regular2d", "--variant", "blocking", "--out", str(taken)), taken)):
+        assert run_cli(*argv) == 2
+        assert f"cannot make output folder {str(path)!r}" in capsys.readouterr().err
+    assert taken.read_text() == "not a folder"
+
+
+@pytest.mark.parametrize("segment, needle", [
+    ({"start": [0.3, 0.2], "end": [1.5, 0.2]}, "lies outside the mesh"),
+    ({"start": [0.3, 0.2], "end": [0.3, 0.2]}, "endpoints coincide"),
+], ids=["outside", "coincident"])
+def test_config_profile_fails_before_the_solve(tmp_path, capsys, no_solve, segment, needle):
+    cfg = tmp_path / "prof.json"
+    cfg.write_text(json.dumps({"scenario": "regular2d", "n": 16, "profiles": {"q": segment}}))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_failing_comparison_exits_4(tmp_path, monkeypatch, capsys):

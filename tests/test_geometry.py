@@ -180,7 +180,7 @@ def test_conformity_rejects_off_grid_line():
 def test_conformity_rejects_mid_cell_endpoint():
     spec = FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 0.33)),
                         aperture=ConstantAperture(1e-2), mobility=1.0)
-    with pytest.raises(ConformityError):
+    with pytest.raises(ConformityError, match=r"end point \(0\.5, 0\.33\) is not a mesh vertex"):
         check_conformity(unit_square(32), FractureNetwork((spec,)))
 
 

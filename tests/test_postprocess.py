@@ -50,7 +50,8 @@ def test_sample_profile_on_interface_returns_side_mean():
 
 def test_sample_profile_outside_domain_raises():
     split = split_mesh(unit_square(4), FractureNetwork(()))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError,
+                       match=r"^sample point \(1\.25, 0\.5\) lies outside the mesh$"):
         sample_profile(split, np.zeros(split.n_dofs),
                        Point(0.5, 0.5), Point(1.5, 0.5), 5)
     with pytest.raises(GeometryError):

@@ -121,12 +121,14 @@ def test_cg_budget_exhaustion_carries_partial_result():
 def test_cg_unreachable_tolerance_fails_with_accurate_iterate():
     A = random_spd(50, seed=5)
     b = np.ones(50)
-    with pytest.raises(NonConvergenceError) as excinfo:
-        cg_solve(A, b, one_level(A), tol=1e-30)
-    report = excinfo.value.report
-    assert not report.converged
-    # the iterate itself sits at the float64 floor regardless of the verdict
-    assert report.relative_residual < 1e-12
+    for tol in (1e-30, 1e-300):    # a tol far below eps must stall too, not break down
+        with pytest.raises(NonConvergenceError,
+                           match="below what a float64 residual can show") as excinfo:
+            cg_solve(A, b, one_level(A), tol=tol)
+        report = excinfo.value.report
+        assert not report.converged
+        # the iterate itself sits at the float64 floor regardless of the verdict
+        assert report.relative_residual < 1e-12
 
 
 @pytest.mark.parametrize("n", [4096, 16384])
