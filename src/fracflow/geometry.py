@@ -416,23 +416,21 @@ def build_interval(n: int, length: float) -> Mesh:
 
 
 class _FacetTable:
-    """Unique facets of a mesh with cell incidence: vertices in 1D, undirected
+    """Unique facets of a mesh with their cells: vertices in 1D, undirected
     edges in 2D.
 
     Local facet k of a cell with r corners runs from its corner k to corner
-    k + d - 1 (mod r), d the dimension: in 1D that is corner k itself. Each
-    incidence is a slot ``r c + k``, so a slot is also the flat index of the
-    facet's first corner in ``cells``. The slots of facet e are
-    ``slots[offsets[e]:offsets[e + 1]]``, in cell order.
+    k + d - 1 (mod r), d the dimension: in 1D that is corner k itself. Facet
+    e joins the vertices ``divmod(codes[e], nv)``, and its cells are
+    ``cell(e, i)`` for i < ``offsets[e + 1] - offsets[e]``, in cell order.
     """
 
     def __init__(self, mesh: Mesh):
         cells = mesh.cells
         nv = mesh.n_vertices
-        self.corners = r = cells.shape[1]
-        self._step = mesh.dim - 1
+        r = cells.shape[1]
         a = cells.ravel()
-        b = cells[:, (np.arange(r) + self._step) % r].ravel()
+        b = cells[:, (np.arange(r) + mesh.dim - 1) % r].ravel()
         codes = np.minimum(a, b)
         codes *= nv
         codes += np.maximum(a, b, out=b)
@@ -443,7 +441,8 @@ class _FacetTable:
         self._nv = nv
         self.codes = codes[first]
         self.offsets = np.append(first, len(codes))
-        self.slots = order
+        order //= r
+        self._cells = order
 
     def facet_ids(self, facets) -> np.ndarray:
         """Index of the facet of each row of vertex ids (f, d), or -1 if absent."""
@@ -455,21 +454,9 @@ class _FacetTable:
         found[found] = self.codes[idx[found]] == code[found]
         return np.where(found, idx, -1)
 
-    def slot(self, facet_ids, i: int = 0) -> np.ndarray:
-        """The i-th incidence slot of each facet."""
-        return self.slots[self.offsets[facet_ids] + i]
-
-    def ends(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``cells`` indices of the first and last corner of each slot's facet."""
-        r = self.corners
-        return slots, slots - slots % r + (slots + self._step) % r
-
-    @property
-    def n_facets(self) -> int:
-        return len(self.codes)
-
-    def incidence_counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
+    def cell(self, facet_ids, i: int = 0) -> np.ndarray:
+        """The i-th cell of each facet."""
+        return self._cells[self.offsets[facet_ids] + i]
 
 
 def _default_tol(mesh: Mesh) -> float:
@@ -582,10 +569,13 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     table = _FacetTable(mesh)
     chains, chain_frac, arc = _match_paths(mesh, network, table)
     cells = mesh.cells
-    n_cells = mesh.n_cells
     nv = mesh.n_vertices
-    r = table.corners
-    counts = table.incidence_counts()
+    r = cells.shape[1]
+    counts = np.diff(table.offsets)
+
+    def corner(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The flat ``cells`` index of each vertex v in its cell c."""
+        return c * r + np.argmax(cells[c] == v[..., None], axis=-1)
 
     # Fracture facets in chain order; reject overlaps and boundary-glued fractures.
     eids = table.facet_ids(chains)
@@ -601,8 +591,6 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
                 f"fractures {other} and {j} overlap on facet {facet}")
         raise UnsupportedTopologyError(
             f"fracture {j} runs along the domain boundary at facet {facet}")
-    on_fracture = np.zeros(table.n_facets, dtype=bool)
-    on_fracture[eids] = True
 
     boundary_vertex = np.zeros(nv, dtype=bool)
     for ends in np.divmod(table.codes[counts == 1], nv):
@@ -622,10 +610,11 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
             f"fracture {i // 2} terminates inside a subdomain at vertex {int(tips[i])}")
 
     # Subdomains: flood fill over cells joined by non-fracture facets.
-    joining = np.flatnonzero((counts == 2) & ~on_fracture)
-    slot1, slot2 = table.slot(joining, 0), table.slot(joining, 1)
-    subdomain = components(n_cells, slot1 // r, slot2 // r)
-    n_sub = int(subdomain.max()) + 1 if n_cells else 0
+    joining = counts == 2
+    joining[eids] = False
+    joining = np.flatnonzero(joining)
+    subdomain = components(mesh.n_cells, table.cell(joining, 0), table.cell(joining, 1))
+    n_sub = int(subdomain.max()) + 1 if mesh.n_cells else 0
 
     # Corner groups: the corners (cell, fracture vertex) around each
     # fracture vertex, connected through the non-fracture facets at it.
@@ -633,18 +622,17 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     is_fr_vertex = np.zeros(nv, dtype=bool)
     is_fr_vertex[chains] = True
     corner_at = np.flatnonzero(is_fr_vertex[old_flat])   # sorted: corner number = position
-    # The first corner of a facet in one cell meets the first or the last
-    # corner of that facet in the other cell, whichever holds the same
-    # vertex. Only facets at a fracture vertex link.
-    ends1 = table.ends(slot1)
-    near = is_fr_vertex[old_flat[ends1[0]]] | is_fr_vertex[old_flat[ends1[1]]]
-    ends1, ends2 = table.ends(slot1[near]), table.ends(slot2[near])
-    aligned = old_flat[ends1[0]] == old_flat[ends2[0]]
-    links = np.concatenate([
-        np.stack([ends1[0], np.where(aligned, ends2[0], ends2[1])]),
-        np.stack([ends1[1], np.where(aligned, ends2[1], ends2[0])]),
-    ], axis=1)
-    links = np.searchsorted(corner_at, links[:, is_fr_vertex[old_flat[links[0]]]])
+    # A joining facet links its fracture vertices' corners in its two cells.
+    # Its ends a <= b come from its code, b in place: one per joining facet.
+    b = table.codes[joining]
+    a = b // nv
+    b %= nv
+    near = is_fr_vertex[a] | is_fr_vertex[b]
+    joining, a, b = joining[near], a[near], b[near]
+    v = np.concatenate([a, b])
+    at = is_fr_vertex[v]
+    linked = np.tile([table.cell(joining, 0), table.cell(joining, 1)], 2)[:, at]
+    links = np.searchsorted(corner_at, corner(v[at], linked))
     group = components(len(corner_at), links[0], links[1])
     # Each group's vertex and lowest cell (corners are in cell order).
     _uniq, first = np.unique(group, return_index=True)
@@ -668,11 +656,6 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     new_flat = new_cells.reshape(-1)
     new_flat[corner_at] = group_id[group]
 
-    def copy_at(v: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """The split id of each v in the cell of its slot, v an end of that facet."""
-        start, end = table.ends(slots)
-        return new_flat[np.where(old_flat[start] == v, start, end)]
-
     # Boundary facets follow their owning cell's copies.
     facets = mesh.boundary_facets
     facet_ids = table.facet_ids(facets)
@@ -680,16 +663,16 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     if np.any(unowned):
         vs = tuple(facets[int(np.argmax(unowned))].tolist())
         raise GeometryError(f"boundary facet {vs} is not owned by exactly one cell")
-    boundary = copy_at(facets, table.slot(facet_ids)[:, None])
+    boundary = new_flat[corner(facets, table.cell(facet_ids)[:, None])]
 
     # Interface facets: side 1 is the cell with the lower (subdomain, cell id).
-    s1, s2 = table.slot(eids, 0), table.slot(eids, 1)
-    swap = subdomain[s2 // r] < subdomain[s1 // r]       # s1's cell id is the lower
-    s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
-    node_pairs = np.stack([copy_at(chains, s1[:, None]), copy_at(chains, s2[:, None])], axis=2)
+    c1, c2 = table.cell(eids, 0), table.cell(eids, 1)
+    swap = subdomain[c2] < subdomain[c1]                 # c1 is the lower cell id
+    c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
+    node_pairs = np.stack([new_flat[corner(chains, c[:, None])] for c in (c1, c2)], axis=2)
     # The facet table and the per-facet arrays go before the split mesh and
     # its records are built, so that they do not add to its peak.
-    del table, counts, on_fracture, fr_facet_degree, joining, slot1, slot2, links
+    del table, counts, fr_facet_degree, joining, near, links
 
     origin_extra = group_vertex[copied]
     base = Mesh(np.vstack([mesh.vertices, mesh.vertices[origin_extra]]), new_cells,

@@ -47,7 +47,7 @@ class PiecewiseLinear1D:
     def eval(self, x, side: str = "mean"):
         """Evaluate at x; at a jump location choose 'left', 'right' or 'mean'."""
         if side not in ("left", "right", "mean"):
-            raise ValueError(f"side must be left/right/mean, got {side!r}")
+            raise GeometryError(f"side must be left/right/mean, got {side!r}")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         bp, vals = self.breakpoints, self.values
         outside = (xs < bp[0]) | (xs > bp[-1])

@@ -211,7 +211,9 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(SCENARIOS)
 
 
-def _check_scenario_args(name: str, variant: str | None) -> ScenarioSpec:
+def _check_scenario_args(name: str, variant: str | None,
+                         n: int | None) -> tuple[ScenarioSpec, int]:
+    """The scenario's spec and n, its default when None; both must be valid."""
     if name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIOS)}")
@@ -220,7 +222,11 @@ def _check_scenario_args(name: str, variant: str | None) -> ScenarioSpec:
         have = ", ".join(spec.variants) if spec.variants else "none"
         raise ConfigurationError(
             f"scenario {name!r} has no variant {variant!r}; available: {have}")
-    return spec
+    if n is None:
+        n = spec.default_n
+    if n < 2:
+        raise ConfigurationError(f"n must be >= 2, got {n}")
+    return spec, n
 
 
 def _solve_case(case: ScenarioCase, tol: float):
@@ -240,11 +246,7 @@ def run_scenario(name: str, n: int | None = None, variant: str | None = None,
     each is sampled on a zero field before the solve, so one that leaves
     the mesh fails first.
     """
-    spec = _check_scenario_args(name, variant)
-    if n is None:
-        n = spec.default_n
-    if n < 2:
-        raise ConfigurationError(f"n must be >= 2, got {n}")
+    spec, n = _check_scenario_args(name, variant, n)
     if fractures is not None:
         if name != "regular2d":
             raise ConfigurationError(
@@ -336,7 +338,7 @@ def nodal_error_vs_analytic(split: SplitMesh, pressure: np.ndarray, eps: float,
 def compare_scenario(name: str, n: int | None = None, variant: str | None = None,
                      tol: float = 1e-10, oracle: str | None = None) -> dict:
     """Run a scenario against its reference; returns metrics and pass/fail."""
-    spec = _check_scenario_args(name, variant)
+    spec, n = _check_scenario_args(name, variant, n)
     if not spec.oracles:
         raise ConfigurationError(
             f"scenario {name!r} has no reference to compare against")
@@ -346,9 +348,6 @@ def compare_scenario(name: str, n: int | None = None, variant: str | None = None
         raise ConfigurationError(
             f"scenario {name!r} supports oracles {', '.join(spec.oracles)}; "
             f"got {oracle!r}")
-    if n is None:
-        n = spec.default_n
-
     return spec.oracles[oracle](n, tol)
 
 

@@ -184,6 +184,13 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert run_cli("run", str(notjson)) == 2
 
 
+@pytest.mark.parametrize("argv", [("compare", "single_vertical", "--oracle", "equidim"),
+                                  ("compare", "patch_eps_sweep"), ("run", "onedim")])
+def test_n_below_two_exits_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--n", "1", "--out", str(tmp_path / "o")) == 2
+    assert "n must be >= 2, got 1" in capsys.readouterr().err
+
+
 def test_unconverged_solve_exits_3(tmp_path, capsys):
     for tol in ("1e-30", "1e-300"):
         code = run_cli("run", "single_vertical", "--tol", tol, "--out", str(tmp_path / tol))

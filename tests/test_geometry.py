@@ -443,7 +443,9 @@ def interleaved_interval():
 
 def copy_id_case(case):
     """The mesh and network of a corner-group case: regular2d at n = case,
-    or a 1D one."""
+    a ``PATH_CASES`` one, or a 1D one."""
+    if case in PATH_CASES:
+        return PATH_CASES[case]()
     if case == "1d-out-of-order":           # copies are numbered by vertex
         return build_interval(10, 1.0), points_1d(0.7, 0.3)
     if case == "1d-interleaved":
@@ -451,8 +453,10 @@ def copy_id_case(case):
     return unit_square(case), run_scenario("regular2d", n=case, variant="blocking").split.network
 
 
-# regular2d has crossings and T-junctions: three or four groups at one vertex
-@pytest.mark.parametrize("case", [8, 16, "1d-out-of-order", "1d-interleaved"])
+# regular2d has crossings and T-junctions: three or four groups at one vertex;
+# on the sheared PATH_CASES no cell's corner order follows the fracture
+@pytest.mark.parametrize("case", [8, 16, *sorted(PATH_CASES), "1d-out-of-order",
+                                  "1d-interleaved"])
 def test_split_copy_ids_follow_corner_group_order(case):
     mesh, network = copy_id_case(case)
     split = split_mesh(mesh, network)

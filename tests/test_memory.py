@@ -7,7 +7,9 @@ temporary, by at least 25% unless noted: an (n_cells, 4, 2) corner array
 in the mesh check, a 16-triplet-per-cell coordinate matrix and a stored
 copy of the penalty-summed matrix in ``assemble``, whole-graph float64
 strength and int64 group gathers or a CSC copy of A P in ``multigrid``,
-and bounding boxes of every cell at once in ``sample_profile`` (15%).
+bounding boxes of every cell at once in ``sample_profile`` (15%), and the
+first and last corner of every joining facet, formed only to keep those
+at a fracture vertex, in the corner-group pass of ``split_mesh`` (11%).
 
 The sparse arrays the assembled system keeps are at most 1.1 times the
 eliminated matrix's bytes. A system that also kept the full domain matrix
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracflow import Mesh, Point, assemble, sample_profile
+from fracflow import Mesh, Point, assemble, build_structured_quad, sample_profile, split_mesh
 from fracflow.scenarios import SCENARIOS
 from fracflow.solver import multigrid
 
@@ -66,6 +68,14 @@ def test_multigrid_peak(blocking_128):
     hierarchy, peak = _peak(lambda: multigrid(system.matrix, system.copy_groups))
     assert len(hierarchy.levels) > 2
     assert peak <= 1.74 * matrix_bytes
+
+
+def test_split_peak(blocking_128):
+    split, _system, _peak_assemble, matrix_bytes = blocking_128
+    mesh = build_structured_quad(128, 128, Point(0.0, 0.0), Point(1.0, 1.0))
+    again, peak = _peak(lambda: split_mesh(mesh, split.network))
+    assert np.array_equal(again.base.cells, split.base.cells)
+    assert peak <= 1.5 * matrix_bytes
 
 
 def test_mesh_construction_peak(blocking_128):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracflow import (BoundaryConditionSet, GeometryError, PiecewiseLinear1D,
+from fracflow import (BoundaryConditionSet, FracflowError, GeometryError, PiecewiseLinear1D,
                       Point, solve_1d_heterogeneous_analytic,
                       solve_1d_interface_analytic, solve_equidim_2d)
 
@@ -27,8 +27,9 @@ def test_piecewise_double_valued_breakpoint():
     assert f.eval(1.0, side="right") == pytest.approx(3.0)
     assert f.eval(1.0, side="mean") == pytest.approx(2.0)
     assert jump_at(f, 1.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:     # still a ValueError, as before
         f.eval(1.0, side="above")
+    assert isinstance(err.value, FracflowError)
 
 
 def test_piecewise_validation():
