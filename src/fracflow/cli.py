@@ -157,20 +157,23 @@ def _merge_args(args) -> dict:
             config["scenario"] = target
     merged = {
         "scenario": config.get("scenario"),
-        "n": args.n if args.n is not None else config.get("n"),
-        "variant": args.variant if args.variant is not None else config.get("variant"),
-        "tol": args.tol if args.tol is not None else config.get("tol", 1e-10),
-        "oracle": getattr(args, "oracle", None) or config.get("oracle"),
-        "out": getattr(args, "out", None) or config.get("out"),
         "fractures": (_parse_fractures(config["fractures"])
                       if "fractures" in config else None),
         "profiles": (_parse_profiles(config["profiles"])
                      if "profiles" in config else None),
     }
+    # A flag that is given, even as an empty string, overrides the config.
+    for key, default in (("n", None), ("variant", None), ("tol", 1e-10),
+                         ("oracle", None), ("out", None)):
+        flag = getattr(args, key, None)
+        merged[key] = flag if flag is not None else config.get(key, default)
     if not merged["scenario"]:
         raise ConfigurationError(
             "no scenario given: pass a scenario name, a config path, or a "
             "config with a 'scenario' field")
+    if merged["out"] == "":
+        raise ConfigurationError("the output folder 'out' is empty: name a folder, "
+                                 "or leave 'out' out for the default")
     return merged
 
 
@@ -178,8 +181,8 @@ def _out_dir(merged: dict, sub: str) -> Path:
     """The output folder, checked before any solve: the nearest part of its
     path that exists must be a writable folder. The commands make it only
     after the solve, so a run that fails leaves no folder behind."""
-    base = merged["out"] or str(Path("fracflow_out") / merged["scenario"])
-    path = Path(base) if merged["out"] else Path(base + (f"_{sub}" if sub else ""))
+    path = (Path(merged["out"]) if merged["out"] is not None else
+            Path("fracflow_out") / (merged["scenario"] + (f"_{sub}" if sub else "")))
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not (existing.is_dir() and os.access(existing, os.W_OK)):
         raise ConfigurationError(f"cannot make output folder {str(path)!r}: "
@@ -187,7 +190,7 @@ def _out_dir(merged: dict, sub: str) -> Path:
     return path
 
 
-def _summary_payload(res: ScenarioResult, files: dict) -> dict:
+def _summary_payload(res: ScenarioResult) -> dict:
     inflow = sum(max(0.0, -v) for v in res.fluxes.values())
     payload = {
         "scenario": res.name,
@@ -209,7 +212,7 @@ def _summary_payload(res: ScenarioResult, files: dict) -> dict:
         "inflow": inflow,
         "profiles": {
             key: {
-                "file": files["profiles"][key],
+                "file": f"profile_{key}.csv",
                 "n_samples": len(prof),
                 "min": float(np.min(prof.values)),
                 "max": float(np.max(prof.values)),
@@ -218,7 +221,7 @@ def _summary_payload(res: ScenarioResult, files: dict) -> dict:
         "fractures": [
             {
                 "id": j,
-                "file": files["fractures"][j],
+                "file": f"fracture_{j}.csv",
                 "n_nodes": len(mean),
                 "pressure_min": float(np.min(mean.values)),
                 "pressure_max": float(np.max(mean.values)),
@@ -241,16 +244,11 @@ def _cmd_run(args) -> int:
                        extra_profiles=merged["profiles"])
     out.mkdir(parents=True, exist_ok=True)
     write_solution_csv(out / "solution.csv", res.split, res.pressure)
-    files = {"profiles": {}, "fractures": {}}
+    payload = _summary_payload(res)
     for key, prof in res.profiles.items():
-        fname = f"profile_{key}.csv"
-        write_profile_csv(out / fname, prof)
-        files["profiles"][key] = fname
+        write_profile_csv(out / payload["profiles"][key]["file"], prof)
     for j, (mean, jump) in enumerate(zip(res.fracture_means, res.fracture_jumps)):
-        fname = f"fracture_{j}.csv"
-        write_fracture_csv(out / fname, mean, jump)
-        files["fractures"][j] = fname
-    payload = _summary_payload(res, files)
+        write_fracture_csv(out / payload["fractures"][j]["file"], mean, jump)
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"{res.name}: {res.split.n_dofs} dofs, {res.split.n_subdomains} "
           f"subdomains, defect {res.defect:.3e} -> {out}")

@@ -422,7 +422,8 @@ class _FacetTable:
     Local facet k of a cell with r corners runs from its corner k to corner
     k + d - 1 (mod r), d the dimension: in 1D that is corner k itself. Facet
     e joins the vertices ``divmod(codes[e], nv)``, and its cells are
-    ``cell(e, i)`` for i < ``offsets[e + 1] - offsets[e]``, in cell order.
+    ``cell(e, i)`` for i < ``offsets[e + 1] - offsets[e]``, in cell order,
+    as int32 like the cell ids ``components`` takes.
     """
 
     def __init__(self, mesh: Mesh):
@@ -442,7 +443,7 @@ class _FacetTable:
         self.codes = codes[first]
         self.offsets = np.append(first, len(codes))
         order //= r
-        self._cells = order
+        self._cells = order.astype(np.int32)
 
     def facet_ids(self, facets) -> np.ndarray:
         """Index of the facet of each row of vertex ids (f, d), or -1 if absent."""
@@ -574,8 +575,9 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
     counts = np.diff(table.offsets)
 
     def corner(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """The flat ``cells`` index of each vertex v in its cell c."""
-        return c * r + np.argmax(cells[c] == v[..., None], axis=-1)
+        """The flat ``cells`` index of each vertex v in its cell c, in intp
+        since ``c`` is an int32 cell id."""
+        return c.astype(np.intp) * r + np.argmax(cells[c] == v[..., None], axis=-1)
 
     # Fracture facets in chain order; reject overlaps and boundary-glued fractures.
     eids = table.facet_ids(chains)

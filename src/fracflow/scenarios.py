@@ -199,12 +199,9 @@ class ScenarioSpec:
     default_n: int
     build: Callable[[int, str | None], ScenarioCase]
     variants: tuple[str, ...] = ()
-    # Reference comparisons by name, the default first; each takes (n, tol).
-    oracles: dict[str, Callable[[int, float], dict]] = field(default_factory=dict)
-
-    @property
-    def default_oracle(self) -> str | None:
-        return next(iter(self.oracles), None)
+    # Reference comparisons by name, the default first; each takes (n, tol)
+    # and returns (metrics, thresholds, extra), see ``compare_scenario``.
+    oracles: dict[str, Callable[[int, float], tuple]] = field(default_factory=dict)
 
 
 def scenario_names() -> tuple[str, ...]:
@@ -337,31 +334,31 @@ def nodal_error_vs_analytic(split: SplitMesh, pressure: np.ndarray, eps: float,
 
 def compare_scenario(name: str, n: int | None = None, variant: str | None = None,
                      tol: float = 1e-10, oracle: str | None = None) -> dict:
-    """Run a scenario against its reference; returns metrics and pass/fail."""
+    """Run a scenario against its reference; returns metrics and pass/fail.
+
+    The oracle returns its ``metrics``, the ``thresholds`` of the gated
+    ones and ``extra`` fields (``notes``, ``profiles``) for the record. The
+    comparison passes when every value of every gated metric is within its
+    threshold in absolute value; a NaN fails.
+    """
     spec, n = _check_scenario_args(name, variant, n)
     if not spec.oracles:
         raise ConfigurationError(
             f"scenario {name!r} has no reference to compare against")
     if oracle is None:
-        oracle = spec.default_oracle
+        oracle = next(iter(spec.oracles))
     elif oracle not in spec.oracles:
         raise ConfigurationError(
             f"scenario {name!r} supports oracles {', '.join(spec.oracles)}; "
             f"got {oracle!r}")
-    return spec.oracles[oracle](n, tol)
+    metrics, thresholds, extra = spec.oracles[oracle](n, tol)
+    passed = all(np.max(np.abs(metrics[k])) <= t for k, t in thresholds.items())
+    return {"scenario": name, "variant": variant, "n": n, "oracle": oracle,
+            "metrics": metrics, "thresholds": thresholds, "profiles": {},
+            **extra, "passed": bool(passed)}
 
 
-def _result_dict(name, variant, n, oracle, metrics, thresholds, passed,
-                 notes="", profiles=None):
-    out = {"scenario": name, "variant": variant, "n": n, "oracle": oracle,
-           "metrics": metrics, "thresholds": thresholds, "passed": bool(passed),
-           "profiles": profiles or {}}
-    if notes:
-        out["notes"] = notes
-    return out
-
-
-def _compare_onedim(n: int, tol: float) -> dict:
+def _compare_onedim(n: int, tol: float) -> tuple[dict, dict, dict]:
     res = run_scenario("onedim", n=n, tol=tol)
     err = nodal_error_vs_analytic(res.split, res.pressure,
                                   res.params["eps"], res.params["kf"])
@@ -372,32 +369,20 @@ def _compare_onedim(n: int, tol: float) -> dict:
                                         p["kf"], p["inflow"])
     model_gap = abs(model.eval(0.0) - resolved.eval(0.0))
     metrics = {"nodal_max_error": err, "model_vs_resolved_inlet_gap": model_gap}
-    thr = {"nodal_max_error": 1e-10}
-    return _result_dict("onedim", None, n, "analytic", metrics, thr,
-                        err <= thr["nodal_max_error"],
-                        notes="inlet gap vs the resolved-inclusion profile is "
-                              "the modeling error, expected ~eps")
+    return metrics, {"nodal_max_error": 1e-10}, {
+        "notes": "inlet gap vs the resolved-inclusion profile is the modeling "
+                 "error, expected ~eps"}
 
 
-def _compare_single_vertical_analytic(n: int, tol: float) -> dict:
+def _compare_single_vertical_analytic(n: int, tol: float) -> tuple[dict, dict, dict]:
     res = run_scenario("single_vertical", n=n, tol=tol)
     err = nodal_error_vs_analytic(res.split, res.pressure, res.params["eps"],
                                   res.params["kf"], offset=res.params["p_right"])
-    metrics = {"nodal_max_error": err}
-    thr = {"nodal_max_error": 1e-8}
-    return _result_dict("single_vertical", None, n, "analytic", metrics, thr,
-                        err <= thr["nodal_max_error"])
-
-
-def _profile_metrics(prof_model: Profile, prof_oracle: Profile) -> dict:
-    l2, mx = profile_error(prof_model, prof_oracle)
-    rng = float(np.ptp(prof_oracle.values))
-    return {"l2": l2, "max": mx, "oracle_range": rng,
-            "l2_over_range": l2 / rng if rng > 0 else l2}
+    return {"nodal_max_error": err}, {"nodal_max_error": 1e-8}, {}
 
 
 def _compare_band(name: str, profile: str, band_cells: int, n: int, tol: float,
-                  scale: dict | None = None, notes: str = "") -> dict:
+                  scale: dict | None = None, **extra) -> tuple[dict, dict, dict]:
     """A vertical-fracture scenario against the same problem with the
     fracture meshed as a band of ``band_cells`` columns whose width follows
     the aperture (``solve_equidim_2d``).
@@ -405,7 +390,8 @@ def _compare_band(name: str, profile: str, band_cells: int, n: int, tol: float,
     ``profile`` names a sampling segment compared on both solutions, or is
     ``fracture_centerline``: the model's fracture pressure (side mean at the
     duplicated nodes) against the band's centerline. ``scale`` builds the
-    scenario at other parameters and is reported with the metrics.
+    scenario at other parameters and is reported with the metrics; ``extra``
+    goes into the record as it is.
     """
     build = SCENARIOS[name].build
     case = build(n, None) if scale is None else build(n, None, scale=scale)
@@ -422,24 +408,21 @@ def _compare_band(name: str, profile: str, band_cells: int, n: int, tol: float,
     else:
         segment = _SEGMENTS[profile]
         model = sample_profile(case.split, pressure, *segment, n + 1)
-    m = _profile_metrics(model, sample_profile(oracle.split, oracle.pressure,
-                                               *segment, len(model)))
+    reference = sample_profile(oracle.split, oracle.pressure, *segment, len(model))
+    l2, mx = profile_error(model, reference)
+    rng = float(np.ptp(reference.values))
+    m = {"l2": l2, "max": mx, "oracle_range": rng,
+         "l2_over_range": l2 / rng if rng > 0 else l2}
     if scale is not None:
         m["scale"] = dict(scale)
-    thr = {"l2_over_range": 0.02}
-    return _result_dict(name, None, n, "equidim", m, thr,
-                        m["l2_over_range"] <= thr["l2_over_range"], notes=notes,
-                        profiles={profile: {"l2": m["l2"], "max": m["max"]}})
+    return m, {"l2_over_range": 0.02}, {"profiles": {profile: {"l2": l2, "max": mx}},
+                                        **extra}
 
 
-def _compare_patch_eps_sweep(n: int, tol: float) -> dict:
+def _compare_patch_eps_sweep(n: int, tol: float) -> tuple[dict, dict, dict]:
     sweep = _run_aperture_sweep(n, tol)
-    ratios = sweep["ratios"]
-    rel_dev = [abs(r / 10.0 - 1.0) for r in ratios]
-    metrics = {**sweep, "ratio_rel_deviation": rel_dev}
-    thr = {"ratio_rel_deviation": 0.2}
-    return _result_dict("patch_eps_sweep", None, n, "ratios", metrics, thr,
-                        max(rel_dev) <= thr["ratio_rel_deviation"])
+    rel_dev = [abs(r / 10.0 - 1.0) for r in sweep["ratios"]]
+    return {**sweep, "ratio_rel_deviation": rel_dev}, {"ratio_rel_deviation": 0.2}, {}
 
 
 # --- the scenario table ---------------------------------------------------

@@ -262,6 +262,26 @@ def test_out_that_cannot_be_a_folder_exits_2_before_the_solve(tmp_path, capsys, 
     assert taken.read_text() == "not a folder"
 
 
+@pytest.mark.parametrize("argv, config, needle", [
+    (("run", "onedim", "--out", ""), None, "'out' is empty"),
+    (("run", "--out", ""), {"scenario": "onedim", "out": "cfgout"}, "'out' is empty"),
+    (("run",), {"scenario": "onedim", "out": ""}, "'out' is empty"),
+    (("compare", "onedim", "--oracle", "", "--out", "o"), None, "got ''"),
+], ids=["out_flag", "out_flag_over_config", "out_config", "oracle_flag"])
+def test_empty_flag_or_config_value_exits_2(tmp_path, monkeypatch, capsys, no_solve,
+                                             argv, config, needle):
+    """An empty string is a value like any other: a flag that gives one
+    overrides the config, and an empty output folder or oracle name is
+    invalid input that leaves nothing behind."""
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = (argv[0], "cfg.json", *argv[1:])
+    assert run_cli(*argv) == 2
+    assert needle in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if config else [])
+
+
 @pytest.mark.parametrize("segment, needle", [
     ({"start": [0.3, 0.2], "end": [1.5, 0.2]}, "lies outside the mesh"),
     ({"start": [0.3, 0.2], "end": [0.3, 0.2]}, "endpoints coincide"),

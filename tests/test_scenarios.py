@@ -211,6 +211,28 @@ def test_compare_report_shape_of_every_oracle(name, oracle):
         assert m["scale"] == {"minor": 1e-2, "kf": 1e-2, "major": 1.0 + 1e-2}
 
 
+@pytest.mark.parametrize("gated, ungated, passed", [
+    ([0.05, 0.2], 0.0, False),
+    ([0.05, 0.1], 0.0, True),
+    ([0.05, float("nan")], 0.0, False),
+    ([-0.05, -0.2], 0.0, False),
+    ([0.05, 0.1], 1e300, True),
+    ([0.05, 0.2], 1e300, False),
+], ids=["above", "at", "nan", "negative", "ungated_huge_passes", "ungated_huge_fails"])
+def test_verdict_gates_every_value_of_every_gated_metric(monkeypatch, gated, ungated, passed):
+    """``compare_scenario`` alone builds the record and its verdict: every
+    value of a gated metric must be within its threshold in absolute value,
+    a NaN fails, and a metric without a threshold does not count."""
+    metrics = {"err": gated, "spread": ungated}
+    monkeypatch.setitem(SCENARIOS["onedim"].oracles, "fake",
+                        lambda n, tol: (metrics, {"err": 0.1}, {"notes": "fake oracle"}))
+    rep = compare_scenario("onedim", n=8, oracle="fake")
+    assert rep["passed"] is passed
+    assert rep == {"scenario": "onedim", "variant": None, "n": 8, "oracle": "fake",
+                   "metrics": metrics, "thresholds": {"err": 0.1}, "profiles": {},
+                   "notes": "fake oracle", "passed": passed}
+
+
 @pytest.mark.parametrize("scale", [_ELLIPSE_FULL, _ELLIPSE_REDUCED])
 def test_ellipse_band_width_is_the_closed_form_bit_for_bit(scale):
     """The band width the ellipse comparison reads from the scenario's
