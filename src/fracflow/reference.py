@@ -9,13 +9,13 @@ collapsing it to an interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .assembly import BoundaryConditionSet, LinearSystem, assemble
 from .errors import GeometryError
-from .geometry import FractureNetwork, Mesh, Point, SplitMesh, _tensor_quad_mesh, split_mesh
+from .geometry import (FractureNetwork, FractureSpec, Point, SplitMesh,
+                       _tensor_quad_mesh, split_mesh)
 from .solver import SolveReport, solve
 
 __all__ = [
@@ -132,77 +132,63 @@ class EquidimResult:
     k_per_cell: np.ndarray
 
 
-def _band_widths(eps: Callable[[float], float], y: np.ndarray) -> np.ndarray:
-    """float(eps(y)) at each entry of y, with one call per distinct y."""
+def _band_widths(fracture: FractureSpec, x: float, y: np.ndarray) -> np.ndarray:
+    """The fracture's aperture at (x, y) for each entry of y, one call per distinct y."""
     distinct, at = np.unique(y, return_inverse=True)
-    return np.array([float(eps(v)) for v in distinct.tolist()])[at.reshape(y.shape)]
+    widths = [float(fracture.aperture(Point(x, v))) for v in distinct.tolist()]
+    return np.array(widths)[at.reshape(y.shape)]
 
 
-def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Point, Point],
-                     fracture_line_x: float, eps: Union[float, Callable[[float], float]],
-                     k_background: float, kf: float, bcs: BoundaryConditionSet,
-                     ny: int | None = None) -> EquidimResult:
-    """Solve the flow problem with the inclusion meshed as a thin band.
+def solve_equidim_2d(n: int, band_cells_across: int, fracture: FractureSpec,
+                     bcs: BoundaryConditionSet) -> EquidimResult:
+    """Solve the flow problem on the unit square with ``fracture`` meshed as a band.
 
-    A tensor-product grid is built from ``nx_outside`` uniform columns; grid
-    lines falling inside the band around ``fracture_line_x`` are replaced by
-    the band edges plus ``band_cells_across`` columns across the band. Cells
-    whose center lies inside the band get mobility ``kf``.
+    The fracture must be one straight vertical segment, at x = x_f. A
+    tensor-product grid is built from n uniform columns and n rows; grid
+    lines falling inside the band around x_f are replaced by the band edges
+    plus ``band_cells_across`` columns across the band. The band width at
+    height y is the fracture's aperture at (x_f, y), so it varies by row and
+    is approximated by whole cell columns, a documented discretization
+    error of this oracle. Cells whose center lies inside the band get the
+    fracture's mobility, all others mobility 1.
 
-    ``eps`` may be a callable of y (varying aperture); the band width is then
-    row-dependent and approximated by whole cell columns, a documented
-    discretization error of this oracle. The system is solved to a relative
-    residual of 1e-12. The multigrid smoother relaxes each grid row of nodes
-    across the band as one line (one group per row, see ``solver``): the
-    thin band cells make the operator strongly anisotropic, which point
-    relaxation smooths poorly.
+    The system is solved to a relative residual of 1e-12. The multigrid
+    smoother relaxes each grid row of nodes across the band as one line (one
+    group per row, see ``solver``): the thin band cells make the operator
+    strongly anisotropic, which point relaxation smooths poorly.
     """
-    lower, upper = domain
-    if lower.dim != 2 or upper.dim != 2:
-        raise GeometryError("domain corners must be 2D points")
-    if nx_outside < 2:
-        raise GeometryError(f"nx_outside must be >= 2, got {nx_outside}")
+    path = fracture.path
+    if len(path) != 2 or path[0].x != path[1].x:
+        raise GeometryError("the band reference needs a fracture that is one straight "
+                            f"vertical segment, got path {[p.coords for p in path]}")
+    if n < 2:
+        raise GeometryError(f"n must be >= 2, got {n}")
     if band_cells_across < 1:
         raise GeometryError(f"band_cells_across must be >= 1, got {band_cells_across}")
-    if ny is None:
-        ny = nx_outside
-    width = upper.x - lower.x
-    if width <= 0 or upper.y - lower.y <= 0:
-        raise GeometryError("domain must have positive extents")
+    x_f = path[0].x
 
-    ys = np.linspace(lower.y, upper.y, ny + 1)
-    if callable(eps):
-        wmax = float(np.max(_band_widths(eps, np.linspace(lower.y, upper.y, 4 * ny + 1))))
-    else:
-        wmax = float(eps)
+    wmax = float(np.max(_band_widths(fracture, x_f, np.linspace(0.0, 1.0, 4 * n + 1))))
     if not (np.isfinite(wmax) and wmax > 0.0):
         raise GeometryError(f"band width must be positive, got {wmax!r}")
-    b_lo = fracture_line_x - 0.5 * wmax
-    b_hi = fracture_line_x + 0.5 * wmax
-    if not (lower.x < b_lo and b_hi < upper.x):
-        raise GeometryError(
-            f"band [{b_lo}, {b_hi}] must lie strictly inside ({lower.x}, {upper.x})")
+    b_lo = x_f - 0.5 * wmax
+    b_hi = x_f + 0.5 * wmax
+    if not (0.0 < b_lo and b_hi < 1.0):
+        raise GeometryError(f"band [{b_lo}, {b_hi}] must lie strictly inside (0, 1)")
 
-    uniform = np.linspace(lower.x, upper.x, nx_outside + 1)
-    dx = width / nx_outside
+    uniform = np.linspace(0.0, 1.0, n + 1)     # the rows, and the columns outside the band
+    dx = 1.0 / n
     # Replace grid lines in (or nearly in) the band with exact band columns;
     # the margin avoids sliver cells hugging the band edges.
-    keep = np.abs(uniform - fracture_line_x) > 0.5 * wmax + 0.05 * dx
+    keep = np.abs(uniform - x_f) > 0.5 * wmax + 0.05 * dx
     band_lines = np.linspace(b_lo, b_hi, band_cells_across + 1)
     xs = np.unique(np.concatenate([uniform[keep], band_lines]))
-    mesh = _tensor_quad_mesh(xs, ys)
+    mesh = _tensor_quad_mesh(xs, uniform)
 
     split = split_mesh(mesh, FractureNetwork(()))
     centers = mesh.vertices[mesh.cells].mean(axis=1)
-    if callable(eps):
-        half_w = 0.5 * _band_widths(eps, centers[:, 1])     # the cells of a row share one y
-    else:
-        half_w = 0.5 * float(eps)
-    in_band = np.abs(centers[:, 0] - fracture_line_x) < half_w
-    for name, v in (("k_background", k_background), ("kf", kf)):
-        if not (np.isfinite(v) and v > 0.0):
-            raise GeometryError(f"{name} must be positive, got {v!r}")
-    k_cell = np.where(in_band, float(kf), float(k_background))
+    half_w = 0.5 * _band_widths(fracture, x_f, centers[:, 1])   # a row's cells share one y
+    in_band = np.abs(centers[:, 0] - x_f) < half_w
+    k_cell = np.where(in_band, fracture.mobility, 1.0)
 
     system = assemble(split, None, [], bcs, k_per_cell=k_cell)
     # Without fractures a dof is its mesh vertex, numbered row by row. Each
@@ -212,7 +198,7 @@ def solve_equidim_2d(nx_outside: int, band_cells_across: int, domain: tuple[Poin
     # more strongly across the band than along it.
     first = max(int(np.searchsorted(xs, b_lo)) - 1, 0)
     last = min(int(np.searchsorted(xs, b_hi)) + 1, len(xs) - 1)
-    lines = np.arange(len(ys))[:, None] * len(xs) + np.arange(first, last + 1)
+    lines = np.arange(n + 1)[:, None] * len(xs) + np.arange(first, last + 1)
     groups = np.arange(system.n_dofs)
     groups[lines] = lines[:, :1]
     pressure, report = solve(system.matrix, system.rhs, tol=1e-12, groups=groups)

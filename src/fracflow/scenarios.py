@@ -149,6 +149,8 @@ def _build_regular2d(n: int, variant: str | None,
                             for f in network.fractures],
               "fracture_source": "external-benchmark" if fractures is None
                                  else "config-override"}
+    if fractures is not None:   # each fracture lists its own aperture and mobility
+        del params["eps"], params["kf"]
     return _square_case(n, network, _THROUGHFLOW, ("y0p7", "x0p5"), params)
 
 
@@ -316,14 +318,14 @@ def _side_of_vertices(split: SplitMesh, x_line: float) -> np.ndarray:
 
 
 def nodal_error_vs_analytic(split: SplitMesh, pressure: np.ndarray, eps: float,
-                            kf: float, k: float = 1.0, inflow: float = 1.0,
-                            offset: float = 0.0) -> float:
+                            kf: float, offset: float = 0.0) -> float:
     """Max nodal mismatch against the 1D closed-form interface profile.
 
     Valid for y-invariant problems with a single vertical interface at
-    x=0.5: unit-length domain, inflow on the left, fixed pressure right.
+    x=0.5: unit-length domain and mobility, unit inflow on the left, fixed
+    pressure ``offset`` on the right.
     """
-    exact = solve_1d_interface_analytic(1.0, 0.5, eps, k, k, kf, inflow)
+    exact = solve_1d_interface_analytic(1.0, 0.5, eps, 1.0, 1.0, kf, 1.0)
     xs = split.base.vertices[:, 0]
     left = _side_of_vertices(split, 0.5)
     vals = np.empty_like(xs)
@@ -396,12 +398,7 @@ def _compare_band(name: str, profile: str, band_cells: int, n: int, tol: float,
     build = SCENARIOS[name].build
     case = build(n, None) if scale is None else build(n, None, scale=scale)
     _, pressure, _ = _solve_case(case, tol)
-    fracture = case.split.network.fractures[0]
-    oracle = solve_equidim_2d(
-        nx_outside=n, band_cells_across=band_cells,
-        domain=(Point(0.0, 0.0), Point(1.0, 1.0)), fracture_line_x=0.5,
-        eps=lambda y: fracture.aperture(Point(0.5, y)),
-        k_background=case.params["k"], kf=fracture.mobility, bcs=case.bcs, ny=n)
+    oracle = solve_equidim_2d(n, band_cells, case.split.network.fractures[0], case.bcs)
     if profile == "fracture_centerline":
         segment = _SEGMENTS["x0p5"]
         model = fracture_pressure(case.split, pressure, 0)

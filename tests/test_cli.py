@@ -163,6 +163,9 @@ def test_config_extra_profile(tmp_path):
     # a profile name is part of a file name
     ({"scenario": "onedim", "profiles": {"": {"start": [0.2], "end": [0.8]}}}, "profiles['']"),
     ({"scenario": "onedim", "profiles": {"a/b": {"start": [0.2], "end": [0.8]}}}, "a/b"),
+    ({"scenario": "onedim", "profiles": {"a\0b": {"start": [0.2], "end": [0.8]}}}, "NUL"),
+    ({"scenario": "onedim", "profiles": {"q" * 260: {"start": [0.2], "end": [0.8]}}},
+     "255 bytes"),
 ])
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, config, needle):
     cfg = tmp_path / "bad.json"

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from fracflow import (BoundaryConditionSet, FracflowError, GeometryError, PiecewiseLinear1D,
-                      Point, solve_1d_heterogeneous_analytic,
+from fracflow import (BoundaryConditionSet, FracflowError, FractureSpec, GeometryError,
+                      PiecewiseLinear1D, Point, solve_1d_heterogeneous_analytic,
                       solve_1d_interface_analytic, solve_equidim_2d)
 
-from conftest import jump_at
+from conftest import jump_at, vertical_network
 
 
 # --- piecewise-linear profiles ------------------------------------------------
@@ -163,42 +163,40 @@ def test_interface_vs_resolved_modeling_gap():
 
 # --- resolved-band 2D solver ---------------------------------------------------
 
+_THROUGHFLOW = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
+
+
+def _band(width, kf: float, path=(Point(0.5, 0.0), Point(0.5, 1.0))) -> FractureSpec:
+    """A fracture whose aperture is ``width`` of y alone."""
+    return FractureSpec(path=path, aperture=lambda point: width(point.y), mobility=kf)
+
+
 def test_equidim_column_structure():
-    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    res = solve_equidim_2d(nx_outside=10, band_cells_across=2,
-                           domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
-                           fracture_line_x=0.5, eps=1e-2, k_background=1.0,
-                           kf=1e-2, bcs=bcs, ny=8)
-    assert res.split.base.n_cells == 12 * 8     # 10 outside + 2 band columns
-    assert int(np.sum(res.k_per_cell != 1.0)) == 2 * 8
+    res = solve_equidim_2d(10, 2, vertical_network(1e-2, 1e-2).fractures[0], _THROUGHFLOW)
+    assert res.split.base.n_cells == 12 * 10     # 10 outside + 2 band columns
+    assert int(np.sum(res.k_per_cell != 1.0)) == 2 * 10
     assert np.all(res.k_per_cell[res.k_per_cell != 1.0] == 1e-2)
 
 
 def test_equidim_matches_resolved_1d_profile():
+    # the band sits on the fracture's own line
     eps = kf = 1e-2
-    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    res = solve_equidim_2d(nx_outside=16, band_cells_across=2,
-                           domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
-                           fracture_line_x=0.5, eps=eps, k_background=1.0,
-                           kf=kf, bcs=bcs, ny=16)
-    exact = solve_1d_heterogeneous_analytic(1.0, 0.5, eps, 1.0, 1.0, kf, 1.0)
-    xs = res.split.base.vertices[:, 0]
-    vals = np.array([exact.eval(float(x)) for x in xs])
-    assert np.max(np.abs(res.pressure - vals)) < 1e-10
+    for x_f in (0.5, 0.25, 0.75):
+        fracture = vertical_network(eps, kf, x=x_f).fractures[0]
+        res = solve_equidim_2d(16, 2, fracture, _THROUGHFLOW)
+        exact = solve_1d_heterogeneous_analytic(1.0, x_f, eps, 1.0, 1.0, kf, 1.0)
+        xs = res.split.base.vertices[:, 0]
+        vals = np.array([exact.eval(float(x)) for x in xs])
+        assert np.max(np.abs(res.pressure - vals)) < 1e-10, x_f
 
 
 def test_equidim_variable_width_band():
     # zero width on the upper half: no low-permeability cells there
-    def width(y):
-        return 1e-2 if y < 0.5 else 0.0
-    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    res = solve_equidim_2d(nx_outside=10, band_cells_across=2,
-                           domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
-                           fracture_line_x=0.5, eps=width, k_background=1.0,
-                           kf=1e-4, bcs=bcs, ny=8)
+    res = solve_equidim_2d(10, 2, _band(lambda y: 1e-2 if y < 0.5 else 0.0, 1e-4),
+                           _THROUGHFLOW)
     modified = res.k_per_cell != 1.0
     centers = res.split.base.vertices[res.split.base.cells].mean(axis=1)
-    assert int(np.sum(modified)) == 2 * 4
+    assert int(np.sum(modified)) == 2 * 5
     assert np.all(centers[modified][:, 1] < 0.5)
 
 
@@ -208,31 +206,25 @@ def test_equidim_band_width_is_called_once_per_distinct_y():
     def width(y):
         seen.append(y)
         return 1e-2 * (1.0 + y)
-    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    res = solve_equidim_2d(nx_outside=10, band_cells_across=2,
-                           domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
-                           fracture_line_x=0.5, eps=width, k_background=1.0,
-                           kf=1e-4, bcs=bcs, ny=8)
-    assert len(seen) == (4 * 8 + 1) + 8       # the band's extent, then once per cell row
-    assert res.split.base.n_cells > 8 * 8
-    # the widths the cells got are eps at their centre y, call by call
+    res = solve_equidim_2d(10, 2, _band(width, 1e-4), _THROUGHFLOW)
+    assert len(seen) == (4 * 10 + 1) + 10       # the band's extent, then once per cell row
+    assert res.split.base.n_cells > 10 * 10
+    # the widths the cells got are the aperture at their centre y, call by call
     centers = res.split.base.vertices[res.split.base.cells].mean(axis=1)
     in_band = np.abs(centers[:, 0] - 0.5) < 0.5 * np.array([width(y) for y in centers[:, 1]])
     assert np.array_equal(res.k_per_cell != 1.0, in_band)
 
 
 def test_equidim_validation():
-    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    dom = (Point(0.0, 0.0), Point(1.0, 1.0))
+    fracture = vertical_network(1e-2, 1.0).fractures[0]
     with pytest.raises(GeometryError):
-        solve_equidim_2d(nx_outside=1, band_cells_across=2, domain=dom,
-                         fracture_line_x=0.5, eps=1e-2, k_background=1.0,
-                         kf=1.0, bcs=bcs)
+        solve_equidim_2d(1, 2, fracture, _THROUGHFLOW)
     with pytest.raises(GeometryError):
-        solve_equidim_2d(nx_outside=8, band_cells_across=0, domain=dom,
-                         fracture_line_x=0.5, eps=1e-2, k_background=1.0,
-                         kf=1.0, bcs=bcs)
+        solve_equidim_2d(8, 0, fracture, _THROUGHFLOW)
     with pytest.raises(GeometryError):
-        solve_equidim_2d(nx_outside=8, band_cells_across=2, domain=dom,
-                         fracture_line_x=0.5, eps=0.0, k_background=1.0,
-                         kf=1.0, bcs=bcs)
+        solve_equidim_2d(8, 2, _band(lambda y: 0.0, 1.0), _THROUGHFLOW)
+    # the band is meshed along one straight vertical segment only
+    for path in ((Point(0.5, 0.0), Point(0.5, 0.5), Point(0.6, 1.0)),     # bent
+                 (Point(0.4, 0.0), Point(0.6, 1.0))):                     # oblique
+        with pytest.raises(GeometryError, match="vertical segment"):
+            solve_equidim_2d(8, 2, _band(lambda y: 1e-2, 1.0, path=path), _THROUGHFLOW)

@@ -12,6 +12,8 @@ from fracflow import scenarios
 from fracflow.geometry import _tensor_quad_mesh
 from fracflow.scenarios import _ELLIPSE_FULL, _ELLIPSE_REDUCED, _side_of_vertices
 
+from conftest import vertical_network
+
 
 EXPECTED_NAMES = ("onedim", "regular2d", "single_vertical", "patch_eps_sweep",
                   "wentzell_tangential", "ellipse2d")
@@ -108,6 +110,18 @@ def test_fracture_override_only_for_regular2d():
     assert res.params["fracture_source"] == "config-override"
     with pytest.raises(ConfigurationError):
         run_scenario("onedim", fractures=network)
+
+
+def test_config_network_params_list_only_its_own_fractures():
+    """A config network's summary holds each fracture's aperture and
+    mobility, not the built-in network's eps and kf."""
+    network = FractureNetwork((FractureSpec(
+        path=(Point(0.5, 0.0), Point(0.5, 1.0)),
+        aperture=ConstantAperture(0.01), mobility=0.001),))
+    params = run_scenario("regular2d", n=16, variant="conductive", fractures=network).params
+    assert "eps" not in params and "kf" not in params
+    assert params["fractures"] == [{"path": [[0.5, 0.0], [0.5, 1.0]],
+                                    "aperture": 0.01, "mobility": 0.001}]
 
 
 def test_extra_profiles_added_and_collisions_rejected():
@@ -287,11 +301,8 @@ def test_wentzell_reproduces_its_exact_field():
 
 
 def _equidim(n):
-    bcs =BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    return solve_equidim_2d(nx_outside=n, band_cells_across=2,
-                            domain=(Point(0.0, 0.0), Point(1.0, 1.0)),
-                            fracture_line_x=0.5, eps=1e-2, k_background=1.0,
-                            kf=1e-2, bcs=bcs)
+    bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
+    return solve_equidim_2d(n, 2, vertical_network(1e-2, 1e-2).fractures[0], bcs)
 
 
 _RECORDS = {
