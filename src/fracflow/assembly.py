@@ -4,7 +4,7 @@ Interface terms live on node pairs: each fracture node is duplicated into a
 side-1 copy ``lo`` and a side-2 copy ``hi``, and ``assemble`` collects the
 unique pairs ``(lo, hi)`` once (adjacent interface edges share their
 endpoint pairs). Over p pairs the mean and jump maps, which
-``_pair_maps`` builds for every use, are
+``_pair_maps`` builds for the assembly and the residual, are
 
     M = 0.5 at (k, lo_k) and (k, hi_k)        mean = (side1 + side2) / 2
     J = -1 at (k, lo_k), +1 at (k, hi_k)      jump = side2 - side1
@@ -36,7 +36,7 @@ from .elements import (
     q1_stiffness_upper,
 )
 from .errors import ConfigurationError
-from .geometry import Mesh, Point, SplitMesh
+from .geometry import FractureSpec, Mesh, Point, SplitMesh
 
 __all__ = [
     "InterfaceCoefficients",
@@ -106,13 +106,12 @@ def fracture_to_coeffs(k_f: float, eps_at_nodes, eps_floor: float) -> InterfaceC
     return InterfaceCoefficients(kappa_j=k_f * eps, r_a=k_f / eps)
 
 
-def fracture_coefficient_map(mobility: float,
-                             max_aperture: float) -> Callable[[np.ndarray], InterfaceCoefficients]:
+def fracture_coefficient_map(fracture: FractureSpec) -> Callable[[np.ndarray], InterfaceCoefficients]:
     """Coefficient callable for one fracture: nodal apertures (m_j, k) to
-    the fracture's InterfaceCoefficients (see ``fracture_to_coeffs``), the
-    apertures floored at ``default_eps_floor(max_aperture)``."""
-    floor = default_eps_floor(max_aperture)
-    return lambda apertures: fracture_to_coeffs(mobility, apertures, floor)
+    its InterfaceCoefficients at its mobility (see ``fracture_to_coeffs``),
+    the apertures floored at ``default_eps_floor`` of its maximum aperture."""
+    floor = default_eps_floor(fracture.aperture.max_value)
+    return lambda apertures: fracture_to_coeffs(fracture.mobility, apertures, floor)
 
 
 @dataclass(frozen=True)
@@ -265,16 +264,14 @@ def _interface_operators(split: SplitMesh, coeffs: list):
     return pairs, operator(blocks_mean), load(load_mean), operator(blocks_jump), load(load_jump)
 
 
-def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: BoundaryConditionSet,
-             k_per_cell: np.ndarray | None = None) -> LinearSystem:
+def assemble(split: SplitMesh, k_cell, coeffs_per_fracture,
+             bcs: BoundaryConditionSet) -> LinearSystem:
     """Assemble the fractured Darcy system on a split mesh.
 
     Parameters
     ----------
     split : SplitMesh
-    k_per_subdomain : sequence of positive mobilities, one per subdomain.
-        Ignored when ``k_per_cell`` is given (used by the equi-dimensional
-        oracle, which needs per-cell heterogeneity without fractures).
+    k_cell : one positive mobility, or one per cell of ``split.base``.
     coeffs_per_fracture : one entry per fracture: an InterfaceCoefficients
         applied to every node of that fracture, or a callable that takes the
         fracture's nodal apertures, the (m_j, k) array
@@ -295,21 +292,13 @@ def assemble(split: SplitMesh, k_per_subdomain, coeffs_per_fracture, bcs: Bounda
     mesh = split.base
     n = split.n_dofs
 
-    if k_per_cell is not None:
-        k_cell = np.asarray(k_per_cell, dtype=float)
-        if k_cell.shape != (mesh.n_cells,):
-            raise ConfigurationError(
-                f"k_per_cell must have one entry per cell ({mesh.n_cells}), got {k_cell.shape}")
-    else:
-        k_sub = np.asarray(k_per_subdomain, dtype=float)
-        if k_sub.shape != (split.n_subdomains,):
-            raise ConfigurationError(
-                f"expected {split.n_subdomains} subdomain mobilities, got {k_sub.shape}")
-        if not np.all(np.isfinite(k_sub)) or np.any(k_sub <= 0.0):
-            raise ConfigurationError("subdomain mobilities must be positive and finite")
-        k_cell = k_sub[split.subdomain_of_cell]
+    k_cell = np.asarray(k_cell, dtype=float)
+    if k_cell.shape not in ((), (mesh.n_cells,)):
+        raise ConfigurationError(
+            f"expected one mobility or one per cell ({mesh.n_cells}), got shape {k_cell.shape}")
     if not np.all(np.isfinite(k_cell)) or np.any(k_cell <= 0.0):
         raise ConfigurationError("cell mobilities must be positive and finite")
+    k_cell = np.broadcast_to(k_cell, (mesh.n_cells,))
 
     n_frac = len(split.network)
     coeffs = list(coeffs_per_fracture)

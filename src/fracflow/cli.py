@@ -123,11 +123,14 @@ def _parse_profiles(raw) -> dict[str, tuple[Point, Point, int]]:
     out = {}
     for name, entry in raw.items():
         where = f"profiles[{name!r}]"
-        if (not name or any(c in name for c in "/\\\0")
-                or len(f"profile_{name}.csv".encode(errors="surrogatepass")) > 255):
+        try:
+            fits = len(os.fsencode(f"profile_{name}.csv")) <= 255
+        except UnicodeEncodeError:
+            fits = False
+        if not (name and fits) or any(c in name for c in "/\\\0"):
             raise ConfigurationError(
                 f"{where}: a profile name must be non-empty, hold no '/', '\\' or NUL, "
-                "and keep profile_<name>.csv within 255 bytes, since it names a file")
+                "and encode profile_<name>.csv as a file name of at most 255 bytes")
         if not isinstance(entry, dict):
             raise ConfigurationError(f"{where} must be an object")
         unknown = sorted(set(entry) - {"start", "end", "n"})

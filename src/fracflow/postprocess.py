@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LinearSystem, _pair_maps
+from .assembly import LinearSystem
 from .elements import q1_dshape, q1_shape
 from .errors import GeometryError
 from .geometry import CELL_BLOCK, Mesh, Point, SplitMesh, _default_tol
@@ -160,10 +160,7 @@ def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Poin
     """
     if n_samples < 2:
         raise GeometryError(f"n_samples must be >= 2, got {n_samples}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (split.n_dofs,):
-        raise GeometryError(
-            f"field has {values.shape} entries, mesh has {split.n_dofs} dofs")
+    values = _field(split, values)
     dim = split.base.dim
     if start.dim != dim or end.dim != dim:
         raise GeometryError(f"profile endpoints are {start.dim}D and {end.dim}D; "
@@ -178,6 +175,14 @@ def sample_profile(split: SplitMesh, values: np.ndarray, start: Point, end: Poin
     return Profile(s=s, points=pts, values=_sample(split, values, pts, _default_tol(split.base)))
 
 
+def _field(split: SplitMesh, values) -> np.ndarray:
+    """``values`` as floats, one per dof of ``split``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (split.n_dofs,):
+        raise GeometryError(f"field has {values.shape} entries, mesh has {split.n_dofs} dofs")
+    return values
+
+
 def _chain_nodes(x: np.ndarray) -> np.ndarray:
     """Values (n, ...) at the nodes of one fracture's chain from the values x
     (m, k, ...) at each entity's nodes. Node i ends edge i - 1 and starts
@@ -187,29 +192,25 @@ def _chain_nodes(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[:1, 0], 0.5 * (x[:-1, 1] + x[1:, 0]), x[-1:, 1]])
 
 
-def _fracture_nodal(split: SplitMesh, values: np.ndarray, fracture_id: int):
-    """Arc positions, points, side means and jumps at the nodes of one
-    fracture, in path order."""
-    values = np.asarray(values, dtype=float)
+def _fracture_nodal(split: SplitMesh, values: np.ndarray, fracture_id: int, combine) -> Profile:
+    """``combine(side1, side2)`` of ``values`` at the nodes of one fracture,
+    in path order, with their arc positions and points."""
     entities = split.edges_of_fracture(fracture_id)
     if not len(entities):
         raise GeometryError(f"fracture {fracture_id} has no interface entities")
-    M, J = _pair_maps(entities.node_pairs.reshape(-1, 2), len(values))
-    shape = entities.arc.shape
-    return (_chain_nodes(entities.arc), _chain_nodes(entities.points),
-            _chain_nodes((M @ values).reshape(shape)), _chain_nodes((J @ values).reshape(shape)))
+    sides = _field(split, values)[entities.node_pairs]
+    return Profile(s=_chain_nodes(entities.arc), points=_chain_nodes(entities.points),
+                   values=_chain_nodes(combine(sides[..., 0], sides[..., 1])))
 
 
 def fracture_pressure(split: SplitMesh, values: np.ndarray, fracture_id: int) -> Profile:
     """Side-mean pressure along a fracture, ordered by arc length."""
-    s, pts, mean, _ = _fracture_nodal(split, values, fracture_id)
-    return Profile(s=s, points=pts, values=mean)
+    return _fracture_nodal(split, values, fracture_id, lambda a, b: 0.5 * a + 0.5 * b)
 
 
 def fracture_jump(split: SplitMesh, values: np.ndarray, fracture_id: int) -> Profile:
     """Pressure jump (side 2 minus side 1, along eta) along a fracture."""
-    s, pts, _, jump = _fracture_nodal(split, values, fracture_id)
-    return Profile(s=s, points=pts, values=jump)
+    return _fracture_nodal(split, values, fracture_id, lambda a, b: b - a)
 
 
 def boundary_flux(split: SplitMesh, system: LinearSystem,

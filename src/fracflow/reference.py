@@ -190,7 +190,7 @@ def solve_equidim_2d(n: int, band_cells_across: int, fracture: FractureSpec,
     in_band = np.abs(centers[:, 0] - x_f) < half_w
     k_cell = np.where(in_band, fracture.mobility, 1.0)
 
-    system = assemble(split, None, [], bcs, k_per_cell=k_cell)
+    system = assemble(split, k_cell, [], bcs)
     # Without fractures a dof is its mesh vertex, numbered row by row. Each
     # grid row's nodes from the last uniform line left of the band to the
     # first one right of it form one group: the band cells and the slivers

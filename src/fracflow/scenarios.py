@@ -40,11 +40,10 @@ __all__ = [
 
 @dataclass(eq=False)
 class ScenarioCase:
-    """Assembled inputs of one scenario instance."""
+    """One scenario instance; it is solved with unit mobility in every cell
+    and each fracture's own coefficients (``fracture_coefficient_map``)."""
 
     split: SplitMesh
-    k_per_subdomain: np.ndarray
-    coeffs: list
     bcs: BoundaryConditionSet
     profiles: dict[str, tuple[Point, Point, int]]
     params: dict
@@ -82,20 +81,11 @@ _SEGMENTS = {
 }
 
 
-def _case(mesh, network: FractureNetwork, bcs: BoundaryConditionSet,
-          profiles: dict, params: dict) -> ScenarioCase:
-    """Split ``mesh`` along ``network``; unit mobility in every subdomain."""
-    split = split_mesh(mesh, network)
-    coeffs = [fracture_coefficient_map(f.mobility, f.aperture.max_value)
-              for f in network.fractures]
-    return ScenarioCase(split, np.ones(split.n_subdomains), coeffs, bcs, profiles, params)
-
-
 def _square_case(n: int, network: FractureNetwork, bcs: BoundaryConditionSet,
                  profiles: tuple[str, ...], params: dict) -> ScenarioCase:
     """The unit square of n x n cells, sampled along the named segments."""
-    return _case(_unit_square(n), network, bcs,
-                 {key: (*_SEGMENTS[key], n + 1) for key in profiles}, params)
+    return ScenarioCase(split_mesh(_unit_square(n), network), bcs,
+                        {key: (*_SEGMENTS[key], n + 1) for key in profiles}, params)
 
 
 def _vertical_case(n: int, aperture, kf: float, bcs: BoundaryConditionSet,
@@ -115,9 +105,9 @@ def _build_onedim(n: int, variant: str | None) -> ScenarioCase:
                                             aperture=ConstantAperture(eps),
                                             mobility=kf),))
     bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    return _case(build_interval(n, 1.0), network, bcs,
-                 {"centerline": (Point(0.0), Point(1.0), n + 1)},
-                 {"eps": eps, "kf": kf, "k": 1.0, "position": 0.5, "inflow": 1.0})
+    return ScenarioCase(split_mesh(build_interval(n, 1.0), network), bcs,
+                        {"centerline": (Point(0.0), Point(1.0), n + 1)},
+                        {"eps": eps, "kf": kf, "k": 1.0, "position": 0.5, "inflow": 1.0})
 
 
 # Six orthogonal fracture segments cutting the unit square into ten
@@ -229,7 +219,8 @@ def _check_scenario_args(name: str, variant: str | None,
 
 
 def _solve_case(case: ScenarioCase, tol: float):
-    system = assemble(case.split, case.k_per_subdomain, case.coeffs, case.bcs)
+    coeffs = [fracture_coefficient_map(f) for f in case.split.network.fractures]
+    system = assemble(case.split, 1.0, coeffs, case.bcs)
     pressure, report = solve_system(system, tol=tol)
     return system, pressure, report
 

@@ -54,8 +54,7 @@ PATH_CASES = {
 
 
 def coeffs_for(network: FractureNetwork):
-    return [fracture_coefficient_map(f.mobility, f.aperture.max_value)
-            for f in network.fractures]
+    return [fracture_coefficient_map(f) for f in network.fractures]
 
 
 def copies_of(split, origin_vertex: int) -> np.ndarray:
@@ -102,7 +101,6 @@ THROUGHFLOW = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.
 def solved_vertical_16():
     """16x16 square, vertical blocking fracture, through-flow; reused widely."""
     split = split_mesh(unit_square(16), vertical_network(1e-2, 1e-2))
-    system = assemble(split, np.ones(split.n_subdomains),
-                      coeffs_for(split.network), THROUGHFLOW)
+    system = assemble(split, 1.0, coeffs_for(split.network), THROUGHFLOW)
     pressure, report = solve_system(system)
     return split, system, pressure, report

@@ -73,7 +73,7 @@ def test_criterion_02_vertical_fracture_matches_1d_profile():
         split = split_mesh(unit_square(32), vertical_network(eps, kf))
         bcs = BoundaryConditionSet(dirichlet={"right": 0.0},
                                    neumann={"left": 1.0})
-        system = assemble(split, np.ones(2), coeffs_for(split.network), bcs)
+        system = assemble(split, 1.0, coeffs_for(split.network), bcs)
         x, _ = solve_system(system)
         err = nodal_error_vs_analytic(split, x, eps, kf)
         ok = ok and err <= 1e-8

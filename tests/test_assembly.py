@@ -66,7 +66,7 @@ def test_coefficient_map_applies_floor_for_vanishing_aperture():
     network = FractureNetwork((FractureSpec(
         path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=ap, mobility=1.0),))
     split = split_mesh(unit_square(8), network)
-    cmap = fracture_coefficient_map(1.0, ap.max_value)
+    cmap = fracture_coefficient_map(network.fractures[0])
     apertures = split.edges_of_fracture(0).apertures
     assert apertures.shape == (8, 2) and apertures.min() == 0.0   # the tips pinch
     c = cmap(apertures)
@@ -94,13 +94,13 @@ def test_coefficient_callable_runs_once_per_fracture():
         return source
 
     maps = coeffs_for(split.network)
-    system = assemble(split, np.ones(split.n_subdomains), [counting(c) for c in maps], THROUGHFLOW)
+    system = assemble(split, 1.0, [counting(c) for c in maps], THROUGHFLOW)
     assert [a.shape for a in calls] == [(8, 2), (4, 2)]
     assert np.array_equal(calls[0], np.full((8, 2), 1e-2))
     assert np.array_equal(calls[1], np.full((4, 2), 1e-3))
     # array-valued constants give the same system as the callables
     constants = [c(split.edges_of_fracture(j).apertures) for j, c in enumerate(maps)]
-    again = assemble(split, np.ones(split.n_subdomains), constants, THROUGHFLOW)
+    again = assemble(split, 1.0, constants, THROUGHFLOW)
     assert (pair_operator_sum(again) != pair_operator_sum(system)).nnz == 0
     assert np.array_equal(again.rhs, system.rhs)
 
@@ -116,19 +116,19 @@ def test_coefficient_callable_on_1d_points_gets_one_node():
         calls.append(apertures.shape)
         return InterfaceCoefficients(r_a=(1.0,))
 
-    assemble(split, np.ones(3), [source, source], THROUGHFLOW)
+    assemble(split, 1.0, [source, source], THROUGHFLOW)
     assert calls == [(1, 1), (1, 1)]
 
 
 def test_coefficient_source_must_yield_interface_coefficients():
     split = split_mesh(unit_square(4), vertical_network(1e-2, 1.0))
     with pytest.raises(ConfigurationError, match="fracture 0 must yield InterfaceCoefficients"):
-        assemble(split, np.ones(2), [lambda apertures: {"r_a": 1.0}], THROUGHFLOW)
+        assemble(split, 1.0, [lambda apertures: {"r_a": 1.0}], THROUGHFLOW)
     with pytest.raises(ConfigurationError, match="fracture 0 must yield InterfaceCoefficients"):
-        assemble(split, np.ones(2), [1.0], THROUGHFLOW)
+        assemble(split, 1.0, [1.0], THROUGHFLOW)
     # fields must broadcast to the fracture's (4, 2) nodes
     with pytest.raises(ConfigurationError, match="kappa_j of fracture 0"):
-        assemble(split, np.ones(2), [InterfaceCoefficients(kappa_j=(1.0, 2.0, 3.0))],
+        assemble(split, 1.0, [InterfaceCoefficients(kappa_j=(1.0, 2.0, 3.0))],
                  THROUGHFLOW)
 
 
@@ -145,15 +145,14 @@ def test_assemble_rejects_unknown_tag():
     split = split_mesh(unit_square(4), FractureNetwork(()))
     bcs = BoundaryConditionSet(dirichlet={"north": 0.0}, neumann={})
     with pytest.raises(ConfigurationError, match="north"):
-        assemble(split, np.ones(1), [], bcs)
+        assemble(split, 1.0, [], bcs)
 
 
 # --- assembled system invariants ---------------------------------------------
 
 def _vertical_case(n=8, eps=1e-2, kf=1e-2):
     split = split_mesh(unit_square(n), vertical_network(eps, kf))
-    system = assemble(split, np.ones(split.n_subdomains),
-                      coeffs_for(split.network), THROUGHFLOW)
+    system = assemble(split, 1.0, coeffs_for(split.network), THROUGHFLOW)
     return split, system
 
 
@@ -177,7 +176,7 @@ def test_raw_matrix_exactly_symmetric():
 def test_dirichlet_elimination_reproduces_linear_field():
     split = split_mesh(unit_square(6), FractureNetwork(()))
     bcs = BoundaryConditionSet(dirichlet={"left": 1.0, "right": 0.0}, neumann={})
-    system = assemble(split, np.ones(1), [], bcs)
+    system = assemble(split, 1.0, [], bcs)
     x, _ = solve_system(system)
     assert np.allclose(x, 1.0 - split.base.vertices[:, 0], atol=1e-12)
     # eliminated rows are identities carrying the boundary value
@@ -192,7 +191,7 @@ def test_callable_dirichlet_values():
     split = split_mesh(unit_square(4), FractureNetwork(()))
     bcs = BoundaryConditionSet(dirichlet={"left": lambda p: p.coords[1] ** 2},
                                neumann={})
-    system = assemble(split, np.ones(1), [], bcs)
+    system = assemble(split, 1.0, [], bcs)
     for d, g in system.dirichlet_dofs.items():
         y = split.base.vertices[d, 1]
         assert g == pytest.approx(y ** 2)
@@ -203,7 +202,7 @@ def test_dirichlet_reaches_both_interface_copies():
     # duplicated copies must be constrained
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
     bcs = BoundaryConditionSet(dirichlet={"bottom": 1.0, "top": 0.0}, neumann={})
-    system = assemble(split, np.ones(2), coeffs_for(split.network), bcs)
+    system = assemble(split, 1.0, coeffs_for(split.network), bcs)
     for y_val, g in ((0.0, 1.0), (1.0, 0.0)):
         idx = np.nonzero((np.abs(split.base.vertices[:, 0] - 0.5) < 1e-12)
                          & (np.abs(split.base.vertices[:, 1] - y_val) < 1e-12))[0]
@@ -216,14 +215,12 @@ def test_dirichlet_reaches_both_interface_copies():
 def test_assemble_validates_input_lengths():
     split = split_mesh(unit_square(4), vertical_network(1e-2, 1.0))
     with pytest.raises(ConfigurationError):
-        assemble(split, np.ones(5), coeffs_for(split.network), THROUGHFLOW)
-    with pytest.raises(ConfigurationError):
-        assemble(split, np.ones(2), [], THROUGHFLOW)   # one coeff set per fracture
+        assemble(split, 1.0, [], THROUGHFLOW)   # one coeff set per fracture
 
 
 def test_zero_interface_coefficients_decouple_sides():
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
-    system = assemble(split, np.ones(2), [InterfaceCoefficients()], THROUGHFLOW)
+    system = assemble(split, 1.0, [InterfaceCoefficients()], THROUGHFLOW)
     side = (split.subdomain_of_vertex() == 0).astype(float)
     A = pair_operator_sum(system)
     scale = np.max(np.abs(A.data))
@@ -235,11 +232,11 @@ def test_large_penalty_restores_continuity():
     n = 8
     network = vertical_network(1e-2, 1.0)
     split = split_mesh(unit_square(n), network)
-    system = assemble(split, np.ones(2), [InterfaceCoefficients(r_a=1e10)],
+    system = assemble(split, 1.0, [InterfaceCoefficients(r_a=1e10)],
                       THROUGHFLOW)
     x, _ = solve_system(system)
     split0 = split_mesh(unit_square(n), FractureNetwork(()))
-    system0 = assemble(split0, np.ones(1), [], THROUGHFLOW)
+    system0 = assemble(split0, 1.0, [], THROUGHFLOW)
     x0, _ = solve_system(system0)
     assert np.max(np.abs(x - x0[split.vertex_origin])) < 1e-6
 
@@ -252,7 +249,7 @@ def test_orientation_invariance():
     for network in (vertical_network(1e-2, 1e-2),
                     FractureNetwork((down_spec,))):
         split = split_mesh(unit_square(n), network)
-        system = assemble(split, np.ones(2), coeffs_for(network), THROUGHFLOW)
+        system = assemble(split, 1.0, coeffs_for(network), THROUGHFLOW)
         x, _ = solve_system(system)
         prof = sample_profile(split, x, Point(0.0, 0.7), Point(1.0, 0.7), n + 1)
         results.append(prof.values)
@@ -262,7 +259,7 @@ def test_orientation_invariance():
 def test_interface_load_enters_rhs_body():
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
     c = 3.0
-    system = assemble(split, np.ones(2),
+    system = assemble(split, 1.0,
                       [InterfaceCoefficients(r_a=1.0, h_j=c)], THROUGHFLOW)
     # the side-mean load of a unit-span fracture integrates to c * length
     assert float(np.sum(system.rhs_body)) == pytest.approx(c * 1.0)
@@ -274,21 +271,42 @@ def test_residual_raw_is_rhs_body_minus_matrix_raw():
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
     c = InterfaceCoefficients(kappa_j=(1.0, 2.0), r_j=0.5, h_j=1.0,
                               kappa_a=0.3, r_a=(4.0, 5.0), h_a=-2.0)
-    system = assemble(split, np.ones(2), [c], THROUGHFLOW)
+    system = assemble(split, 1.0, [c], THROUGHFLOW)
     x = np.sin(np.arange(system.n_dofs))
     assert np.allclose(system.residual_raw(x),
                        system.rhs_body - pair_operator_sum(system) @ x, rtol=0.0, atol=1e-12)
 
 
-def test_k_per_cell_matches_uniform_subdomain_k():
-    split = split_mesh(unit_square(6), vertical_network(1e-2, 1e-2))
-    sys_a = assemble(split, 2.5 * np.ones(2), coeffs_for(split.network),
-                     THROUGHFLOW)
-    k_cell = 2.5 * np.ones(split.base.n_cells)
-    sys_b = assemble(split, None, coeffs_for(split.network), THROUGHFLOW,
-                     k_per_cell=k_cell)
-    assert (pair_operator_sum(sys_a) - pair_operator_sum(sys_b)).nnz == 0
-    assert np.array_equal(sys_a.rhs, sys_b.rhs)
+@pytest.mark.parametrize("make_split", [
+    lambda: split_mesh(unit_square(6), vertical_network(1e-2, 1e-2)),
+    lambda: split_mesh(build_interval(16, 1.0), FractureNetwork((FractureSpec(
+        path=(Point(0.5),), aperture=ConstantAperture(1e-2), mobility=1e-2),))),
+], ids=["2d", "1d"])
+def test_scalar_mobility_matches_per_cell_bit_for_bit(make_split):
+    split = make_split()
+    coeffs = coeffs_for(split.network)
+    scalar = assemble(split, 2.5, coeffs, THROUGHFLOW)
+    per_cell = assemble(split, np.full(split.base.n_cells, 2.5), coeffs, THROUGHFLOW)
+    for a, b in ((scalar.matrix, per_cell.matrix), (scalar.domain_at_rows, per_cell.domain_at_rows)):
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+    for name in ("rhs", "rhs_raw", "rhs_body"):
+        assert np.array_equal(getattr(scalar, name).view(np.int64),
+                              getattr(per_cell, name).view(np.int64)), name
+
+
+def test_mobility_must_be_one_value_or_one_per_cell():
+    split = split_mesh(unit_square(4), vertical_network(1e-2, 1.0))
+    coeffs = coeffs_for(split.network)
+    for k in (np.ones(split.n_subdomains), np.ones(1), np.ones((split.base.n_cells, 1))):
+        with pytest.raises(ConfigurationError, match=f"one per cell \\({split.base.n_cells}\\)"):
+            assemble(split, k, coeffs, THROUGHFLOW)
+    for bad in (np.nan, 0.0, -1.0, np.inf):
+        k_cell = np.ones(split.base.n_cells)
+        k_cell[5] = bad
+        for k in (bad, k_cell):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                assemble(split, k, coeffs, THROUGHFLOW)
 
 
 def test_onedim_point_interface_assembles_and_solves():
@@ -299,7 +317,7 @@ def test_onedim_point_interface_assembles_and_solves():
         path=(Point(0.5),), aperture=ConstantAperture(eps), mobility=kf),))
     split = split_mesh(mesh, network)
     bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
-    system = assemble(split, np.ones(2), coeffs_for(network), bcs)
+    system = assemble(split, 1.0, coeffs_for(network), bcs)
     x, _ = solve_system(system)
     # exact piecewise-linear solution: p(0) = 2, jump -1 at the interface
     left_end = np.nonzero(split.base.vertices[:, 0] == 0.0)[0]
@@ -320,7 +338,7 @@ def test_neumann_loads_match_facet_by_facet_loop():
         return 1.0 + p.y * p.y
 
     bcs = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": inflow, "top": 0.25})
-    system = assemble(split, np.ones(split.n_subdomains), coeffs_for(split.network), bcs)
+    system = assemble(split, 1.0, coeffs_for(split.network), bcs)
     mesh = split.base
     want = np.zeros(system.n_dofs)
     for vs, tag in zip(mesh.boundary_facets.tolist(), mesh.facet_tags.tolist()):
@@ -376,9 +394,9 @@ def test_dirichlet_values_match_dof_by_dof_loop(dirichlet):
         want = _dirichlet_by_loop(split, bcs)
     except ConfigurationError as exc:
         with pytest.raises(ConfigurationError, match=f"^{exc}$"):
-            assemble(split, np.ones(4), coeffs_for(split.network), bcs)
+            assemble(split, 1.0, coeffs_for(split.network), bcs)
         return
-    system = assemble(split, np.ones(4), coeffs_for(split.network), bcs)
+    system = assemble(split, 1.0, coeffs_for(split.network), bcs)
     assert system.dirichlet_dofs == want
 
 
@@ -388,13 +406,13 @@ def test_conflicting_dirichlet_values_name_the_first_dof():
     bcs = BoundaryConditionSet(dirichlet={"left": 1.0, "bottom": 0.0}, neumann={})
     with pytest.raises(ConfigurationError,
                        match=r"^conflicting Dirichlet values at dof 0: 0\.0 vs 1\.0$"):
-        assemble(split, np.ones(1), [], bcs)
+        assemble(split, 1.0, [], bcs)
 
 
 def test_dirichlet_values_within_tolerance_keep_the_last():
     split = split_mesh(unit_square(4), FractureNetwork(()))
     bcs = BoundaryConditionSet(dirichlet={"left": 1.0 + 1e-13, "bottom": 1.0}, neumann={})
-    system = assemble(split, np.ones(1), [], bcs)
+    system = assemble(split, 1.0, [], bcs)
     assert system.dirichlet_dofs[0] == 1.0 + 1e-13       # the left facet comes later
     assert list(system.dirichlet_dofs) == sorted(system.dirichlet_dofs)
 
@@ -408,7 +426,7 @@ def test_matrix_raw_is_the_pair_operator_sum_bit_for_bit(name, n, variant):
     eliminates: every row of ``matrix`` that the Dirichlet elimination leaves
     alone, interface pair rows among them, is its row bit for bit."""
     case = SCENARIOS[name].build(n, variant)
-    system = assemble(case.split, case.k_per_subdomain, case.coeffs, case.bcs)
+    system = assemble(case.split, 1.0, coeffs_for(case.split.network), case.bcs)
     want = pair_operator_sum(system)
     fixed = np.zeros(system.n_dofs, dtype=bool)
     fixed[list(system.dirichlet_dofs)] = True
@@ -426,7 +444,7 @@ def test_fracture_free_elimination_leaves_matrix_domain_intact():
     the in-place Dirichlet elimination must run on a copy of it."""
     split = split_mesh(unit_square(8), FractureNetwork(()))
     k = np.random.default_rng(0).uniform(0.5, 2.0, split.base.n_cells)
-    system = assemble(split, None, [], THROUGHFLOW, k_per_cell=k)
+    system = assemble(split, k, [], THROUGHFLOW)
     # a fresh domain-only assembly, from the full cell matrices
     cells = split.base.cells
     K = q1_stiffness_batch(split.base.vertices[cells], k)
@@ -464,19 +482,19 @@ def system_and_domain(request):
         if name == "fracture-free":
             split = split_mesh(unit_square(8), FractureNetwork(()))
             k_cell = np.random.default_rng(0).uniform(0.5, 2.0, split.base.n_cells)
-            system = assemble(split, None, [], THROUGHFLOW, k_per_cell=k_cell)
+            system = assemble(split, k_cell, [], THROUGHFLOW)
         elif name in PATH_CASES:
             mesh, network = PATH_CASES[name]()
             split = split_mesh(mesh, network)
             k_cell = np.ones(split.base.n_cells)
-            system = assemble(split, np.ones(split.n_subdomains), coeffs_for(network),
+            system = assemble(split, 1.0, coeffs_for(network),
                               THROUGHFLOW)
         else:
             spec = SCENARIOS[name]
             case = spec.build(spec.default_n, variant)
             split = case.split
-            system = assemble(split, case.k_per_subdomain, case.coeffs, case.bcs)
-            k_cell = np.asarray(case.k_per_subdomain, dtype=float)[split.subdomain_of_cell]
+            system = assemble(split, 1.0, coeffs_for(case.split.network), case.bcs)
+            k_cell = np.ones(split.base.n_cells)
     return system, _domain_matrix(split.base, k_cell, system.n_dofs)
 
 

@@ -166,6 +166,9 @@ def test_config_extra_profile(tmp_path):
     ({"scenario": "onedim", "profiles": {"a\0b": {"start": [0.2], "end": [0.8]}}}, "NUL"),
     ({"scenario": "onedim", "profiles": {"q" * 260: {"start": [0.2], "end": [0.8]}}},
      "255 bytes"),
+    # a lone surrogate encodes to no file name
+    ({"scenario": "onedim", "profiles": {"x\ud800": {"start": [0.2], "end": [0.8]}}},
+     "profiles['x\\ud800']"),
 ])
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, config, needle):
     cfg = tmp_path / "bad.json"

@@ -28,6 +28,8 @@ from fracflow import Mesh, Point, assemble, build_structured_quad, sample_profil
 from fracflow.scenarios import SCENARIOS
 from fracflow.solver import multigrid
 
+from conftest import coeffs_for
+
 
 def _peak(stage):
     """The stage's result and its tracemalloc high-water mark in bytes, the
@@ -45,7 +47,7 @@ def _peak(stage):
 def blocking_128():
     case = SCENARIOS["regular2d"].build(128, "blocking")
     system, assemble_peak = _peak(
-        lambda: assemble(case.split, case.k_per_subdomain, case.coeffs, case.bcs))
+        lambda: assemble(case.split, 1.0, coeffs_for(case.split.network), case.bcs))
     A = system.matrix
     return case.split, system, assemble_peak, A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 

@@ -15,7 +15,6 @@ from fracflow import (BoundaryConditionSet, ConstantAperture, FractureNetwork, F
                       mass_balance_defect, profile_error, sample_profile,
                       run_scenario, solve_system, split_mesh,
                       write_fracture_csv, write_profile_csv, write_solution_csv)
-from fracflow import postprocess
 from fracflow.elements import q1_shape
 from conftest import (PATH_CASES, THROUGHFLOW, coeffs_for, copies_of, polyline_network,
                       unit_square, vertical_network)
@@ -280,7 +279,10 @@ def test_batched_fracture_extraction_matches_per_edge(request, case, fracture_id
         split, pressure = request.getfixturevalue("conductive_32")
     else:
         split, pressure = request.getfixturevalue("path_case_fields")[case]
-    got = postprocess._fracture_nodal(split, pressure, fracture_id)
+    mean = fracture_pressure(split, pressure, fracture_id)
+    jump = fracture_jump(split, pressure, fracture_id)
+    assert np.array_equal(jump.s, mean.s) and np.array_equal(jump.points, mean.points)
+    got = (mean.s, mean.points, mean.values, jump.values)
     want = fracture_nodal_per_edge(split, pressure, fracture_id)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -301,6 +303,16 @@ def test_fracture_profile_of_a_closed_loop_ends_at_its_length():
     assert np.array_equal(mean.points[0], mean.points[-1])
     assert mean.values[0] == mean.values[-1]
     assert jump.values[0] == jump.values[-1] != 0.0
+
+
+def test_field_of_the_wrong_length_raises():
+    split = split_mesh(unit_square(4), vertical_network(1e-2, 1.0))
+    extracts = (lambda v: fracture_pressure(split, v, 0), lambda v: fracture_jump(split, v, 0),
+                lambda v: sample_profile(split, v, Point(0.0, 0.5), Point(1.0, 0.5), 5))
+    for values in (np.zeros(split.n_dofs - 1), np.zeros(split.n_dofs + 1)):
+        for extract in extracts:
+            with pytest.raises(GeometryError, match="field has"):
+                extract(values)
 
 
 def test_fracture_mean_and_jump_2d():
@@ -360,7 +372,7 @@ def test_two_fracture_1d_network_reads_each_point():
         assert jump.values[0] == values[side2] - values[side1]
 
     bcs = BoundaryConditionSet(dirichlet={"left": 1.0, "right": 0.0}, neumann={})
-    system = assemble(split, np.ones(3), coeffs_for(network), bcs)
+    system = assemble(split, 1.0, coeffs_for(network), bcs)
     pressure, _ = solve_system(system)
     flux = 1.0 / (1.0 + 0.5 + 0.25)
     for j, resistance in enumerate((0.5, 0.25)):
@@ -385,7 +397,7 @@ def test_boundary_flux_throughflow(solved_vertical_16):
 def test_boundary_flux_dirichlet_only_case():
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1e2))
     bcs = BoundaryConditionSet(dirichlet={"bottom": 1.0, "top": 0.0}, neumann={})
-    system = assemble(split, np.ones(2), coeffs_for(split.network), bcs)
+    system = assemble(split, 1.0, coeffs_for(split.network), bcs)
     x, _ = solve_system(system)
     fluxes = boundary_flux(split, system, x)
     # exact solution p = 1 - y: the background passes a unit flux and the
@@ -419,7 +431,7 @@ def _fluxes_by_dof_loop(split, system, x):
 ])
 def test_boundary_flux_matches_dof_by_dof_ownership(dirichlet, neumann):
     split = split_mesh(unit_square(12), vertical_network(1e-2, 1e2))
-    system = assemble(split, np.ones(2), coeffs_for(split.network),
+    system = assemble(split, 1.0, coeffs_for(split.network),
                       BoundaryConditionSet(dirichlet=dirichlet, neumann=neumann))
     x, _ = solve_system(system)
     fluxes = boundary_flux(split, system, x)
@@ -433,7 +445,7 @@ def test_boundary_flux_1d_matches_dof_by_dof_ownership():
     network = FractureNetwork((FractureSpec(path=(Point(0.5),), aperture=ConstantAperture(1e-2),
                                             mobility=1e-2),))
     split = split_mesh(build_interval(16, 1.0), network)
-    system = assemble(split, np.ones(2), coeffs_for(network), THROUGHFLOW)
+    system = assemble(split, 1.0, coeffs_for(network), THROUGHFLOW)
     x, _ = solve_system(system)
     assert boundary_flux(split, system, x) == _fluxes_by_dof_loop(split, system, x)
 

@@ -14,6 +14,8 @@ from fracflow.scenarios import SCENARIOS
 from fracflow.solver import (DENSE_LIMIT, INV_ROWS, Multigrid, _group_blocks,
                              _inverse_factor, _Level, _smoother, multigrid)
 
+from conftest import coeffs_for
+
 
 def random_spd(n: int, seed: int, scale_spread: float = 0.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -136,7 +138,7 @@ def test_stall_within_the_float64_floor_converges(n):
     # The 1D point-load system's evaluation floor passes tol=1e-10 near
     # n=4000: CG stalls there and converges at the floor it reports.
     case = SCENARIOS["onedim"].build(n, None)
-    system = assemble(case.split, case.k_per_subdomain, case.coeffs, case.bcs)
+    system = assemble(case.split, 1.0, coeffs_for(case.split.network), case.bcs)
     x, report = cg_solve(system.matrix, system.rhs,
                          multigrid(system.matrix, system.copy_groups))
     assert report.converged
@@ -302,7 +304,7 @@ def test_solve_system_refinement_tightens_conservation():
     from fracflow import assemble, boundary_flux, mass_balance_defect, split_mesh
     split = split_mesh(conftest.unit_square(32),
                        conftest.vertical_network(1e-4, 1e4))
-    system = assemble(split, np.ones(split.n_subdomains),
+    system = assemble(split, 1.0,
                       conftest.coeffs_for(split.network), conftest.THROUGHFLOW)
     x_plain, _ = solve(system.matrix, system.rhs)
     x_refined, _ = solve_system(system)
@@ -324,7 +326,7 @@ def test_solve_system_keeps_dirichlet_data_in_one_round(monkeypatch, name, varia
     round, whose correction is exactly zero there."""
     spec = SCENARIOS[name]
     case = spec.build(spec.default_n, variant)
-    system = assemble(case.split, case.k_per_subdomain, case.coeffs, case.bcs)
+    system = assemble(case.split, 1.0, coeffs_for(case.split.network), case.bcs)
     calls = []
 
     def counting(*args, **kwargs):
