@@ -11,9 +11,7 @@ from .assembly import (
     InterfaceCoefficients,
     LinearSystem,
     assemble,
-    default_eps_floor,
     fracture_coefficient_map,
-    fracture_to_coeffs,
 )
 from .errors import (
     ConfigurationError,

@@ -9,15 +9,16 @@ endpoint pairs). Over p pairs the mean and jump maps, which
     M = 0.5 at (k, lo_k) and (k, hi_k)        mean = (side1 + side2) / 2
     J = -1 at (k, lo_k), +1 at (k, hi_k)      jump = side2 - side1
 
-and the interface adds
+and the interface adds the paper's two conditions,
 
-    M^T K_mean M  +  J^T K_jump J,    K_mean = S(kappa_j) + Q(r_j),
-                                      K_jump = S(kappa_a) + Q(r_a)
+    M^T K_mean M  +  J^T K_jump J,    K_mean = S(kappa_j),   K_jump = Q(r_a),
 
 with S the tangential segment stiffness and Q the segment mass, each a 2x2
-block per edge on its two pairs, plus loads M^T f(h_j) + J^T f(h_a). In 1D
-the interface is a point: S vanishes and Q degenerates to the bare
-coefficient on its one pair.
+block per edge on its two pairs, plus loads M^T f(h_j) + J^T f(h_a). The
+flux jump obeys a Wentzell condition, tangential diffusion of the side mean
+(K_mean); the flux average obeys a Robin condition, a penalty on the jump
+(K_jump). In 1D the interface is a point with no tangential direction:
+K_mean is zero and Q is the bare coefficient on its one pair.
 """
 
 from __future__ import annotations
@@ -42,32 +43,28 @@ __all__ = [
     "InterfaceCoefficients",
     "BoundaryConditionSet",
     "LinearSystem",
-    "fracture_to_coeffs",
-    "default_eps_floor",
     "fracture_coefficient_map",
     "assemble",
 ]
 
 BCValue = Union[float, Callable[[Point], float]]
 
-_COEFFICIENTS = ("kappa_j", "r_j", "h_j", "kappa_a", "r_a", "h_a")
+_COEFFICIENTS = ("kappa_j", "h_j", "r_a", "h_a")
 
 
 @dataclass(frozen=True)
 class InterfaceCoefficients:
-    """The six interface coefficients of one fracture.
+    """The four interface coefficients of one fracture.
 
     Each is a scalar, a nodal pair or an array that broadcasts to the
     fracture's (m_j, k) entity nodes (k = 2 on 2D edges, 1 on 1D points).
-    kappa_j / r_j / h_j act on the side MEAN (they discretize the condition
-    on the flux jump); kappa_a / r_a / h_a act on the JUMP (condition on the
-    flux average). Stiffness and reaction coefficients must be >= 0.
+    kappa_j and its load h_j act on the side MEAN (the Wentzell condition on
+    the flux jump); r_a and its load h_a act on the JUMP (the Robin condition
+    on the flux average). kappa_j and r_a must be >= 0.
     """
 
     kappa_j: object = 0.0
-    r_j: object = 0.0
     h_j: object = 0.0
-    kappa_a: object = 0.0
     r_a: object = 0.0
     h_a: object = 0.0
 
@@ -81,37 +78,30 @@ class InterfaceCoefficients:
                 raise ConfigurationError(f"interface {rule}, got {float(v[bad].flat[0])!r}")
 
 
-def default_eps_floor(max_aperture: float) -> float:
-    """Floor used to keep k_f/eps finite where the aperture pinches to zero."""
-    base = max_aperture if max_aperture > 0.0 else 1.0
-    return 1e-12 * base
+def fracture_coefficient_map(fracture: FractureSpec) -> Callable[[np.ndarray], InterfaceCoefficients]:
+    """The fracture model of one fracture, as a coefficient callable.
 
-
-def fracture_to_coeffs(k_f: float, eps_at_nodes, eps_floor: float) -> InterfaceCoefficients:
-    """Coefficients of the fracture model from mobility and nodal apertures.
-
-    Tangential diffusion of the side mean with kappa_j = k_f * eps and a
-    jump penalty r_a = k_f / eps; all other coefficients vanish. Apertures
-    (a scalar or an array) are floored at ``eps_floor`` before use, and the
-    coefficients take their shape.
+    It maps nodal apertures eps (a scalar or an array, such as the (m_j, k)
+    array ``assemble`` passes) to ``kappa_j = kf * eps`` and ``r_a = kf /
+    eps`` at the fracture's mobility kf, in the apertures' shape. Each
+    aperture is first floored at 1e-12 times the fracture's largest one, so
+    r_a stays finite where an aperture closes to zero.
     """
+    k_f = fracture.mobility
+    floor = 1e-12 * fracture.aperture.max_value
     if not (np.isfinite(k_f) and k_f > 0.0):
         raise ConfigurationError(f"fracture mobility must be positive, got {k_f!r}")
-    if not (np.isfinite(eps_floor) and eps_floor > 0.0):
-        raise ConfigurationError(f"eps_floor must be positive, got {eps_floor!r}")
-    eps = np.asarray(eps_at_nodes, dtype=float)
-    if np.any(eps < 0.0):
-        raise ConfigurationError(f"apertures must be >= 0, got {eps.tolist()!r}")
-    eps = np.maximum(eps, eps_floor)
-    return InterfaceCoefficients(kappa_j=k_f * eps, r_a=k_f / eps)
+    if not (np.isfinite(floor) and floor > 0.0):
+        raise ConfigurationError(f"aperture floor must be positive, got {floor!r}")
 
+    def coefficients(apertures) -> InterfaceCoefficients:
+        eps = np.asarray(apertures, dtype=float)
+        if np.any(eps < 0.0):
+            raise ConfigurationError(f"apertures must be >= 0, got {eps.tolist()!r}")
+        eps = np.maximum(eps, floor)
+        return InterfaceCoefficients(kappa_j=k_f * eps, r_a=k_f / eps)
 
-def fracture_coefficient_map(fracture: FractureSpec) -> Callable[[np.ndarray], InterfaceCoefficients]:
-    """Coefficient callable for one fracture: nodal apertures (m_j, k) to
-    its InterfaceCoefficients at its mobility (see ``fracture_to_coeffs``),
-    the apertures floored at ``default_eps_floor`` of its maximum aperture."""
-    floor = default_eps_floor(fracture.aperture.max_value)
-    return lambda apertures: fracture_to_coeffs(fracture.mobility, apertures, floor)
+    return coefficients
 
 
 @dataclass(frozen=True)
@@ -224,7 +214,7 @@ def _interface_operators(split: SplitMesh, coeffs: list):
     pairs: a 2x2 block and 2-vector per 2D edge, a 1x1 entry per 1D point."""
     entities = split.interface_edges
     ends = entities.node_pairs                                          # (m, k, 2)
-    values = np.zeros((len(_COEFFICIENTS),) + ends.shape[:2])           # (6, m, k)
+    values = np.zeros((len(_COEFFICIENTS),) + ends.shape[:2])           # (4, m, k)
     for j, source in enumerate(coeffs):
         rows = entities.fracture_id == j
         c = source(entities.apertures[rows]) if callable(source) else source
@@ -239,14 +229,13 @@ def _interface_operators(split: SplitMesh, coeffs: list):
             except ValueError:
                 raise ConfigurationError(f"interface coefficient {name} of fracture {j} "
                                          f"does not broadcast to its {shape} nodes") from None
-    kappa_j, r_j, h_j, kappa_a, r_a, h_a = values
+    kappa_j, h_j, r_a, h_a = values
     if ends.shape[1] == 1:
-        blocks_mean, blocks_jump = r_j[:, :, None], r_a[:, :, None]
+        blocks_mean, blocks_jump = np.zeros_like(r_a)[:, :, None], r_a[:, :, None]
         load_mean, load_jump = h_j, h_a
     else:
         L = entities.length
-        blocks_mean = p1_segment_stiffness(L, kappa_j) + p1_segment_mass(L, r_j)
-        blocks_jump = p1_segment_stiffness(L, kappa_a) + p1_segment_mass(L, r_a)
+        blocks_mean, blocks_jump = p1_segment_stiffness(L, kappa_j), p1_segment_mass(L, r_a)
         load_mean, load_jump = p1_segment_load(L, h_j), p1_segment_load(L, h_a)
 
     pairs, inverse = np.unique(ends.reshape(-1, 2), axis=0, return_inverse=True)

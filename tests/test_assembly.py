@@ -1,6 +1,7 @@
 """System assembly: coefficient mapping, interface terms, boundary data."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import scipy.sparse as sp
 from fracflow import (BoundaryConditionSet, ConfigurationError,
                       ConstantAperture, FractureNetwork, FractureSpec,
                       InterfaceCoefficients, Point, assemble,
-                      build_interval, build_structured_quad, default_eps_floor,
-                      fracture_coefficient_map, fracture_to_coeffs,
-                      sample_profile, solve_system, split_mesh)
+                      EllipticalAperture, build_interval, build_structured_quad,
+                      fracture_coefficient_map, sample_profile, solve_system,
+                      split_mesh)
 from fracflow.assembly import _domain_matrix, _pair_maps
 from fracflow.elements import facet_load
 from fracflow.scenarios import SCENARIOS
@@ -21,50 +22,68 @@ from conftest import (PATH_CASES, THROUGHFLOW, coeffs_for, copies_of, pair_opera
 
 # --- coefficient mapping ----------------------------------------------------
 
-def test_fracture_to_coeffs_scalar():
-    c = fracture_to_coeffs(2.0, 1e-3, eps_floor=1e-15)
+def vertical_spec(aperture, mobility):
+    return FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=aperture,
+                        mobility=mobility)
+
+
+def test_fracture_coefficient_map_scalar():
+    c = fracture_coefficient_map(vertical_spec(ConstantAperture(1e-3), 2.0))(1e-3)
     assert c.kappa_j == pytest.approx(2.0 * 1e-3)
     assert c.r_a == pytest.approx(2.0 / 1e-3)
-    assert c.r_j == 0.0 and c.kappa_a == 0.0 and c.h_j == 0.0 and c.h_a == 0.0
+    assert c.h_j == 0.0 and c.h_a == 0.0
 
 
-def test_fracture_to_coeffs_nodal_pair_and_floor():
-    c = fracture_to_coeffs(3.0, (1e-2, 0.0), eps_floor=1e-6)
-    assert c.kappa_j == pytest.approx((3.0 * 1e-2, 3.0 * 1e-6))
-    assert c.r_a == pytest.approx((3.0 / 1e-2, 3.0 / 1e-6))
+def test_fracture_coefficient_map_nodal_pair_and_floor():
+    # the floor is 1e-12 times the fracture's largest aperture, 1e-2 here
+    cmap = fracture_coefficient_map(vertical_spec(ConstantAperture(1e-2), 3.0))
+    c = cmap((1e-2, 0.0))
+    assert c.kappa_j == pytest.approx((3.0 * 1e-2, 3.0 * 1e-14))
+    assert c.r_a == pytest.approx((3.0 / 1e-2, 3.0 / 1e-14))
+    # an aperture above the floor is kept as it is, one below it is raised
+    c = cmap(np.array([[2e-14, 5e-15]]))
+    assert np.array_equal(c.r_a, [[3.0 / 2e-14, 3.0 / 1e-14]])
 
 
-def test_fracture_to_coeffs_validation():
-    with pytest.raises(ConfigurationError):
-        fracture_to_coeffs(-1.0, 1e-3, eps_floor=1e-15)
-    with pytest.raises(ConfigurationError):
-        fracture_to_coeffs(1.0, -1e-3, eps_floor=1e-15)
-    with pytest.raises(ConfigurationError):
-        fracture_to_coeffs(1.0, 1e-3, eps_floor=0.0)
+def test_fracture_coefficient_map_floor_scales_with_aperture():
+    # a closed aperture takes the floor, 1e-12 times the largest aperture
+    for aperture, largest in ((ConstantAperture(1e-2), 1e-2), (ConstantAperture(1.0), 1.0),
+                              (EllipticalAperture(Point(0.5, 0.5), 1.0, 1e-4), 1e-4)):
+        c = fracture_coefficient_map(vertical_spec(aperture, 1.0))(0.0)
+        assert c.kappa_j == 1e-12 * largest and c.r_a == 1.0 / (1e-12 * largest)
 
 
-def test_default_eps_floor_scales_with_aperture():
-    assert default_eps_floor(1e-2) == pytest.approx(1e-14)
-    assert default_eps_floor(0.0) == pytest.approx(1e-12)
+def test_fracture_coefficient_map_validation():
+    cmap = fracture_coefficient_map(vertical_spec(ConstantAperture(1e-3), 1.0))
+    with pytest.raises(ConfigurationError, match="apertures must be >= 0"):
+        cmap(-1e-3)
+    spec = vertical_spec(ConstantAperture(1e-3), 1.0)
+    object.__setattr__(spec, "mobility", -1.0)          # past FractureSpec's own check
+    with pytest.raises(ConfigurationError, match="mobility must be positive"):
+        fracture_coefficient_map(spec)
+    # an aperture so small that 1e-12 of it underflows leaves no floor
+    with pytest.raises(ConfigurationError, match="floor must be positive"):
+        fracture_coefficient_map(vertical_spec(ConstantAperture(1e-320), 1.0))
 
 
 def test_interface_coefficients_validation():
+    assert [f.name for f in fields(InterfaceCoefficients)] == ["kappa_j", "h_j", "r_a", "h_a"]
     with pytest.raises(ConfigurationError):
         InterfaceCoefficients(kappa_j=-1.0)
     with pytest.raises(ConfigurationError):
         InterfaceCoefficients(r_a=(1.0, -2.0))
     with pytest.raises(ConfigurationError):
         InterfaceCoefficients(h_j=np.inf)
-    with pytest.raises(ConfigurationError, match="r_j must be >= 0, got nan"):
-        InterfaceCoefficients(r_j=np.array([[1.0, 2.0], [np.nan, 0.0]]))
-    InterfaceCoefficients(h_a=-3.0)   # loads may be negative
+    with pytest.raises(ConfigurationError, match="r_a must be >= 0, got nan"):
+        InterfaceCoefficients(r_a=np.array([[1.0, 2.0], [np.nan, 0.0]]))
+    with pytest.raises(ConfigurationError, match="load h_a must be finite"):
+        InterfaceCoefficients(h_a=(0.0, -np.inf))
+    InterfaceCoefficients(h_j=-1.0, h_a=-3.0)   # loads may be negative
 
 
 def test_coefficient_map_applies_floor_for_vanishing_aperture():
-    from fracflow import EllipticalAperture
     ap = EllipticalAperture(center=Point(0.5, 0.5), major=1.0, minor=1e-2)
-    network = FractureNetwork((FractureSpec(
-        path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=ap, mobility=1.0),))
+    network = FractureNetwork((vertical_spec(ap, 1.0),))
     split = split_mesh(unit_square(8), network)
     cmap = fracture_coefficient_map(network.fractures[0])
     apertures = split.edges_of_fracture(0).apertures
@@ -72,7 +91,10 @@ def test_coefficient_map_applies_floor_for_vanishing_aperture():
     c = cmap(apertures)
     assert c.r_a.shape == c.kappa_j.shape == (8, 2)
     assert np.all(np.isfinite(c.r_a)) and np.all(c.r_a > 0.0)     # floored, never infinite
-    assert np.all(c.kappa_j >= 1.0 * default_eps_floor(ap.max_value))
+    closed = apertures == 0.0
+    assert np.all(c.kappa_j[closed] == 1e-12 * ap.max_value)
+    assert np.all(c.r_a[closed] == 1.0 / (1e-12 * ap.max_value))
+    assert np.array_equal(c.kappa_j[~closed], apertures[~closed])
 
 
 def t_network():
@@ -267,10 +289,9 @@ def test_interface_load_enters_rhs_body():
 
 def test_residual_raw_is_rhs_body_minus_matrix_raw():
     """The pair-form apply and the raw matrix come from the same pair operators;
-    every one of the six coefficients takes part."""
+    every one of the four coefficients takes part."""
     split = split_mesh(unit_square(8), vertical_network(1e-2, 1.0))
-    c = InterfaceCoefficients(kappa_j=(1.0, 2.0), r_j=0.5, h_j=1.0,
-                              kappa_a=0.3, r_a=(4.0, 5.0), h_a=-2.0)
+    c = InterfaceCoefficients(kappa_j=(1.0, 2.0), h_j=1.0, r_a=(4.0, 5.0), h_a=-2.0)
     system = assemble(split, 1.0, [c], THROUGHFLOW)
     x = np.sin(np.arange(system.n_dofs))
     assert np.allclose(system.residual_raw(x),

@@ -16,7 +16,8 @@ SUMMARY_KEYS = {"scenario", "variant", "n", "params", "dofs", "subdomains",
                 "interface_entities", "method", "cg_iterations",
                 "relative_residual", "converged", "boundary_fluxes",
                 "mass_balance_defect", "inflow", "profiles", "fractures",
-                "refinement_iterations", "multigrid_levels", "at_float64_floor"}
+                "refinement_iterations", "multigrid_levels", "at_float64_floor",
+                "mass_balance_within_gate"}
 
 
 def run_cli(*argv):
@@ -48,6 +49,7 @@ def test_run_onedim_outputs(tmp_path):
     assert summary["at_float64_floor"] is None
     assert abs(summary["fractures"][0]["extremal_jump"] + 1.0) <= 1e-10
     assert summary["mass_balance_defect"] <= 1e-8 * summary["inflow"]
+    assert summary["mass_balance_within_gate"] is True
     assert set(summary["boundary_fluxes"]) == {"left", "right"}
     assert summary["profiles"]["centerline"]["file"] == "profile_centerline.csv"
 
@@ -173,8 +175,27 @@ def test_config_extra_profile(tmp_path):
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, config, needle):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
-    assert run_cli("run", str(cfg)) == 2
+    out = tmp_path / "out"
+    assert run_cli("run", str(cfg), "--out", str(out)) == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_defect_above_criterion_4_gate_warns_and_exits_0(tmp_path, capsys):
+    """regular2d's segments at aperture 1e-8 and mobility 1e4 (kf/eps = 1e12)
+    leave a defect above 1e-8 of the inflow after one refinement round."""
+    cfg = tmp_path / "thin.json"
+    cfg.write_text(json.dumps({"scenario": "regular2d", "n": 128, "fractures": [
+        {"path": [list(a), list(b)], "aperture": 1e-8, "mobility": 1e4}
+        for a, b in scenarios._REGULAR2D_SEGMENTS]}))
+    out = tmp_path / "thin"
+    assert run_cli("run", str(cfg), "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["mass_balance_defect"] > 1e-8 * summary["inflow"]
+    assert summary["mass_balance_within_gate"] is False
+    warning = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(warning) == 1 and "exceeds 1e-8 of the inflow" in warning[0]
 
 
 def test_invalid_inputs_exit_2(tmp_path, capsys):
@@ -184,10 +205,10 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
                    "--out", str(tmp_path / "y")) == 2
     assert run_cli("run", "--out", str(tmp_path / "z")) == 2   # no scenario at all
     missing = tmp_path / "gone.json"
-    assert run_cli("run", str(missing)) == 2
+    assert run_cli("run", str(missing), "--out", str(tmp_path / "m")) == 2
     notjson = tmp_path / "broken.json"
     notjson.write_text("{not json")
-    assert run_cli("run", str(notjson)) == 2
+    assert run_cli("run", str(notjson), "--out", str(tmp_path / "j")) == 2
 
 
 @pytest.mark.parametrize("argv", [("compare", "single_vertical", "--oracle", "equidim"),
