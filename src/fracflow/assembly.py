@@ -89,8 +89,6 @@ def fracture_coefficient_map(fracture: FractureSpec) -> Callable[[np.ndarray], I
     """
     k_f = fracture.mobility
     floor = 1e-12 * fracture.aperture.max_value
-    if not (np.isfinite(k_f) and k_f > 0.0):
-        raise ConfigurationError(f"fracture mobility must be positive, got {k_f!r}")
     if not (np.isfinite(floor) and floor > 0.0):
         raise ConfigurationError(f"aperture floor must be positive, got {floor!r}")
 

@@ -70,12 +70,9 @@ class ConstantAperture:
         if not (np.isfinite(self.value) and self.value > 0.0):
             raise GeometryError(f"aperture must be positive, got {self.value!r}")
 
-    def __call__(self, point: Point) -> float:
-        return float(self.at(point.as_array()[None])[0])
-
-    def at(self, points: np.ndarray) -> np.ndarray:
-        """Aperture at each of the (n, d) points."""
-        return np.full(len(points), self.value)
+    def at(self, s: np.ndarray | float) -> np.ndarray:
+        """Aperture at each arc length s along the fracture, in the shape of s."""
+        return np.full(np.shape(s), self.value)
 
     @property
     def max_value(self) -> float:
@@ -84,31 +81,29 @@ class ConstantAperture:
 
 @dataclass(frozen=True)
 class EllipticalAperture:
-    """Aperture profile of a flat elliptical inclusion.
+    """Aperture profile of a flat elliptical inclusion along its fracture.
 
-    ``major`` is the full extent along the fracture, ``minor`` the maximal
-    opening (at the center). The width at distance d from the center is
-    ``minor * sqrt(1 - (d / (major/2))**2)``, clamped to zero outside.
+    ``center`` is the arc length of the widest point along the fracture,
+    ``major`` the full extent along the fracture and ``minor`` the maximal
+    opening (at the center). The width at arc length s is ``minor *
+    sqrt(1 - ((s - center) / (major/2))**2)``, clamped to zero outside.
     """
 
-    center: Point
+    center: float
     major: float
     minor: float
 
     def __post_init__(self):
+        if not np.isfinite(self.center):
+            raise GeometryError(f"aperture centre must be finite, got {self.center!r}")
         if not (np.isfinite(self.major) and self.major > 0.0):
             raise GeometryError(f"major axis must be positive, got {self.major!r}")
         if not (np.isfinite(self.minor) and self.minor > 0.0):
             raise GeometryError(f"minor axis must be positive, got {self.minor!r}")
 
-    def __call__(self, point: Point) -> float:
-        return float(self.at(point.as_array()[None])[0])
-
-    def at(self, points: np.ndarray) -> np.ndarray:
-        """Aperture at each of the (n, d) points, d the dimension of the centre."""
-        off = np.asarray(points, dtype=float) - self.center.as_array()
-        # Row-wise dot products round as np.linalg.norm of each row does.
-        ratio = np.sqrt((off[:, None, :] @ off[:, :, None])[:, 0, 0]) / (0.5 * self.major)
+    def at(self, s: np.ndarray | float) -> np.ndarray:
+        """Aperture at each arc length s along the fracture, in the shape of s."""
+        ratio = np.abs(np.asarray(s, dtype=float) - self.center) / (0.5 * self.major)
         r2 = ratio * ratio
         return np.where(ratio < 1.0, self.minor * np.sqrt(np.maximum(1.0 - r2, 0.0)), 0.0)
 
@@ -148,9 +143,6 @@ class FractureSpec:
                 raise GeometryError("fracture path repeats a point")
         if not (np.isfinite(self.mobility) and self.mobility > 0.0):
             raise GeometryError(f"fracture mobility must be positive, got {self.mobility!r}")
-        if isinstance(self.aperture, EllipticalAperture) and self.aperture.center.dim != self.dim:
-            raise GeometryError(
-                f"aperture centre is {self.aperture.center.dim}D, fracture path is {self.dim}D")
 
     @property
     def dim(self) -> int:
@@ -284,10 +276,11 @@ class InterfaceEntities:
     a vertex in 1D (k = 1). ``fracture_id`` (m,) names its fracture.
     ``node_pairs`` (m, k, 2) holds each node's side-1 copy (lower subdomain
     id, ties broken by lower cell id) in ``[..., 0]`` and its side-2 copy in
-    ``[..., 1]``. ``points`` (m, k, d) and ``apertures`` (m, k) are taken at
-    the nodes, and ``length`` (m,) is the edge length (1 for a point).
-    ``arc`` (m, k) is the arc length of each node along its fracture path,
-    measured from the path's first point (0 for a point).
+    ``[..., 1]``. ``points`` (m, k, d) are the nodes and ``length`` (m,) is
+    the edge length (1 for a point). ``arc`` (m, k) is the arc length of
+    each node along its fracture path, measured from the path's first point
+    (0 for a point), and ``apertures`` (m, k) the fracture's aperture at
+    the nodes' arc lengths.
     Indexing with a slice, mask or index array gives those rows as a new
     record. A caller's array that needs no layout conversion is kept and made
     read-only.
@@ -690,21 +683,20 @@ def split_mesh(mesh: Mesh, network: FractureNetwork) -> SplitMesh:
         subdomain_of_cell=subdomain,
         n_subdomains=n_sub,
         interface_edges=InterfaceEntities(chain_frac, node_pairs, points,
-                                          _apertures(network, chain_frac, points), length, arc),
+                                          _apertures(network, chain_frac, arc), length, arc),
         vertex_origin=vertex_origin,
         network=network,
     )
 
 
 def _apertures(network: FractureNetwork, fracture_id: np.ndarray,
-               points: np.ndarray) -> np.ndarray:
-    """The aperture (m, k) at the entity nodes ``points`` (m, k, d), one
-    profile evaluation per fracture."""
-    m, k, d = points.shape
-    out = np.empty((m, k))
+               arc: np.ndarray) -> np.ndarray:
+    """The aperture (m, k) at the entity nodes' arc lengths ``arc`` (m, k),
+    one profile evaluation per fracture."""
+    out = np.empty(arc.shape)
     for j, frac in enumerate(network):
         rows = fracture_id == j
-        out[rows] = frac.aperture.at(points[rows].reshape(-1, d)).reshape(-1, k)
+        out[rows] = frac.aperture.at(arc[rows])
     return out
 
 

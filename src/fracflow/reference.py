@@ -14,8 +14,8 @@ import numpy as np
 
 from .assembly import BoundaryConditionSet, LinearSystem, assemble
 from .errors import GeometryError
-from .geometry import (FractureNetwork, FractureSpec, Point, SplitMesh,
-                       _tensor_quad_mesh, split_mesh)
+from .geometry import (FractureNetwork, FractureSpec, SplitMesh, _tensor_quad_mesh,
+                       split_mesh)
 from .solver import SolveReport, solve
 
 __all__ = [
@@ -132,25 +132,19 @@ class EquidimResult:
     k_per_cell: np.ndarray
 
 
-def _band_widths(fracture: FractureSpec, x: float, y: np.ndarray) -> np.ndarray:
-    """The fracture's aperture at (x, y) for each entry of y, one call per distinct y."""
-    distinct, at = np.unique(y, return_inverse=True)
-    widths = [float(fracture.aperture(Point(x, v))) for v in distinct.tolist()]
-    return np.array(widths)[at.reshape(y.shape)]
-
-
 def solve_equidim_2d(n: int, band_cells_across: int, fracture: FractureSpec,
                      bcs: BoundaryConditionSet) -> EquidimResult:
     """Solve the flow problem on the unit square with ``fracture`` meshed as a band.
 
-    The fracture must be one straight vertical segment, at x = x_f. A
-    tensor-product grid is built from n uniform columns and n rows; grid
-    lines falling inside the band around x_f are replaced by the band edges
-    plus ``band_cells_across`` columns across the band. The band width at
-    height y is the fracture's aperture at (x_f, y), so it varies by row and
-    is approximated by whole cell columns, a documented discretization
-    error of this oracle. Cells whose center lies inside the band get the
-    fracture's mobility, all others mobility 1.
+    The fracture must be one straight vertical segment at x = x_f from y = 0
+    to y = 1, in either direction. A tensor-product grid is built from n
+    uniform columns and n rows; grid lines falling inside the band around
+    x_f are replaced by the band edges plus ``band_cells_across`` columns
+    across the band. The band width at height y is the fracture's aperture
+    at arc length |y - y0| from the path's first point (x_f, y0), so it
+    varies by row and is approximated by whole cell columns, a documented
+    discretization error of this oracle. Cells whose center lies inside the
+    band get the fracture's mobility, all others mobility 1.
 
     The system is solved to a relative residual of 1e-12. The multigrid
     smoother relaxes each grid row of nodes across the band as one line (one
@@ -158,16 +152,16 @@ def solve_equidim_2d(n: int, band_cells_across: int, fracture: FractureSpec,
     strongly anisotropic, which point relaxation smooths poorly.
     """
     path = fracture.path
-    if len(path) != 2 or path[0].x != path[1].x:
-        raise GeometryError("the band reference needs a fracture that is one straight "
-                            f"vertical segment, got path {[p.coords for p in path]}")
+    if len(path) != 2 or path[0].x != path[1].x or {path[0].y, path[1].y} != {0.0, 1.0}:
+        raise GeometryError("the band reference needs a fracture that is one vertical "
+                            f"segment from y = 0 to y = 1, got path {[p.coords for p in path]}")
     if n < 2:
         raise GeometryError(f"n must be >= 2, got {n}")
     if band_cells_across < 1:
         raise GeometryError(f"band_cells_across must be >= 1, got {band_cells_across}")
-    x_f = path[0].x
+    x_f, y0 = path[0].coords
 
-    wmax = float(np.max(_band_widths(fracture, x_f, np.linspace(0.0, 1.0, 4 * n + 1))))
+    wmax = float(np.max(fracture.aperture.at(np.abs(np.linspace(0.0, 1.0, 4 * n + 1) - y0))))
     if not (np.isfinite(wmax) and wmax > 0.0):
         raise GeometryError(f"band width must be positive, got {wmax!r}")
     b_lo = x_f - 0.5 * wmax
@@ -186,7 +180,7 @@ def solve_equidim_2d(n: int, band_cells_across: int, fracture: FractureSpec,
 
     split = split_mesh(mesh, FractureNetwork(()))
     centers = mesh.vertices[mesh.cells].mean(axis=1)
-    half_w = 0.5 * _band_widths(fracture, x_f, centers[:, 1])   # a row's cells share one y
+    half_w = 0.5 * fracture.aperture.at(np.abs(centers[:, 1] - y0))
     in_band = np.abs(centers[:, 0] - x_f) < half_w
     k_cell = np.where(in_band, fracture.mobility, 1.0)
 

@@ -177,8 +177,7 @@ _ELLIPSE_REDUCED = {"minor": 1e-2, "kf": 1e-2, "major": 1.0 + 1e-2}
 
 def _build_ellipse2d(n: int, variant: str | None,
                      scale: dict = _ELLIPSE_FULL) -> ScenarioCase:
-    aperture = EllipticalAperture(center=Point(0.5, 0.5),
-                                  major=scale["major"], minor=scale["minor"])
+    aperture = EllipticalAperture(center=0.5, major=scale["major"], minor=scale["minor"])
     return _vertical_case(n, aperture, scale["kf"], _THROUGHFLOW, ("y0p7",),
                           {"minor": scale["minor"], "major": scale["major"],
                            "kf": scale["kf"], "k": 1.0, "inflow": 1.0, "p_right": 1.0})

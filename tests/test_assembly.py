@@ -48,7 +48,7 @@ def test_fracture_coefficient_map_nodal_pair_and_floor():
 def test_fracture_coefficient_map_floor_scales_with_aperture():
     # a closed aperture takes the floor, 1e-12 times the largest aperture
     for aperture, largest in ((ConstantAperture(1e-2), 1e-2), (ConstantAperture(1.0), 1.0),
-                              (EllipticalAperture(Point(0.5, 0.5), 1.0, 1e-4), 1e-4)):
+                              (EllipticalAperture(0.5, 1.0, 1e-4), 1e-4)):
         c = fracture_coefficient_map(vertical_spec(aperture, 1.0))(0.0)
         assert c.kappa_j == 1e-12 * largest and c.r_a == 1.0 / (1e-12 * largest)
 
@@ -57,10 +57,6 @@ def test_fracture_coefficient_map_validation():
     cmap = fracture_coefficient_map(vertical_spec(ConstantAperture(1e-3), 1.0))
     with pytest.raises(ConfigurationError, match="apertures must be >= 0"):
         cmap(-1e-3)
-    spec = vertical_spec(ConstantAperture(1e-3), 1.0)
-    object.__setattr__(spec, "mobility", -1.0)          # past FractureSpec's own check
-    with pytest.raises(ConfigurationError, match="mobility must be positive"):
-        fracture_coefficient_map(spec)
     # an aperture so small that 1e-12 of it underflows leaves no floor
     with pytest.raises(ConfigurationError, match="floor must be positive"):
         fracture_coefficient_map(vertical_spec(ConstantAperture(1e-320), 1.0))
@@ -82,7 +78,7 @@ def test_interface_coefficients_validation():
 
 
 def test_coefficient_map_applies_floor_for_vanishing_aperture():
-    ap = EllipticalAperture(center=Point(0.5, 0.5), major=1.0, minor=1e-2)
+    ap = EllipticalAperture(center=0.5, major=1.0, minor=1e-2)
     network = FractureNetwork((vertical_spec(ap, 1.0),))
     split = split_mesh(unit_square(8), network)
     cmap = fracture_coefficient_map(network.fractures[0])

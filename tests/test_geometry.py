@@ -11,7 +11,7 @@ from fracflow import (ConformityError, ConstantAperture, EllipticalAperture,
                       build_interval, build_structured_quad, check_conformity,
                       run_scenario, split_mesh)
 from fracflow.geometry import components
-from conftest import PATH_CASES, copies_of, unit_square, vertical_network
+from conftest import PATH_CASES, copies_of, polyline_network, unit_square, vertical_network
 
 
 # --- points and apertures ---------------------------------------------------
@@ -27,7 +27,7 @@ def test_point_dimensions():
 
 def test_constant_aperture():
     ap = ConstantAperture(1e-3)
-    assert ap(Point(0.1, 0.9)) == 1e-3
+    assert ap.at(0.9) == 1e-3
     assert ap.max_value == 1e-3
     with pytest.raises(GeometryError):
         ConstantAperture(0.0)
@@ -36,39 +36,32 @@ def test_constant_aperture():
 
 
 def test_elliptical_aperture_profile():
-    ap = EllipticalAperture(center=Point(0.5, 0.5), major=1.0, minor=1e-2)
-    assert ap(Point(0.5, 0.5)) == pytest.approx(1e-2)
+    # a profile of the arc length s along the fracture, widest at s = 0.5
+    ap = EllipticalAperture(center=0.5, major=1.0, minor=1e-2)
+    assert ap.at(0.5) == pytest.approx(1e-2)
     # half way to the tip: minor * sqrt(1 - 0.5^2)
-    assert ap(Point(0.5, 0.75)) == pytest.approx(1e-2 * np.sqrt(0.75))
+    assert ap.at(0.75) == pytest.approx(1e-2 * np.sqrt(0.75))
     # at and beyond the tip the opening is zero
-    assert ap(Point(0.5, 1.0)) == 0.0
-    assert ap(Point(0.5, 1.3)) == 0.0
+    assert ap.at(1.0) == 0.0
+    assert ap.at(1.3) == 0.0
     assert ap.max_value == 1e-2
     with pytest.raises(GeometryError):
-        EllipticalAperture(center=Point(0.0, 0.0), major=-1.0, minor=1e-2)
+        EllipticalAperture(center=0.0, major=-1.0, minor=1e-2)
+    with pytest.raises(GeometryError, match="centre must be finite"):
+        EllipticalAperture(center=np.nan, major=1.0, minor=1e-2)
 
 
-@pytest.mark.parametrize("center", [Point(0.5, 0.5), Point(0.3)])
+@pytest.mark.parametrize("center", [0.5, 0.3], ids=["center0", "center1"])
 def test_aperture_arrays_match_per_point_profile(center):
-    # the array form rounds as the per-point norm of the offset does
+    # the array form rounds as the scalar closed form does, in the shape of s
     ap = EllipticalAperture(center=center, major=1.0, minor=1e-2)
-    pts = np.random.default_rng(7).random((2000, center.dim)) * 1.2 - 0.1
-    ratio = np.array([np.linalg.norm(p - center.as_array()) / 0.5 for p in pts])
+    s = np.random.default_rng(7).random(2000) * 1.2 - 0.1
+    ratio = np.array([abs(v - center) / 0.5 for v in s.tolist()])
     want = np.where(ratio < 1.0, 1e-2 * np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0)), 0.0)
-    assert np.array_equal(ap.at(pts), want)
-    assert ap(Point(*pts[0])) == want[0]
-    assert np.array_equal(ConstantAperture(1e-3).at(pts), np.full(2000, 1e-3))
-
-
-def test_elliptical_centre_must_match_path_dimension():
-    flat = EllipticalAperture(center=Point(0.5), major=1.0, minor=1e-2)
-    with pytest.raises(GeometryError, match="centre"):
-        FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=flat, mobility=1.0)
-    plane = EllipticalAperture(center=Point(0.5, 0.5), major=1.0, minor=1e-2)
-    with pytest.raises(GeometryError, match="centre"):
-        FractureSpec(path=(Point(0.5),), aperture=plane, mobility=1.0)
-    FractureSpec(path=(Point(0.5),), aperture=flat, mobility=1.0)
-    FractureSpec(path=(Point(0.5, 0.0), Point(0.5, 1.0)), aperture=plane, mobility=1.0)
+    assert np.array_equal(ap.at(s), want)
+    assert np.array_equal(ap.at(s.reshape(1000, 2)), want.reshape(1000, 2))
+    assert ap.at(s[0]) == want[0]
+    assert np.array_equal(ConstantAperture(1e-3).at(s), np.full(2000, 1e-3))
 
 
 # --- mesh builders ----------------------------------------------------------
@@ -326,6 +319,31 @@ def test_interface_rows_follow_each_path(case):
         corners = np.array([p.coords for p in frac.path])
         total = np.sum(np.linalg.norm(np.diff(corners, axis=0), axis=1))
         assert abs(edges.arc[-1, -1] - total) <= 4 * eps * total
+
+
+@pytest.mark.parametrize("case", ["bent24", "loop"])
+def test_apertures_follow_each_path_arc(case):
+    # an ellipse as long as its fracture, centred at mid-arc, closes at both
+    # tips of a bent or closed path: each node's aperture is the profile at
+    # its arc length, not at its distance from a point
+    if case == "loop":
+        mesh = unit_square(8)
+        network = polyline_network(((0.25, 0.25), (0.75, 0.25), (0.75, 0.75),
+                                    (0.25, 0.75), (0.25, 0.25)))
+    else:
+        mesh, network = PATH_CASES[case]()
+    fractures = []
+    for frac in network:
+        corners = np.array([p.coords for p in frac.path])
+        length = float(np.sum(np.linalg.norm(np.diff(corners, axis=0), axis=1)))
+        fractures.append(FractureSpec(frac.path, EllipticalAperture(0.5 * length, length, 1e-2),
+                                      frac.mobility))
+    split = split_mesh(mesh, FractureNetwork(fractures))
+    for j, frac in enumerate(split.network):
+        edges = split.edges_of_fracture(j)
+        assert np.array_equal(edges.apertures, frac.aperture.at(edges.arc))
+        assert edges.apertures[0, 0] == edges.apertures[-1, -1] == 0.0
+        assert edges.apertures.max() > 0.99e-2
 
 
 def test_split_rejects_interior_tip():

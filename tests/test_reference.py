@@ -166,9 +166,22 @@ def test_interface_vs_resolved_modeling_gap():
 _THROUGHFLOW = BoundaryConditionSet(dirichlet={"right": 0.0}, neumann={"left": 1.0})
 
 
+class _Width:
+    """An aperture profile given by ``width``, a scalar function of the arc
+    length s: on the default path from (0.5, 0) up, s = y."""
+
+    max_value = 1.0         # the coefficient floor's scale, unread by the band
+
+    def __init__(self, width):
+        self.width = width
+
+    def at(self, s):
+        return np.vectorize(self.width, otypes=[float])(s)
+
+
 def _band(width, kf: float, path=(Point(0.5, 0.0), Point(0.5, 1.0))) -> FractureSpec:
-    """A fracture whose aperture is ``width`` of y alone."""
-    return FractureSpec(path=path, aperture=lambda point: width(point.y), mobility=kf)
+    """A fracture whose aperture is ``width`` of the arc length alone."""
+    return FractureSpec(path=path, aperture=_Width(width), mobility=kf)
 
 
 def test_equidim_column_structure():
@@ -198,21 +211,19 @@ def test_equidim_variable_width_band():
     centers = res.split.base.vertices[res.split.base.cells].mean(axis=1)
     assert int(np.sum(modified)) == 2 * 5
     assert np.all(centers[modified][:, 1] < 0.5)
-
-
-def test_equidim_band_width_is_called_once_per_distinct_y():
-    seen = []
-
-    def width(y):
-        seen.append(y)
-        return 1e-2 * (1.0 + y)
-    res = solve_equidim_2d(10, 2, _band(width, 1e-4), _THROUGHFLOW)
-    assert len(seen) == (4 * 10 + 1) + 10       # the band's extent, then once per cell row
-    assert res.split.base.n_cells > 10 * 10
-    # the widths the cells got are the aperture at their centre y, call by call
-    centers = res.split.base.vertices[res.split.base.cells].mean(axis=1)
-    in_band = np.abs(centers[:, 0] - 0.5) < 0.5 * np.array([width(y) for y in centers[:, 1]])
-    assert np.array_equal(res.k_per_cell != 1.0, in_band)
+    # each cell gets the aperture at its centre's arc length, y on the path
+    # run upwards and 1 - y on the path run downwards: of the 4 band columns
+    # the outer two are inside the band where the arc length passes 0.5
+    for path, arc in (((Point(0.5, 0.0), Point(0.5, 1.0)), lambda y: y),
+                      ((Point(0.5, 1.0), Point(0.5, 0.0)), lambda y: 1.0 - y)):
+        band = _band(lambda s: 1e-2 * (1.0 + s), 1e-4, path=path)
+        res = solve_equidim_2d(10, 4, band, _THROUGHFLOW)
+        centers = res.split.base.vertices[res.split.base.cells].mean(axis=1)
+        s = arc(centers[:, 1])
+        in_band = np.abs(centers[:, 0] - 0.5) < 0.5 * band.aperture.at(s)
+        assert np.array_equal(res.k_per_cell != 1.0, in_band)
+        assert np.count_nonzero(in_band & (s > 0.5)) == 4 * 5
+        assert np.count_nonzero(in_band & (s < 0.5)) == 2 * 5
 
 
 def test_equidim_validation():
@@ -225,6 +236,7 @@ def test_equidim_validation():
         solve_equidim_2d(8, 2, _band(lambda y: 0.0, 1.0), _THROUGHFLOW)
     # the band is meshed along one straight vertical segment only
     for path in ((Point(0.5, 0.0), Point(0.5, 0.5), Point(0.6, 1.0)),     # bent
-                 (Point(0.4, 0.0), Point(0.6, 1.0))):                     # oblique
+                 (Point(0.4, 0.0), Point(0.6, 1.0)),                      # oblique
+                 (Point(0.5, 0.2), Point(0.5, 0.8))):                     # partial height
         with pytest.raises(GeometryError, match="vertical segment"):
             solve_equidim_2d(8, 2, _band(lambda y: 1e-2, 1.0, path=path), _THROUGHFLOW)

@@ -250,8 +250,9 @@ def test_verdict_gates_every_value_of_every_gated_metric(monkeypatch, gated, ung
 @pytest.mark.parametrize("scale", [_ELLIPSE_FULL, _ELLIPSE_REDUCED])
 def test_ellipse_band_width_is_the_closed_form_bit_for_bit(scale):
     """The band width the ellipse comparison reads from the scenario's
-    aperture, at x = 0.5, equals the closed form it replaced: at the grid y
-    and the cell-centre y of band meshes from n = 8 to 512, and at random y."""
+    aperture, at arc length y along its path from (0.5, 0), equals the
+    closed form it replaced: at the grid y and the cell-centre y of band
+    meshes from n = 8 to 512, and at random y."""
     aperture = SCENARIOS["ellipse2d"].build(4, None, scale=scale).split.network.fractures[0].aperture
     a = 0.5 * scale["major"]
 
@@ -264,8 +265,10 @@ def test_ellipse_band_width_is_the_closed_form_bit_for_bit(scale):
         mesh = _tensor_quad_mesh(np.array([0.0, 1.0]), np.linspace(0.0, 1.0, n + 1))
         ys += [np.linspace(0.0, 1.0, 4 * n + 1),
                mesh.vertices[mesh.cells].mean(axis=1)[:, 1]]
-    for y in np.concatenate(ys).tolist():
-        assert aperture(Point(0.5, y)) == closed_form(y), y
+    ys = np.concatenate(ys)
+    got = aperture.at(ys)
+    for y, width in zip(ys.tolist(), got.tolist()):
+        assert width == closed_form(y), y
 
 
 @pytest.mark.parametrize("name, dofs, max_iterations", [
