@@ -305,21 +305,25 @@ _SOLUTION_CHUNK = 8192
 def write_solution_csv(path, split: SplitMesh, solution: np.ndarray) -> None:
     """One row per dof: vertex id, x, y (0 in 1D), subdomain, pressure.
 
-    A mesh repeats its coordinates (a structured one has n+1 distinct x and
-    y values), so each distinct coordinate is formatted once and only the
-    pressure is formatted per row. Coordinates are told apart by their bits,
-    which keeps -0.0 and 0.0 apart as the per-row format does.
+    Each chunk of rows is formatted from its own slice of the vertices. A
+    mesh repeats its coordinates (a structured one has n+1 distinct x and y
+    values), so each distinct coordinate of a chunk is formatted once and
+    only the pressure is formatted per row. Coordinates are told apart by
+    their bits, which keeps -0.0 and 0.0 apart as the per-row format does.
     """
     solution = np.asarray(solution, dtype=float)
     vertices = split.base.vertices
-    n = len(vertices)
-    coords = np.concatenate([vertices[:, 0],
-                             vertices[:, 1] if vertices.shape[1] > 1 else np.zeros(n)])
-    bits, inverse = np.unique(coords.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
-    columns = (np.arange(n), text[:n], text[n:], split.subdomain_of_vertex(), solution)
+    n, dim = vertices.shape
+    subdomain = split.subdomain_of_vertex()
     with open(path, "w", newline="") as fh:
         fh.write("vertex,x,y,subdomain,p\r\n")
         for start in range(0, n, _SOLUTION_CHUNK):
-            fh.write(_rows("%d,%s,%s,%d,%.17g\r\n",
-                           [c[start:start + _SOLUTION_CHUNK].tolist() for c in columns]))
+            rows = slice(start, start + _SOLUTION_CHUNK)
+            xy = np.zeros((2, len(vertices[rows])))    # x, then y (0 in 1D)
+            xy[:dim] = vertices[rows].T
+            bits, inverse = np.unique(xy.view(np.int64), return_inverse=True)
+            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                            dtype=object)[inverse.reshape(xy.shape)]
+            fh.write(_rows("%d,%s,%s,%d,%.17g\r\n", [range(n)[rows], *text.tolist(),
+                                                      subdomain[rows].tolist(),
+                                                      solution[rows].tolist()]))

@@ -388,13 +388,15 @@ def _compare_band(name: str, profile: str, band_cells: int, n: int, tol: float,
     build = SCENARIOS[name].build
     case = build(n, None) if scale is None else build(n, None, scale=scale)
     _, pressure, _ = _solve_case(case, tol)
-    oracle = solve_equidim_2d(n, band_cells, case.split.network.fractures[0], case.bcs)
     if profile == "fracture_centerline":
         segment = _SEGMENTS["x0p5"]
         model = fracture_pressure(case.split, pressure, 0)
     else:
         segment = _SEGMENTS[profile]
         model = sample_profile(case.split, pressure, *segment, n + 1)
+    fracture, bcs = case.split.network.fractures[0], case.bcs
+    del case, pressure              # freed before the reference is meshed and solved
+    oracle = solve_equidim_2d(n, band_cells, fracture, bcs)
     reference = sample_profile(oracle.split, oracle.pressure, *segment, len(model))
     l2, mx = profile_error(model, reference)
     rng = float(np.ptp(reference.values))

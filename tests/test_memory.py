@@ -15,6 +15,10 @@ when the table's cell ids became int32 (1.34 to 1.19 times).
 The sparse arrays the assembled system keeps are at most 1.1 times the
 eliminated matrix's bytes. A system that also kept the full domain matrix
 would hold about 2.0 times.
+
+``write_solution_csv`` formats each chunk of rows from its own slice of the
+vertices; at conductive ``regular2d`` n=256 (66,954 dofs) its peak stays
+under 4 MiB, where formatting every dof's coordinates at once took 6.3 MiB.
 """
 
 import dataclasses
@@ -24,7 +28,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracflow import Mesh, Point, assemble, build_structured_quad, sample_profile, split_mesh
+from fracflow import (Mesh, Point, assemble, build_structured_quad, sample_profile, split_mesh,
+                      write_solution_csv)
 from fracflow.scenarios import SCENARIOS
 from fracflow.solver import multigrid
 
@@ -98,3 +103,10 @@ def test_sample_profile_peak(blocking_128):
                                                  Point(1.0, 1.0), 129))
     assert len(profile) == 129
     assert peak <= 0.95 * matrix_bytes
+
+
+def test_write_solution_csv_peak(tmp_path):
+    split = SCENARIOS["regular2d"].build(256, "conductive").split
+    values = np.random.default_rng(0).uniform(size=split.n_dofs)
+    _none, peak = _peak(lambda: write_solution_csv(tmp_path / "solution.csv", split, values))
+    assert peak <= 4 * 2**20

@@ -11,8 +11,8 @@ from fracflow import (ConfigurationError, NonConvergenceError, SolverError,
                       run_scenario, solve, solve_system)
 from fracflow import solver
 from fracflow.scenarios import SCENARIOS
-from fracflow.solver import (DENSE_LIMIT, INV_ROWS, Multigrid, _group_blocks,
-                             _inverse_factor, _Level, _smoother, multigrid)
+from fracflow.solver import (DENSE_LIMIT, Multigrid, _group_blocks, _Level, _smoother,
+                             multigrid)
 
 from conftest import coeffs_for
 
@@ -442,7 +442,7 @@ def test_aggregates_match_full_graph_rounds(monkeypatch, variant):
     the neighbourhood of the undecided nodes, pick the same roots and
     aggregates, on every level of the hierarchy."""
     levels = check_every_aggregation(monkeypatch)
-    for n, aggregations in ((32, 1), (64, 1), (128, 2)):
+    for n, aggregations in ((32, 1), (64, 2), (128, 2)):
         system = run_scenario("regular2d", n=n, variant=variant).system
         levels.clear()
         multigrid(system.matrix, system.copy_groups)
@@ -455,7 +455,7 @@ def test_aggregates_match_full_graph_rounds_on_band_lines(monkeypatch):
     levels = check_every_aggregation(monkeypatch)
     assert compare_scenario("wentzell_tangential")["passed"]
     assert compare_scenario("ellipse2d")["passed"]
-    assert len(levels) == 6 and all(same for _, same in levels)
+    assert len(levels) == 8 and all(same for _, same in levels)
 
 
 @pytest.mark.parametrize("grouped", [False, True, "chains"])
@@ -537,25 +537,17 @@ def test_small_system_is_one_dense_level():
     assert np.allclose(x, 1.0, atol=1e-9)
 
 
-def test_inverse_factor_matches_inverse_of_cholesky():
-    """Batched blocks of up to INV_ROWS rows get np.linalg.inv's bits; a
-    coarsest level of 343 rows, formed by halves, matches it to roundoff."""
-    for k in (1, 2, 19, INV_ROWS):
-        B = np.stack([random_spd(k, seed=s, scale_spread=2.0) for s in range(4)])
-        assert np.array_equal(_inverse_factor(B), np.linalg.inv(np.linalg.cholesky(B)))
-    B = random_spd(343, seed=22, scale_spread=2.0)
-    want = np.linalg.inv(np.linalg.cholesky(B))
-    got = _inverse_factor(B)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 def test_coarse_level_solve_matches_cho_solve(conductive_32_system):
     """The coarsest level's two products with its inverse Cholesky factor
     solve as LAPACK's triangular solves do, up to roundoff: on a matrix that
-    is one dense level and on the coarsest level of a conductive hierarchy."""
-    system = conductive_32_system
-    for mg in (multigrid(random_spd(40, seed=14)),
-               multigrid(system.matrix, system.copy_groups)):
+    is one dense level, on the coarsest level of a conductive hierarchy and
+    on that of ``single_vertical``, whose hierarchy has three levels."""
+    vertical = run_scenario("single_vertical").system
+    hierarchies = [multigrid(random_spd(40, seed=14))]
+    for system in (conductive_32_system, vertical):
+        hierarchies.append(multigrid(system.matrix, system.copy_groups))
+    assert len(hierarchies[-1].levels) == 3
+    for mg in hierarchies:
         level = mg.levels[-1]
         factor = scipy.linalg.cho_factor(level.A.toarray())
         for b in np.random.default_rng(14).standard_normal((3, level.A.shape[0])):
@@ -612,7 +604,10 @@ def test_stored_restriction_cycle_matches_csc_view(variant):
     assert coarse
     for level in coarse:
         assert level.R.format == "csr"
-        assert not hasattr(level, "P")
+        # P is R's CSC view: it shares R's arrays, so no CSR copy is stored
+        assert level.P.format == "csc" and level.P.shape == level.R.shape[::-1]
+        assert all(np.shares_memory(getattr(level.P, a), getattr(level.R, a))
+                   for a in ("data", "indices", "indptr"))
     rng = np.random.default_rng(5)
     for b in (system.rhs, *rng.standard_normal((3, len(system.rhs)))):
         want = csr_prolongation_cycle(mg, 0, b)
